@@ -10,6 +10,7 @@ anomalies (defects or camouflaged regions).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .image import GrayImage, Rect
@@ -126,8 +127,8 @@ def deviation(
     zero (e.g. the skewness of a perfectly symmetric texture) but such ratios
     are then huge: any local asymmetry reads as a strong deviation.
     """
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if not 0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     out = {}
     for name, lv, rv in zip(FEATURE_NAMES, local.as_tuple(), reference.as_tuple()):
         out[name] = abs(lv - rv) / max(abs(rv), epsilon)
@@ -150,8 +151,8 @@ def classify_blocks(
     """
     # threshold 0 is a usable degenerate boundary: only blocks with
     # exactly zero deviation (e.g. on perfect tilings) conform
-    if threshold < 0:
-        raise ValueError(f"threshold cannot be negative, got {threshold}")
+    if not 0 <= threshold < math.inf:
+        raise ValueError(f"threshold must be finite and >= 0, got {threshold}")
     if grid.n_rows * grid.block_h > img.height or grid.n_cols * grid.block_w > img.width:
         raise ValueError("grid does not fit inside the image")
     global_features = features_of_region(img)

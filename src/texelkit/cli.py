@@ -13,12 +13,13 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
 from .blocks import DEFAULT_EPSILON, classify_blocks, partition
 from .image import GrayImage, load_pgm, save_pgm
-from .periodicity import column_dmf, estimate_periods, forward_difference, row_dmf
+from .periodicity import estimate_periods, forward_difference
 from .synthesis import extract_texel, highlight_anomalies, synthesize
 from .testgen import GroundTruth, generate, random_texel
 
@@ -41,7 +42,7 @@ def _save_image(path: str, img: GrayImage) -> None:
 
 
 def _emit_json(obj, json_out: str | None) -> None:
-    text = json.dumps(obj, indent=2)
+    text = json.dumps(obj, indent=2, allow_nan=False)
     if json_out:
         Path(json_out).write_text(text + "\n")
     else:
@@ -65,8 +66,8 @@ def _parse_defects(text: str) -> list[tuple[int, int]]:
 def _resolve_periods(img: GrayImage, args):
     """Manual periods when given, DMF estimation otherwise.
 
-    Returns (periods_dict, block_h, block_w, curves) where curves is None on
-    the manual path.
+    Returns (periods_dict, block_h, block_w, curves) where curves are the
+    (row, column) DMF curves the estimate used, or None on the manual path.
     """
     manual = args.period_rows is not None or args.period_cols is not None
     if manual:
@@ -90,10 +91,7 @@ def _resolve_periods(img: GrayImage, args):
         _warn("column periodicity is degenerate (no usable minima); consider --period-cols")
     periods = est.to_dict()
     periods["manual"] = False
-    d_max_r = min(int(args.dmax_fraction * img.height), img.height - 1)
-    d_max_c = min(int(args.dmax_fraction * img.width), img.width - 1)
-    curves = (row_dmf(img, d_max_r), column_dmf(img, d_max_c))
-    return periods, est.row_period, est.col_period, curves
+    return periods, est.row_period, est.col_period, (est.row_curve, est.col_curve)
 
 
 def _dump_dmf_csv(path: str, curves) -> None:
@@ -101,7 +99,7 @@ def _dump_dmf_csv(path: str, curves) -> None:
         writer = csv.writer(fh)
         writer.writerow(["axis", "d", "dmf", "forward_difference"])
         for curve in curves:
-            diffs = forward_difference(curve) if curve.d_max >= 2 else []
+            diffs = forward_difference(curve)
             for d in range(1, curve.d_max + 1):
                 fd = repr(float(diffs[d - 1])) if d < curve.d_max else ""
                 writer.writerow([curve.axis, d, repr(curve.value_at(d)), fd])
@@ -137,8 +135,8 @@ def cmd_synthesize(args) -> int:
     texel = extract_texel(img, grid, result.representative)
     if args.texel_out:
         _save_image(args.texel_out, texel)
-    out_w = args.width if args.width else img.width
-    out_h = args.height if args.height else img.height
+    out_w = img.width if args.width is None else args.width
+    out_h = img.height if args.height is None else args.height
     _save_image(args.output, synthesize(texel, out_w, out_h))
     return EXIT_OK
 
@@ -243,9 +241,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_flags(args) -> None:
+    """Reject numeric flags the library would misread, before any work."""
+    if not 0 <= getattr(args, "threshold", 0) < math.inf:
+        raise ValueError(f"--threshold must be finite and >= 0, got {args.threshold}")
+    if not 0 < getattr(args, "epsilon", 1) < math.inf:
+        raise ValueError(f"--epsilon must be finite and > 0, got {args.epsilon}")
+    for name in ("width", "height"):
+        if getattr(args, name, None) is not None and getattr(args, name) <= 0:
+            raise ValueError(f"--{name} must be positive, got {getattr(args, name)}")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_flags(args)
         return args.func(args)
     except (OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -148,7 +148,10 @@ def load_pgm(data: bytes) -> GrayImage:
             if not token.isdigit():
                 raise PgmError(f"malformed P2 sample: {token!r}")
             tokens.append(int(token))
-        samples = np.array(tokens, dtype=np.int64)
+        try:
+            samples = np.array(tokens, dtype=np.int64)
+        except OverflowError:  # a sample beyond int64 exceeds any maxval
+            raise PgmError(f"P2 sample exceeds declared maxval {maxval}") from None
 
     if samples.max() > maxval:
         raise PgmError(

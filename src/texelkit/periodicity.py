@@ -7,13 +7,14 @@ per-column) contributions are superposed into a single curve; displacements
 where the curve dips to a local minimum are candidate periods, located by
 sign changes of the curve's forward differences.
 
-Curve values at exact multiples of a true period are exactly zero: squared
-differences are accumulated as integers and only the final per-pair
-normalization is floating point.
+Curve values at exact multiples of a true period are exactly zero: the
+squared-difference sums are exact integers (see _dmf) and only the final
+per-pair normalization is floating point.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -30,6 +31,13 @@ COLUMNS = "columns"
 # displacements fluctuate around the curve's high plateau); true periods dip
 # close to the global minimum and survive this cut.
 MINIMA_DEPTH_FRACTION = 0.25
+
+# _dmf takes row chunks whose spectra fit this many bytes, so its temporaries
+# stay bounded whatever the image size.
+_FFT_CHUNK_BYTES = 1 << 20
+
+# _dmf rounds float lag sums only while their error bound is below this.
+_MAX_ROUNDING_ERROR = 0.5
 
 
 @dataclass(frozen=True)
@@ -73,7 +81,8 @@ class PeriodEstimate:
 
     A degenerate axis had no usable minima (constant image, or no dip inside
     the probed range); its period comes from the curve's global minimum and
-    should be treated as a guess.
+    should be treated as a guess. row_curve and col_curve are the DMF curves
+    the periods came from; they stay out of to_dict().
     """
 
     row_period: int
@@ -82,6 +91,8 @@ class PeriodEstimate:
     col_candidates: list[int]
     row_degenerate: bool = False
     col_degenerate: bool = False
+    row_curve: DmfCurve | None = field(default=None, repr=False, compare=False)
+    col_curve: DmfCurve | None = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -94,32 +105,86 @@ class PeriodEstimate:
         }
 
 
+def _d_max(length: int, fraction: float) -> int:
+    """Displacements probed along an axis of `length` pixels."""
+    return min(int(fraction * length), length - 1)
+
+
+def _corr_error_bound(n: int, depth: int, energy: int) -> float:
+    """Bound on the float error of each lag sum C[d] computed by _dmf.
+
+    `energy`, the exact sum of squared (centred) pixels, bounds every |C[d]|
+    and, times n, the 1-norm of the power spectrum (Parseval). A length-n
+    FFT is taken to err by eps = 10 u log2(n): forward in the 2-norm of its
+    output, inverse per output against the 1-norm of its input over n (the
+    radix-2 analysis in Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., section 24.1, gives about 6.7 u per stage). Each
+    power value adds two roundings and the chunked sum over rows a chain of
+    `depth` - 1 additions.
+    """
+    u = np.finfo(np.float64).eps / 2
+    eps = 10 * u * math.log2(n)
+    gamma = (depth + 1) * u / (1 - (depth + 1) * u)
+    spectrum = 2 * eps + eps * eps + gamma * (1 + eps) ** 2  # relative to n * energy
+    return energy * (spectrum + eps * (1 + spectrum))
+
+
+def _dmf_direct(pix: np.ndarray, d_max: int) -> np.ndarray:
+    """_dmf by a direct integer loop, O(h * w * d_max); its fallback."""
+    pix = pix.astype(np.int64)
+    h, w = pix.shape
+    values = np.empty(d_max, dtype=np.float64)
+    for d in range(1, d_max + 1):
+        diff = pix[:, d:] - pix[:, : w - d]
+        values[d - 1] = np.sum(diff * diff) / (h * (w - d))
+    return values
+
+
+def _dmf(pix: np.ndarray, d_max: int) -> np.ndarray:
+    """DMF values for displacements 1..d_max along the last axis.
+
+    The squared-difference sum at d is (S[w] - S[d]) + S[w - d] - 2 C[d]:
+    S is the exact prefix sum of per-column sums of squares, C[d] the lag-d
+    autocorrelation summed over rows, from one real FFT per row zero-padded
+    to n >= w + d_max (so no lag wraps around). C is an integer, recovered
+    by rounding while _corr_error_bound allows; otherwise _dmf_direct runs.
+    Both divide the same integers, so curves are bit-identical.
+    """
+    h, w = pix.shape
+    n = 1 << (w + d_max - 1).bit_length()
+    col_sq = np.zeros(w, dtype=np.int64)
+    power = np.zeros(n // 2 + 1)
+    rows = max(1, _FFT_CHUNK_BYTES // (16 * power.size))
+    for r0 in range(0, h, rows):
+        # Centring on mid-gray changes no difference and quarters the
+        # worst-case energy the error bound scales with.
+        chunk = np.ascontiguousarray(pix[r0 : r0 + rows], dtype=np.int64) - 128
+        col_sq += (chunk * chunk).sum(axis=0)
+        spec = np.fft.rfft(chunk, n)
+        power += (spec.real * spec.real + spec.imag * spec.imag).sum(axis=0)
+    prefix = np.concatenate(([0], np.cumsum(col_sq)))
+    depth = min(rows, h) + (h - 1) // rows
+    if _corr_error_bound(n, depth, int(prefix[-1])) >= _MAX_ROUNDING_ERROR:
+        return _dmf_direct(pix, d_max)
+    corr = np.rint(np.fft.irfft(power, n)[1 : d_max + 1]).astype(np.int64)
+    d = np.arange(1, d_max + 1)
+    return ((prefix[w] - prefix[d]) + prefix[w - d] - 2 * corr) / (h * (w - d))
+
+
 def column_dmf(img: GrayImage, d_max: int) -> DmfCurve:
     """DMF over column displacements: value_at(d) is the mean squared
     difference between pixels d columns apart, over all rows.
     """
     if not 1 <= d_max <= img.width - 1:
         raise ValueError(f"d_max must be in 1..{img.width - 1}, got {d_max}")
-    pix = img.pixels.astype(np.int64)
-    h, w = pix.shape
-    values = np.empty(d_max, dtype=np.float64)
-    for d in range(1, d_max + 1):
-        diff = pix[:, d:] - pix[:, : w - d]
-        values[d - 1] = np.sum(diff * diff) / (h * (w - d))
-    return DmfCurve(COLUMNS, values)
+    return DmfCurve(COLUMNS, _dmf(img.pixels, d_max))
 
 
 def row_dmf(img: GrayImage, d_max: int) -> DmfCurve:
     """DMF over row displacements: value_at(d) compares pixels d rows apart."""
     if not 1 <= d_max <= img.height - 1:
         raise ValueError(f"d_max must be in 1..{img.height - 1}, got {d_max}")
-    pix = img.pixels.astype(np.int64)
-    h, w = pix.shape
-    values = np.empty(d_max, dtype=np.float64)
-    for d in range(1, d_max + 1):
-        diff = pix[d:, :] - pix[: h - d, :]
-        values[d - 1] = np.sum(diff * diff) / (w * (h - d))
-    return DmfCurve(ROWS, values)
+    return DmfCurve(ROWS, _dmf(img.pixels.T, d_max))
 
 
 def forward_difference(curve: DmfCurve) -> np.ndarray:
@@ -191,15 +256,17 @@ def estimate_periods(img: GrayImage, d_max_fraction: float = 0.5) -> PeriodEstim
     """
     if not 0 < d_max_fraction <= 1:
         raise ValueError(f"d_max_fraction must be in (0, 1], got {d_max_fraction}")
-    d_max_r = min(int(d_max_fraction * img.height), img.height - 1)
-    d_max_c = min(int(d_max_fraction * img.width), img.width - 1)
+    d_max_r = _d_max(img.height, d_max_fraction)
+    d_max_c = _d_max(img.width, d_max_fraction)
     if d_max_r < 3 or d_max_c < 3:
         raise ValueError(
             f"image {img.width}x{img.height} too small for fraction {d_max_fraction}: "
             "need at least 3 displacements per axis"
         )
-    row_period, row_used, row_degen = _select_period(row_dmf(img, d_max_r))
-    col_period, col_used, col_degen = _select_period(column_dmf(img, d_max_c))
+    row_curve = row_dmf(img, d_max_r)
+    col_curve = column_dmf(img, d_max_c)
+    row_period, row_used, row_degen = _select_period(row_curve)
+    col_period, col_used, col_degen = _select_period(col_curve)
     return PeriodEstimate(
         row_period=row_period,
         col_period=col_period,
@@ -207,4 +274,6 @@ def estimate_periods(img: GrayImage, d_max_fraction: float = 0.5) -> PeriodEstim
         col_candidates=col_used,
         row_degenerate=row_degen,
         col_degenerate=col_degen,
+        row_curve=row_curve,
+        col_curve=col_curve,
     )

@@ -8,12 +8,27 @@ agreement between the two is meaningful.
 from __future__ import annotations
 
 import math
+import os
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import texelkit
 from texelkit import GrayImage, Rect
+
+
+def cli_env() -> dict[str, str]:
+    """Environment for a `python -m texelkit` child run from another cwd.
+
+    PYTHONPATH starts with the absolute directory holding the texelkit
+    package imported here, so a relative entry such as `src` cannot break
+    the child.
+    """
+    src = str(Path(texelkit.__file__).resolve().parent.parent)
+    inherited = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + inherited if inherited else "")}
 
 
 def make_image(rows) -> GrayImage:

@@ -32,6 +32,7 @@ from texelkit import (
 )
 
 from conftest import (
+    cli_env,
     features_close,
     naive_column_dmf,
     naive_row_dmf,
@@ -282,7 +283,7 @@ def test_criterion_7_cli_exit_codes(capsys, tmp_path):
     def run(*args):
         return subprocess.run(
             [sys.executable, "-m", "texelkit", *args],
-            capture_output=True, text=True, cwd=tmp_path,
+            capture_output=True, text=True, cwd=tmp_path, env=cli_env(),
         )
 
     results = {}

@@ -170,6 +170,15 @@ class TestClassifyBlocks:
         with pytest.raises(ValueError):
             classify_blocks(img, grid, threshold=-0.1)
 
+    @pytest.mark.parametrize(
+        "threshold, epsilon",
+        [(float("nan"), 1e-6), (float("inf"), 1e-6), (0.1, float("nan")), (0.1, float("inf"))],
+    )
+    def test_non_finite_threshold_or_epsilon_rejected(self, threshold, epsilon):
+        flat = GrayImage(np.full((8, 8), 7, dtype=np.uint8))
+        with pytest.raises(ValueError):
+            classify_blocks(flat, partition(flat, 4, 4), threshold, epsilon)
+
 
 class TestResultSerialization:
     def test_to_dict_schema(self, rng):

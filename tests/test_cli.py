@@ -1,5 +1,6 @@
 """End-to-end CLI runs via subprocess: exit codes, JSON, and file outputs."""
 
+import csv
 import json
 import subprocess
 import sys
@@ -7,7 +8,18 @@ import sys
 import numpy as np
 import pytest
 
-from texelkit import GrayImage, load_pgm, random_texel, save_pgm, synthesize
+from texelkit import cli, periodicity
+from texelkit import (
+    GrayImage,
+    column_dmf,
+    load_pgm,
+    random_texel,
+    row_dmf,
+    save_pgm,
+    synthesize,
+)
+
+from conftest import cli_env
 
 
 def run_cli(*args, cwd):
@@ -16,6 +28,7 @@ def run_cli(*args, cwd):
         capture_output=True,
         text=True,
         cwd=cwd,
+        env=cli_env(),
     )
 
 
@@ -72,6 +85,30 @@ class TestAnalyze:
         # last displacement of each axis has no forward difference
         assert rows[14][3] == "" and rows[29][3] == ""
         assert float(rows[0][2]) > 0
+
+    def test_csv_dmf_reuses_estimation_curves(self, tmp_path, monkeypatch):
+        img = write_tiling(tmp_path / "in.pgm", 5, 7, 6, seed=4)
+        calls = []
+        dmf = periodicity._dmf
+
+        def counting(pix, d_max):
+            calls.append(d_max)
+            return dmf(pix, d_max)
+
+        monkeypatch.setattr(periodicity, "_dmf", counting)
+        monkeypatch.chdir(tmp_path)
+        argv = ["analyze", "in.pgm", "--csv-dmf", "dmf.csv", "--json-out", "rep.json"]
+        assert cli.main(argv) == 0
+        # 30x42 image at fraction 0.5: one pass per axis, rows first
+        assert calls == [15, 21]
+        with open(tmp_path / "dmf.csv", newline="") as fh:
+            dumped = [(r[0], int(r[1]), float(r[2])) for r in list(csv.reader(fh))[1:]]
+        expected = [
+            (curve.axis, d, value)
+            for curve in (row_dmf(img, 15), column_dmf(img, 21))
+            for d, value in zip(curve.displacements.tolist(), curve.values.tolist())
+        ]
+        assert dumped == expected
 
     def test_csv_dmf_skipped_under_manual_periods(self, tmp_path):
         write_tiling(tmp_path / "in.pgm", 5, 5, 6, seed=4)
@@ -211,6 +248,48 @@ class TestDetect:
             if b["conforming"]
         }
         assert conf_tight <= conf_loose
+
+
+def assert_flag_error(proc, flag):
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and len(proc.stderr.splitlines()) == 1
+    assert flag in proc.stderr
+    assert proc.stdout == ""
+
+
+class TestFlagValidation:
+    def test_nan_epsilon_on_constant_image_exits_2(self, tmp_path):
+        flat = GrayImage(np.full((16, 16), 7, dtype=np.uint8))
+        (tmp_path / "const.pgm").write_bytes(save_pgm(flat))
+        proc = run_cli(
+            "detect", "const.pgm", "hi.pgm", "--period-rows", "4", "--period-cols", "4",
+            "--epsilon", "nan", cwd=tmp_path,
+        )
+        assert_flag_error(proc, "--epsilon")
+        assert not (tmp_path / "hi.pgm").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-0.1"])
+    def test_bad_threshold_exits_2(self, tmp_path, value):
+        write_tiling(tmp_path / "in.pgm", 5, 5, 6, seed=4)
+        proc = run_cli("analyze", "in.pgm", f"--threshold={value}", cwd=tmp_path)
+        assert_flag_error(proc, "--threshold")
+
+    @pytest.mark.parametrize("value", ["inf", "0"])
+    def test_bad_epsilon_exits_2(self, tmp_path, value):
+        write_tiling(tmp_path / "in.pgm", 5, 5, 6, seed=4)
+        proc = run_cli("analyze", "in.pgm", f"--epsilon={value}", cwd=tmp_path)
+        assert_flag_error(proc, "--epsilon")
+
+    @pytest.mark.parametrize("flag", ["--width", "--height"])
+    def test_non_positive_output_size_exits_2(self, tmp_path, flag):
+        write_tiling(tmp_path / "in.pgm", 5, 5, 6, seed=4)
+        proc = run_cli("synthesize", "in.pgm", "out.pgm", flag, "0", cwd=tmp_path)
+        assert_flag_error(proc, flag)
+        assert not (tmp_path / "out.pgm").exists()
+
+    def test_report_json_is_strict(self):
+        with pytest.raises(ValueError):
+            cli._emit_json({"threshold": float("nan")}, None)
 
 
 class TestGenerate:

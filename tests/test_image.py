@@ -2,10 +2,39 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from texelkit import GrayImage, PgmError, Rect, crop, draw_rect_outline, load_pgm, save_pgm
 
 from conftest import make_image, random_image
+
+
+_SEP = st.sampled_from([b" ", b"\n", b"\t", b"\r\n", b"#c\n", b" # x\n", b""])
+_TOKEN = st.one_of(
+    st.integers(0, 255).map(b"%d".__mod__),
+    st.integers(256, 10**30).map(b"%d".__mod__),
+    st.sampled_from([b"P2", b"P5", b"P6", b"-1", b"#", b""]),
+    st.binary(max_size=4),
+)
+
+
+@st.composite
+def mutated_pgm(draw) -> bytes:
+    """A valid P2/P5 file with up to three tokens replaced, maybe truncated."""
+    magic = draw(st.sampled_from([b"P2", b"P5"]))
+    w, h, maxval = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 255))
+    tokens = [magic, b"%d" % w, b"%d" % h, b"%d" % maxval]
+    if magic == b"P2":
+        tokens += [b"%d" % draw(st.integers(0, maxval)) for _ in range(w * h)]
+    for _ in range(draw(st.integers(0, 3))):
+        tokens[draw(st.integers(0, len(tokens) - 1))] = draw(_TOKEN)
+    data = b"".join(token + draw(_SEP) for token in tokens)
+    if magic == b"P5":
+        data += draw(st.binary(min_size=w * h, max_size=w * h))
+    if draw(st.booleans()):
+        data = data[: draw(st.integers(0, len(data)))]
+    return data
 
 
 class TestGrayImage:
@@ -113,6 +142,16 @@ class TestPgmParsing:
 
     def test_pgm_error_is_value_error(self):
         assert issubclass(PgmError, ValueError)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.binary(max_size=64), mutated_pgm()))
+    @example(b"P2 1 1 255 99999999999999999999")  # sample beyond int64
+    def test_fuzzed_bytes_parse_or_raise_pgm_error(self, data):
+        try:
+            img = load_pgm(data)
+        except PgmError:
+            return
+        assert isinstance(img, GrayImage)
 
 
 class TestCrop:

@@ -1,8 +1,12 @@
 """DMF curves, forward differences, minima, and period selection."""
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from texelkit import periodicity
 from texelkit import (
     DmfCurve,
     GrayImage,
@@ -79,6 +83,64 @@ class TestDmfValues:
             column_dmf(img, 4)
         with pytest.raises(ValueError):
             column_dmf(img, 0)
+
+
+SHAPES = st.tuples(st.integers(2, 40), st.integers(2, 40))
+
+DMF_IMAGES = st.one_of(
+    hnp.arrays(np.uint8, SHAPES, elements=st.integers(0, 255)),
+    hnp.arrays(np.uint8, SHAPES, elements=st.sampled_from([0, 255])),
+    st.builds(
+        lambda shape, value: np.full(shape, value, dtype=np.uint8),
+        SHAPES,
+        st.integers(0, 255),
+    ),
+)
+
+
+def assert_dmf_matches_naive(img):
+    """Every d_max on both axes equals the integer reference exactly."""
+    col_ref = naive_column_dmf(img, img.width - 1)
+    row_ref = naive_row_dmf(img, img.height - 1)
+    for d_max in range(1, img.width):
+        assert column_dmf(img, d_max).values.tolist() == col_ref[:d_max]
+    for d_max in range(1, img.height):
+        assert row_dmf(img, d_max).values.tolist() == row_ref[:d_max]
+
+
+class TestFftDmf:
+    @settings(max_examples=150, deadline=None)
+    @given(DMF_IMAGES)
+    def test_equals_naive_reference(self, pixels):
+        assert_dmf_matches_naive(GrayImage(pixels))
+
+    def test_integer_fallback_when_rounding_unproven(self, rng, monkeypatch):
+        direct_calls = []
+        direct = periodicity._dmf_direct
+
+        def spy(pix, d_max):
+            direct_calls.append(d_max)
+            return direct(pix, d_max)
+
+        monkeypatch.setattr(periodicity, "_MAX_ROUNDING_ERROR", 0.0)
+        monkeypatch.setattr(periodicity, "_dmf_direct", spy)
+        shapes = [(9, 13), (17, 4), (2, 2)]
+        for h, w in shapes:
+            assert_dmf_matches_naive(random_image(rng, h, w))
+        # one direct call per curve: d_max runs over 1..w-1 and 1..h-1
+        assert len(direct_calls) == sum(h + w - 2 for h, w in shapes)
+
+    def test_fft_path_covers_large_images(self, rng, monkeypatch):
+        def fail(pix, d_max):
+            raise AssertionError("integer fallback ran")
+
+        monkeypatch.setattr(periodicity, "_dmf_direct", fail)
+        img = random_image(rng, 300, 500)
+        column_dmf(img, 499)
+        row_dmf(img, 299)
+        # worst case for 4096x4096 at the default fraction: every centred
+        # pixel at -128, n = 8192, 15 rows per chunk, 273 further chunks
+        assert periodicity._corr_error_bound(8192, 15 + 273, 128**2 * 4096**2) < 0.05
 
 
 class TestForwardDifference:
