@@ -17,9 +17,9 @@ import math
 import sys
 from pathlib import Path
 
-from .blocks import DEFAULT_EPSILON, classify_blocks, partition
+from .blocks import DEFAULT_EPSILON, AnalysisResult, BlockGrid, classify_blocks, partition
 from .image import GrayImage, load_pgm, save_pgm
-from .periodicity import estimate_periods, forward_difference
+from .periodicity import PeriodEstimate, estimate_periods, forward_difference
 from .synthesis import extract_texel, highlight_anomalies, synthesize
 from .testgen import GroundTruth, generate, random_texel
 
@@ -63,35 +63,23 @@ def _parse_defects(text: str) -> list[tuple[int, int]]:
     return blocks
 
 
-def _resolve_periods(img: GrayImage, args):
-    """Manual periods when given, DMF estimation otherwise.
-
-    Returns (periods_dict, block_h, block_w, curves) where curves are the
-    (row, column) DMF curves the estimate used, or None on the manual path.
+def _classify(args) -> tuple[GrayImage, PeriodEstimate, BlockGrid, AnalysisResult]:
+    """Load the input, take its periods (manual when given, DMF estimation
+    otherwise), and classify its blocks. A manual estimate carries no curves.
     """
-    manual = args.period_rows is not None or args.period_cols is not None
-    if manual:
-        if args.period_rows is None or args.period_cols is None:
-            raise ValueError("--period-rows and --period-cols must be given together")
-        periods = {
-            "row_period": args.period_rows,
-            "col_period": args.period_cols,
-            "row_candidates": [],
-            "col_candidates": [],
-            "row_degenerate": False,
-            "col_degenerate": False,
-            "manual": True,
-        }
-        return periods, args.period_rows, args.period_cols, None
-
-    est = estimate_periods(img, args.dmax_fraction)
-    if est.row_degenerate:
-        _warn("row periodicity is degenerate (no usable minima); consider --period-rows")
-    if est.col_degenerate:
-        _warn("column periodicity is degenerate (no usable minima); consider --period-cols")
-    periods = est.to_dict()
-    periods["manual"] = False
-    return periods, est.row_period, est.col_period, (est.row_curve, est.col_curve)
+    img = _load_image(args.input)
+    if args.period_rows is None and args.period_cols is None:
+        est = estimate_periods(img, args.dmax_fraction)
+        if est.row_degenerate:
+            _warn("row periodicity is degenerate (no usable minima); consider --period-rows")
+        if est.col_degenerate:
+            _warn("column periodicity is degenerate (no usable minima); consider --period-cols")
+    elif args.period_rows is None or args.period_cols is None:
+        raise ValueError("--period-rows and --period-cols must be given together")
+    else:
+        est = PeriodEstimate(args.period_rows, args.period_cols, [], [])
+    grid = partition(img, est.row_period, est.col_period)
+    return img, est, grid, classify_blocks(img, grid, args.threshold, args.epsilon)
 
 
 def _dump_dmf_csv(path: str, curves) -> None:
@@ -106,26 +94,22 @@ def _dump_dmf_csv(path: str, curves) -> None:
 
 
 def cmd_analyze(args) -> int:
-    img = _load_image(args.input)
-    periods, block_h, block_w, curves = _resolve_periods(img, args)
+    _, est, _, result = _classify(args)
+    manual = est.row_curve is None
     if args.csv_dmf:
-        if curves is None:
+        if manual:
             _warn("--csv-dmf ignored: DMF estimation was skipped (manual periods)")
         else:
-            _dump_dmf_csv(args.csv_dmf, curves)
-    grid = partition(img, block_h, block_w)
-    result = classify_blocks(img, grid, args.threshold, args.epsilon)
+            _dump_dmf_csv(args.csv_dmf, (est.row_curve, est.col_curve))
     if result.representative is None:
         _warn("no block conforms at this threshold; no representative texel")
+    periods = {**est.to_dict(), "manual": manual}
     _emit_json({"periods": periods, "analysis": result.to_dict()}, args.json_out)
     return EXIT_OK
 
 
 def cmd_synthesize(args) -> int:
-    img = _load_image(args.input)
-    _, block_h, block_w, _ = _resolve_periods(img, args)
-    grid = partition(img, block_h, block_w)
-    result = classify_blocks(img, grid, args.threshold, args.epsilon)
+    img, _, grid, result = _classify(args)
     if result.representative is None:
         print(
             "error: no block conforms at this threshold; nothing to synthesize from",
@@ -142,10 +126,7 @@ def cmd_synthesize(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    img = _load_image(args.input)
-    _, block_h, block_w, _ = _resolve_periods(img, args)
-    grid = partition(img, block_h, block_w)
-    result = classify_blocks(img, grid, args.threshold, args.epsilon)
+    img, _, grid, result = _classify(args)
     highlighted = highlight_anomalies(
         img, grid, result.anomalies, args.highlight_value, args.thickness
     )
@@ -247,6 +228,12 @@ def _check_flags(args) -> None:
         raise ValueError(f"--threshold must be finite and >= 0, got {args.threshold}")
     if not 0 < getattr(args, "epsilon", 1) < math.inf:
         raise ValueError(f"--epsilon must be finite and > 0, got {args.epsilon}")
+    if not 0 < getattr(args, "dmax_fraction", 1) <= 1:
+        raise ValueError(f"--dmax-fraction must be in (0, 1], got {args.dmax_fraction}")
+    if getattr(args, "thickness", 1) < 1:
+        raise ValueError(f"--thickness must be >= 1, got {args.thickness}")
+    if not 0 <= getattr(args, "highlight_value", 0) <= 255:
+        raise ValueError(f"--highlight-value must be in [0, 255], got {args.highlight_value}")
     for name in ("width", "height"):
         if getattr(args, name, None) is not None and getattr(args, name) <= 0:
             raise ValueError(f"--{name} must be positive, got {getattr(args, name)}")

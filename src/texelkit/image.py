@@ -135,7 +135,7 @@ def load_pgm(data: bytes) -> GrayImage:
             raise PgmError(
                 f"truncated P5 pixel data: expected {count} bytes, got {len(raster)}"
             )
-        samples = np.frombuffer(raster, dtype=np.uint8).astype(np.int64)
+        samples = np.frombuffer(raster, dtype=np.uint8)
     else:
         tokens = []
         while len(tokens) < count:
@@ -193,23 +193,37 @@ def crop(img: GrayImage, r: Rect) -> GrayImage:
     return GrayImage(img.pixels[r.y0 : r.y0 + r.h, r.x0 : r.x0 + r.w])
 
 
+def _check_band(value: int, thickness: int) -> None:
+    if not 0 <= value <= 255:
+        raise ValueError(f"outline value must be in [0, 255], got {value}")
+    if thickness < 1:
+        raise ValueError(f"thickness must be >= 1, got {thickness}")
+
+
+def _paint_band(pixels: np.ndarray, r: Rect, value: int, thickness: int) -> None:
+    """Set the band of width `thickness` just inside `r` to `value`, in place.
+
+    Each side's band is clipped to the rect, so a band at least half as wide
+    as the shorter side covers the whole rect and never spills past it.
+    """
+    th, tw = min(thickness, r.h), min(thickness, r.w)
+    y1, x1 = r.y0 + r.h, r.x0 + r.w
+    pixels[r.y0 : r.y0 + th, r.x0 : x1] = value
+    pixels[y1 - th : y1, r.x0 : x1] = value
+    pixels[r.y0 : y1, r.x0 : r.x0 + tw] = value
+    pixels[r.y0 : y1, x1 - tw : x1] = value
+
+
 def draw_rect_outline(img: GrayImage, r: Rect, value: int, thickness: int = 1) -> GrayImage:
     """Copy of `img` with the border band of width `thickness` just inside `r`
     set to `value`; all other pixels unchanged.
     """
     r.check_inside(img)
-    if not 0 <= value <= 255:
-        raise ValueError(f"outline value must be in [0, 255], got {value}")
-    if thickness < 1:
-        raise ValueError(f"thickness must be >= 1, got {thickness}")
+    _check_band(value, thickness)
     if 2 * thickness > min(r.w, r.h):
         raise ValueError(
             f"thickness {thickness} too large for a {r.w}x{r.h} rect"
         )
     out = img.pixels.copy()
-    t = thickness
-    out[r.y0 : r.y0 + t, r.x0 : r.x0 + r.w] = value
-    out[r.y0 + r.h - t : r.y0 + r.h, r.x0 : r.x0 + r.w] = value
-    out[r.y0 : r.y0 + r.h, r.x0 : r.x0 + t] = value
-    out[r.y0 : r.y0 + r.h, r.x0 + r.w - t : r.x0 + r.w] = value
+    _paint_band(out, r, value, thickness)
     return GrayImage(out)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .blocks import BlockGrid
-from .image import GrayImage, Rect, crop, draw_rect_outline
+from .image import GrayImage, _check_band, _paint_band, crop
 
 
 def extract_texel(img: GrayImage, grid: BlockGrid, index: tuple[int, int]) -> GrayImage:
@@ -43,21 +43,13 @@ def highlight_anomalies(
 ) -> GrayImage:
     """Copy of `img` with each anomalous block's border band set to `value`.
 
-    A block too small for the requested band (2*thickness exceeding either
-    block side) is filled solid instead.
+    A band at least half as wide as a block's shorter side covers the whole
+    block. All outlines are painted into one copy of the pixels.
     """
-    if not 0 <= value <= 255:
-        raise ValueError(f"highlight value must be in [0, 255], got {value}")
-    if thickness < 1:
-        raise ValueError(f"thickness must be >= 1, got {thickness}")
-    out = img
+    _check_band(value, thickness)
+    out = img.pixels.copy()
     for i, j in anomalies:
         r = grid.rect(i, j)
-        if 2 * thickness > min(r.w, r.h):
-            r.check_inside(out)
-            filled = out.pixels.copy()
-            filled[r.y0 : r.y0 + r.h, r.x0 : r.x0 + r.w] = value
-            out = GrayImage(filled)
-        else:
-            out = draw_rect_outline(out, r, value, thickness)
-    return out
+        r.check_inside(img)
+        _paint_band(out, r, value, thickness)
+    return GrayImage(out)

@@ -12,6 +12,7 @@ from texelkit import cli, periodicity
 from texelkit import (
     GrayImage,
     column_dmf,
+    estimate_periods,
     load_pgm,
     random_texel,
     row_dmf,
@@ -65,6 +66,25 @@ class TestAnalyze:
         assert report["periods"]["manual"] is True
         assert report["analysis"]["grid"]["block_h"] == 10
         assert report["analysis"]["grid"]["block_w"] == 15
+
+    def test_periods_report_on_both_paths(self, tmp_path, monkeypatch):
+        img = write_tiling(tmp_path / "in.pgm", 5, 7, 6, seed=4)
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["analyze", "in.pgm", "--json-out", "est.json"]) == 0
+        assert json.loads((tmp_path / "est.json").read_text())["periods"] == {
+            **estimate_periods(img).to_dict(), "manual": False
+        }
+        argv = ["analyze", "in.pgm", "--period-rows", "10", "--period-cols", "14"]
+        assert cli.main([*argv, "--json-out", "man.json"]) == 0
+        assert json.loads((tmp_path / "man.json").read_text())["periods"] == {
+            "row_period": 10,
+            "col_period": 14,
+            "row_candidates": [],
+            "col_candidates": [],
+            "row_degenerate": False,
+            "col_degenerate": False,
+            "manual": True,
+        }
 
     def test_half_manual_periods_rejected(self, tmp_path):
         write_tiling(tmp_path / "in.pgm", 6, 6, 5, seed=2)
@@ -286,6 +306,25 @@ class TestFlagValidation:
         proc = run_cli("synthesize", "in.pgm", "out.pgm", flag, "0", cwd=tmp_path)
         assert_flag_error(proc, flag)
         assert not (tmp_path / "out.pgm").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "7", "-1", "0"])
+    @pytest.mark.parametrize("manual", [False, True])
+    def test_bad_dmax_fraction_exits_2(self, tmp_path, value, manual):
+        write_tiling(tmp_path / "in.pgm", 5, 5, 6, seed=4)
+        periods = ["--period-rows", "5", "--period-cols", "5"] if manual else []
+        proc = run_cli(
+            "analyze", "in.pgm", f"--dmax-fraction={value}", *periods, cwd=tmp_path
+        )
+        assert_flag_error(proc, "--dmax-fraction")
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--thickness", "0"), ("--highlight-value", "256"), ("--highlight-value", "-1")],
+    )
+    def test_bad_outline_flag_exits_2_before_reading(self, tmp_path, flag, value):
+        proc = run_cli("detect", "nosuch.pgm", "hi.pgm", f"{flag}={value}", cwd=tmp_path)
+        assert_flag_error(proc, flag)
+        assert not (tmp_path / "hi.pgm").exists()
 
     def test_report_json_is_strict(self):
         with pytest.raises(ValueError):

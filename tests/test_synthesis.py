@@ -1,12 +1,16 @@
 """Texel extraction, tiling synthesis, and anomaly highlighting."""
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from texelkit import (
     GrayImage,
     classify_blocks,
     crop,
+    draw_rect_outline,
     extract_texel,
     highlight_anomalies,
     partition,
@@ -81,7 +85,44 @@ class TestRoundTrip:
         assert rebuilt == img
 
 
+def per_anomaly_highlight(img, grid, anomalies, value, thickness):
+    """Reference: one new image per anomaly, a solid fill when the band is
+    wider than half the block's shorter side, draw_rect_outline otherwise."""
+    out = img
+    for i, j in anomalies:
+        r = grid.rect(i, j)
+        if 2 * thickness > min(r.w, r.h):
+            filled = out.pixels.copy()
+            filled[r.y0 : r.y0 + r.h, r.x0 : r.x0 + r.w] = value
+            out = GrayImage(filled)
+        else:
+            out = draw_rect_outline(out, r, value, thickness)
+    return out
+
+
+@st.composite
+def highlight_cases(draw):
+    """Image, grid, anomaly list (duplicates allowed), value and thickness."""
+    h, w = draw(st.integers(1, 24)), draw(st.integers(1, 24))
+    img = GrayImage(draw(hnp.arrays(np.uint8, (h, w))))
+    grid = partition(img, draw(st.integers(1, h)), draw(st.integers(1, w)))
+    index = st.tuples(st.integers(0, grid.n_rows - 1), st.integers(0, grid.n_cols - 1))
+    anomalies = draw(st.lists(index, max_size=8))
+    thickness = draw(st.integers(1, max(grid.block_h, grid.block_w) + 3))
+    return img, grid, anomalies, draw(st.integers(0, 255)), thickness
+
+
+_ZEROS_9 = GrayImage(np.zeros((9, 9), dtype=np.uint8))
+
+
 class TestHighlightAnomalies:
+    @settings(max_examples=300, deadline=None)
+    @given(highlight_cases())
+    # band wider than the 3x3 block: the eight neighbours must stay untouched
+    @example((_ZEROS_9, partition(_ZEROS_9, 3, 3), [(1, 1)], 200, 5))
+    def test_equals_per_anomaly_reference(self, case):
+        assert highlight_anomalies(*case) == per_anomaly_highlight(*case)
+
     def test_no_anomalies_returns_equal_image(self, rng):
         img = random_image(rng, 16, 16)
         grid = partition(img, 4, 4)
