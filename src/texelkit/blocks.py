@@ -11,12 +11,18 @@ anomalies (defects or camouflaged regions).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+
+import numpy as np
 
 from .image import GrayImage, Rect
-from .stats import FEATURE_NAMES, FeatureVector, features_of_region
+from .stats import FEATURE_NAMES, GRAY_LEVELS, FeatureVector, feature_matrix, features_of_region
 
 DEFAULT_EPSILON = 1e-6
+
+# budget for the largest temporary of one chunk of block rows
+_CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -63,26 +69,59 @@ class BlockReport:
     conforming: bool
 
     def to_dict(self) -> dict:
-        return {
-            "index": list(self.index),
-            "features": self.features.to_dict(),
-            "deviations": dict(self.deviations),
-            "max_deviation": self.max_deviation,
-            "conforming": self.conforming,
-        }
+        return _block_dict(self.index, self.features.as_tuple(), self.deviations.values(),
+                           self.max_deviation, self.conforming)
 
 
-@dataclass(frozen=True)
+def _block_dict(index, features, deviations, max_deviation, conforming) -> dict:
+    """One block of the report; key order is part of the output contract."""
+    return {
+        "index": list(index),
+        "features": dict(zip(FEATURE_NAMES, features)),
+        "deviations": dict(zip(FEATURE_NAMES, deviations)),
+        "max_deviation": max_deviation,
+        "conforming": conforming,
+    }
+
+
+@dataclass(frozen=True, eq=False)
 class AnalysisResult:
-    """Full block classification outcome for one image."""
+    """Full block classification outcome for one image.
+
+    Per-block values are row-major arrays: block (i, j) is row i * n_cols + j
+    of `features` and `deviations` (columns in FEATURE_NAMES order) and entry
+    i * n_cols + j of `max_deviation` and `conforming`.
+    """
 
     grid: BlockGrid
     global_features: FeatureVector
-    reports: list[BlockReport]
+    features: np.ndarray = field(repr=False)
+    deviations: np.ndarray = field(repr=False)
+    max_deviation: np.ndarray = field(repr=False)
+    conforming: np.ndarray = field(repr=False)
     threshold: float
     epsilon: float
     representative: tuple[int, int] | None
     anomalies: list[tuple[int, int]]
+
+    def _rows(self):
+        """(index, features, deviations, max deviation, conforming) of every
+        block in row-major order, as Python values."""
+        return zip(
+            self.grid.indices(),
+            self.features.tolist(),
+            self.deviations.tolist(),
+            self.max_deviation.tolist(),
+            self.conforming.tolist(),
+        )
+
+    @cached_property
+    def reports(self) -> list[BlockReport]:
+        """One report per block, row-major; built on first use."""
+        return [
+            BlockReport(index, FeatureVector(*f), dict(zip(FEATURE_NAMES, d)), m, c)
+            for index, f, d, m, c in self._rows()
+        ]
 
     def report_at(self, i: int, j: int) -> BlockReport:
         return self.reports[i * self.grid.n_cols + j]
@@ -100,7 +139,7 @@ class AnalysisResult:
             "epsilon": self.epsilon,
             "global": self.global_features.to_dict(),
             "representative": None if self.representative is None else list(self.representative),
-            "blocks": [r.to_dict() for r in self.reports],
+            "blocks": [_block_dict(*row) for row in self._rows()],
         }
 
 
@@ -118,20 +157,53 @@ def partition(img: GrayImage, block_h: int, block_w: int) -> BlockGrid:
     )
 
 
-def deviation(
-    local: FeatureVector, reference: FeatureVector, epsilon: float = DEFAULT_EPSILON
-) -> dict[str, float]:
-    """Per-feature relative deviations |local - reference| / max(|reference|, epsilon).
+def deviation_matrix(
+    local: np.ndarray, reference: np.ndarray, epsilon: float = DEFAULT_EPSILON
+) -> np.ndarray:
+    """Relative deviations |local - reference| / max(|reference|, epsilon) of
+    (m, 6) feature rows from one reference row.
 
     The epsilon guard keeps ratios finite when a reference feature sits at
     zero (e.g. the skewness of a perfectly symmetric texture) but such ratios
-    are then huge: any local asymmetry reads as a strong deviation.
+    are then huge: any local asymmetry reads as a strong deviation. A ratio
+    beyond the float range is inf.
     """
     if not 0 < epsilon < math.inf:
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
-    out = {}
-    for name, lv, rv in zip(FEATURE_NAMES, local.as_tuple(), reference.as_tuple()):
-        out[name] = abs(lv - rv) / max(abs(rv), epsilon)
+    with np.errstate(over="ignore"):
+        return np.abs(local - reference) / np.maximum(np.abs(reference), epsilon)
+
+
+def deviation(
+    local: FeatureVector, reference: FeatureVector, epsilon: float = DEFAULT_EPSILON
+) -> dict[str, float]:
+    """Per-feature relative deviations of one feature vector; see deviation_matrix."""
+    row = deviation_matrix(np.array([local.as_tuple()]), np.array(reference.as_tuple()), epsilon)
+    return dict(zip(FEATURE_NAMES, row[0].tolist()))
+
+
+def block_features(img: GrayImage, grid: BlockGrid) -> np.ndarray:
+    """(n_rows * n_cols, 6) features of every grid block, row-major.
+
+    Row i * n_cols + j equals features_of_region(img, grid.rect(i, j)) bit for
+    bit. The histograms of a run of block rows come from one bincount of
+    block_id * 256 + level over the (rows, block_h, n_cols, block_w) view;
+    runs are sized so that no temporary exceeds _CHUNK_BYTES (one block row
+    at the least).
+    """
+    bh, bw, n_rows, n_cols = grid.block_h, grid.block_w, grid.n_rows, grid.n_cols
+    if n_rows * bh > img.height or n_cols * bw > img.width:
+        raise ValueError("grid does not fit inside the image")
+    blocks = img.pixels[: n_rows * bh, : n_cols * bw].reshape(n_rows, bh, n_cols, bw)
+    # per block: int64 bin ids of its pixels, float64 temporaries of 256 levels
+    step = max(1, _CHUNK_BYTES // (n_cols * 8 * max(bh * bw, GRAY_LEVELS)))
+    out = np.empty((n_rows * n_cols, len(FEATURE_NAMES)))
+    for r0 in range(0, n_rows, step):
+        chunk = blocks[r0 : r0 + step]
+        n = chunk.shape[0] * n_cols
+        bins = np.arange(0, n * GRAY_LEVELS, GRAY_LEVELS).reshape(-1, 1, n_cols, 1) + chunk
+        counts = np.bincount(bins.ravel(), minlength=n * GRAY_LEVELS)
+        out[r0 * n_cols : r0 * n_cols + n] = feature_matrix(counts.reshape(n, GRAY_LEVELS))
     return out
 
 
@@ -153,31 +225,29 @@ def classify_blocks(
     # exactly zero deviation (e.g. on perfect tilings) conform
     if not 0 <= threshold < math.inf:
         raise ValueError(f"threshold must be finite and >= 0, got {threshold}")
-    if grid.n_rows * grid.block_h > img.height or grid.n_cols * grid.block_w > img.width:
-        raise ValueError("grid does not fit inside the image")
     global_features = features_of_region(img)
+    feats = block_features(img, grid)
+    devs = deviation_matrix(feats, np.array(global_features.as_tuple()), epsilon)
+    max_dev = devs.max(axis=1)
+    conforming = max_dev <= threshold
+    for arr in (feats, devs, max_dev, conforming):
+        arr.setflags(write=False)
 
-    reports = []
+    candidates = np.flatnonzero(conforming)
     representative = None
-    best = None
-    anomalies = []
-    for i, j in grid.indices():
-        local = features_of_region(img, grid.rect(i, j))
-        devs = deviation(local, global_features, epsilon)
-        max_dev = max(devs.values())
-        conforming = max_dev <= threshold
-        reports.append(BlockReport((i, j), local, devs, max_dev, conforming))
-        if conforming:
-            if best is None or max_dev < best:
-                best = max_dev
-                representative = (i, j)
-        else:
-            anomalies.append((i, j))
+    if candidates.size:
+        # argmin keeps the first minimum: the earliest block in row-major order
+        best = int(candidates[np.argmin(max_dev[candidates])])
+        representative = divmod(best, grid.n_cols)
+    anomalies = [divmod(k, grid.n_cols) for k in np.flatnonzero(~conforming).tolist()]
 
     return AnalysisResult(
         grid=grid,
         global_features=global_features,
-        reports=reports,
+        features=feats,
+        deviations=devs,
+        max_deviation=max_dev,
+        conforming=conforming,
         threshold=threshold,
         epsilon=epsilon,
         representative=representative,

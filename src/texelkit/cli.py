@@ -20,6 +20,7 @@ from pathlib import Path
 from .blocks import DEFAULT_EPSILON, AnalysisResult, BlockGrid, classify_blocks, partition
 from .image import GrayImage, load_pgm, save_pgm
 from .periodicity import PeriodEstimate, estimate_periods, forward_difference
+from .stats import FEATURE_NAMES
 from .synthesis import extract_texel, highlight_anomalies, synthesize
 from .testgen import GroundTruth, generate, random_texel
 
@@ -41,12 +42,71 @@ def _save_image(path: str, img: GrayImage) -> None:
     Path(path).write_bytes(save_pgm(img))
 
 
-def _emit_json(obj, json_out: str | None) -> None:
-    text = json.dumps(obj, indent=2, allow_nan=False)
+def _block_template(pad: str) -> str:
+    """%-template of one report block at indent `pad`, laid out as
+    json.dumps(indent=2) lays it out: index i, j, six features, six
+    deviations, max deviation, then "true" or "false"."""
+    def members(names):
+        return ",\n".join(f'{pad}    "{name}": %r' for name in names)
+
+    return (
+        f'{pad}{{\n'
+        f'{pad}  "index": [\n{pad}    %d,\n{pad}    %d\n{pad}  ],\n'
+        f'{pad}  "features": {{\n{members(FEATURE_NAMES)}\n{pad}  }},\n'
+        f'{pad}  "deviations": {{\n{members(FEATURE_NAMES)}\n{pad}  }},\n'
+        f'{pad}  "max_deviation": %r,\n'
+        f'{pad}  "conforming": %s\n'
+        f'{pad}}}'
+    )
+
+
+def _emit_json(obj: dict) -> str:
+    """Report text: json.dumps(obj, indent=2, allow_nan=False) plus a newline,
+    byte for byte.
+
+    The `blocks` list of a detect report (or of an analyze report's
+    `analysis`) must hold blocks shaped as AnalysisResult.to_dict() makes
+    them; it is written with one %-template per block. Floats go through
+    float.__repr__ as json writes them, and a non-finite one raises json's
+    own ValueError.
+    """
+    analysis, depth = (obj["analysis"], 1) if "analysis" in obj else (obj, 0)
+    blocks = analysis.get("blocks")
+    if not blocks:
+        return json.dumps(obj, indent=2, allow_nan=False) + "\n"
+    marked = {**analysis, "blocks": "\0"}
+    if depth:
+        marked = {**obj, "analysis": marked}
+    head, tail = json.dumps(marked, indent=2, allow_nan=False).split('"\\u0000"')
+    pad = "  " * (depth + 2)
+    template = _block_template(pad)
+    body = ",\n".join([
+        template % (*b["index"], *b["features"].values(), *b["deviations"].values(),
+                    b["max_deviation"], "true" if b["conforming"] else "false")
+        for b in blocks
+    ])
+    # keys hold neither word, so these find any inf, -inf or nan value;
+    # json.dumps then raises its own error for the first of them
+    if "inf" in body or "nan" in body:
+        json.dumps(blocks, indent=2, allow_nan=False)
+    return f"{head}[\n{body}\n{pad[:-2]}]{tail}\n"
+
+
+def _report_text(obj: dict, epsilon: float) -> str:
+    """_emit_json(obj), with its error for a non-finite deviation naming --epsilon."""
+    try:
+        return _emit_json(obj)
+    except ValueError as exc:
+        raise ValueError(
+            f"{exc}: a relative deviation overflowed; --epsilon {epsilon!r} is too small"
+        ) from None
+
+
+def _write_report(text: str, json_out: str | None) -> None:
     if json_out:
-        Path(json_out).write_text(text + "\n")
+        Path(json_out).write_text(text)
     else:
-        print(text)
+        sys.stdout.write(text)
 
 
 def _parse_defects(text: str) -> list[tuple[int, int]]:
@@ -96,6 +156,8 @@ def _dump_dmf_csv(path: str, curves) -> None:
 def cmd_analyze(args) -> int:
     _, est, _, result = _classify(args)
     manual = est.row_curve is None
+    periods = {**est.to_dict(), "manual": manual}
+    report = _report_text({"periods": periods, "analysis": result.to_dict()}, args.epsilon)
     if args.csv_dmf:
         if manual:
             _warn("--csv-dmf ignored: DMF estimation was skipped (manual periods)")
@@ -103,8 +165,7 @@ def cmd_analyze(args) -> int:
             _dump_dmf_csv(args.csv_dmf, (est.row_curve, est.col_curve))
     if result.representative is None:
         _warn("no block conforms at this threshold; no representative texel")
-    periods = {**est.to_dict(), "manual": manual}
-    _emit_json({"periods": periods, "analysis": result.to_dict()}, args.json_out)
+    _write_report(report, args.json_out)
     return EXIT_OK
 
 
@@ -127,11 +188,12 @@ def cmd_synthesize(args) -> int:
 
 def cmd_detect(args) -> int:
     img, _, grid, result = _classify(args)
+    report = _report_text(result.to_dict(), args.epsilon)
     highlighted = highlight_anomalies(
         img, grid, result.anomalies, args.highlight_value, args.thickness
     )
     _save_image(args.output, highlighted)
-    _emit_json(result.to_dict(), args.json_out)
+    _write_report(report, args.json_out)
     return EXIT_ANOMALIES if result.anomalies else EXIT_OK
 
 

@@ -81,23 +81,36 @@ def histogram(img: GrayImage, region: Rect | None = None) -> Histogram:
     return Histogram(np.bincount(block.ravel(), minlength=GRAY_LEVELS))
 
 
-def features(h: Histogram) -> FeatureVector:
-    """Feature vector of a histogram; requires at least one counted pixel."""
-    n = h.n
-    if n == 0:
+def feature_matrix(counts: np.ndarray) -> np.ndarray:
+    """(m, 6) features of an (m, 256) matrix of gray-level counts, one region
+    per row; every row needs at least one counted pixel.
+
+    Each reduction is a float64 sum along the contiguous last axis, which
+    numpy takes pairwise over one row at a time: a row's features do not
+    depend on m or on the rows beside it. Everything is computed from
+    p = counts / n, so regions whose counts are multiples of one another
+    (a tile and a tiling of it) get bit-identical features.
+    """
+    n = counts.sum(axis=-1, keepdims=True)
+    if not n.all():
         raise ValueError("cannot compute features of an empty histogram")
-    p = h.counts / n
-    mean = float(_LEVELS @ p)
+    p = counts / n
+    mean = (p * _LEVELS).sum(axis=-1, keepdims=True)
     centered = _LEVELS - mean
     c2 = centered * centered
-    variance = float(c2 @ p)
-    skewness = float((c2 * centered) @ p)
-    kurtosis = float((c2 * c2) @ p)
-    energy = float(p @ p)
-    nonzero = p[p > 0]
+    variance = (c2 * p).sum(axis=-1)
+    skewness = (c2 * centered * p).sum(axis=-1)
+    kurtosis = (c2 * c2 * p).sum(axis=-1)
+    energy = (p * p).sum(axis=-1)
+    log_p = np.log2(p, out=np.zeros_like(p), where=p > 0)
     # +0.0 normalizes the -0.0 produced by single-level regions
-    entropy = float(-(nonzero @ np.log2(nonzero)) + 0.0)
-    return FeatureVector(mean, variance, skewness, kurtosis, energy, entropy)
+    entropy = -(p * log_p).sum(axis=-1) + 0.0
+    return np.stack([mean[:, 0], variance, skewness, kurtosis, energy, entropy], axis=-1)
+
+
+def features(h: Histogram) -> FeatureVector:
+    """Feature vector of a histogram; requires at least one counted pixel."""
+    return FeatureVector(*feature_matrix(h.counts[None])[0].tolist())
 
 
 def features_of_region(img: GrayImage, region: Rect | None = None) -> FeatureVector:

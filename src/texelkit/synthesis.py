@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .blocks import BlockGrid
-from .image import GrayImage, _check_band, _paint_band, crop
+from .image import GrayImage, _check_band, crop
 
 
 def extract_texel(img: GrayImage, grid: BlockGrid, index: tuple[int, int]) -> GrayImage:
@@ -44,12 +44,28 @@ def highlight_anomalies(
     """Copy of `img` with each anomalous block's border band set to `value`.
 
     A band at least half as wide as a block's shorter side covers the whole
-    block. All outlines are painted into one copy of the pixels.
+    block. All outlines are painted at once, through one mask of flagged
+    blocks times the clipped band over the (rows, block_h, cols, block_w)
+    view of the grid up to the last flagged row and column.
     """
     _check_band(value, thickness)
     out = img.pixels.copy()
-    for i, j in anomalies:
-        r = grid.rect(i, j)
-        r.check_inside(img)
-        _paint_band(out, r, value, thickness)
+    if len(anomalies):
+        at = np.array(anomalies, dtype=np.intp).reshape(-1, 2)
+        bh, bw = grid.block_h, grid.block_w
+        fits = (
+            (at >= 0) & (at < (grid.n_rows, grid.n_cols)) & ((at + 1) * (bh, bw) <= out.shape)
+        ).all(axis=1)
+        if not fits.all():
+            # the first bad index raises the same error a per-block check would
+            i, j = anomalies[int(np.argmin(fits))]
+            grid.rect(i, j).check_inside(img)
+        n_rows, n_cols = (at.max(axis=0) + 1).tolist()
+        flagged = np.zeros((n_rows, n_cols), dtype=bool)
+        flagged[at[:, 0], at[:, 1]] = True
+        th, tw = min(thickness, bh), min(thickness, bw)
+        band = np.ones((bh, bw), dtype=bool)
+        band[th : bh - th, tw : bw - tw] = False
+        view = out[: n_rows * bh, : n_cols * bw].reshape(n_rows, bh, n_cols, bw)
+        view[flagged[:, None, :, None] & band[:, None, :]] = value
     return GrayImage(out)

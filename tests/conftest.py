@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import texelkit
-from texelkit import GrayImage, Rect
+from texelkit import GrayImage, Rect, deviation, features_of_region
 
 
 def cli_env() -> dict[str, str]:
@@ -66,6 +66,26 @@ def pixel_loop_features(img: GrayImage, region: Rect | None = None) -> dict[str,
         "energy": energy,
         "entropy": entropy + 0.0,
     }
+
+
+def per_block_classify(img: GrayImage, grid, threshold: float, epsilon: float):
+    """Reference: the block-by-block loop classify_blocks used to run.
+
+    Returns (anomalies, representative, max deviation of every block in
+    row-major order); a strict `<` keeps the earliest of tied minima.
+    """
+    global_features = features_of_region(img)
+    anomalies, max_devs = [], []
+    representative, best = None, None
+    for i, j in grid.indices():
+        devs = deviation(features_of_region(img, grid.rect(i, j)), global_features, epsilon)
+        max_dev = max(devs.values())
+        max_devs.append(max_dev)
+        if max_dev > threshold:
+            anomalies.append((i, j))
+        elif best is None or max_dev < best:
+            best, representative = max_dev, (i, j)
+    return anomalies, representative, max_devs
 
 
 def naive_column_dmf(img: GrayImage, d_max: int) -> list[float]:

@@ -1,8 +1,14 @@
 """Block partitioning, relative deviations, and conformance classification."""
 
+from unittest import mock
+
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from texelkit import blocks
 from texelkit import (
     GrayImage,
     Rect,
@@ -14,7 +20,7 @@ from texelkit import (
     synthesize,
 )
 
-from conftest import make_image, random_image
+from conftest import make_image, per_block_classify, random_image
 
 
 class TestPartition:
@@ -198,3 +204,95 @@ class TestResultSerialization:
         assert first["index"] == [0, 0]
         if d["representative"] is not None:
             assert isinstance(d["representative"], list)
+
+
+@st.composite
+def grid_cases(draw):
+    """Image, grid and block rows per chunk.
+
+    Pixels are random, drawn from a few levels (many ties between blocks), or
+    a tiling of one random tile (exact zero deviations). Block sides run from
+    1 to the image sides, so 1x1 blocks and single-block grids occur.
+    """
+    h, w = draw(st.integers(1, 24)), draw(st.integers(1, 24))
+    kind = draw(st.sampled_from(["random", "levels", "tiled"]))
+    if kind == "random":
+        pixels = draw(hnp.arrays(np.uint8, (h, w)))
+    elif kind == "levels":
+        levels = draw(st.lists(st.integers(0, 255), min_size=1, max_size=3))
+        pixels = np.array(levels, dtype=np.uint8)[
+            draw(hnp.arrays(np.intp, (h, w), elements=st.integers(0, len(levels) - 1)))
+        ]
+    else:
+        th, tw = draw(st.integers(1, h)), draw(st.integers(1, w))
+        tile = draw(hnp.arrays(np.uint8, (th, tw)))
+        pixels = np.tile(tile, (-(-h // th), -(-w // tw)))[:h, :w]
+    img = GrayImage(pixels)
+    grid = partition(img, draw(st.integers(1, h)), draw(st.integers(1, w)))
+    return img, grid, draw(st.integers(1, grid.n_rows))
+
+
+def chunked(grid, rows_per_chunk):
+    """Patch the chunk budget so block_features takes this many block rows
+    at a time."""
+    per_row = grid.n_cols * 8 * max(grid.block_h * grid.block_w, 256)
+    return mock.patch.object(blocks, "_CHUNK_BYTES", rows_per_chunk * per_row)
+
+
+_NOISE = GrayImage(np.random.default_rng(7).integers(0, 256, (12, 10), dtype=np.uint8))
+
+
+class TestWholeGrid:
+    @settings(max_examples=200, deadline=None)
+    @given(grid_cases())
+    @example((_NOISE, partition(_NOISE, 1, 1), 5))  # 1x1 blocks, chunks of 5 rows
+    @example((_NOISE, partition(_NOISE, 12, 10), 1))  # one block
+    @example((_NOISE, partition(_NOISE, 2, 3), 4))  # 6 block rows: chunks of 4 and 2
+    def test_block_features_equal_single_region(self, case):
+        img, grid, rows_per_chunk = case
+        with chunked(grid, rows_per_chunk):
+            feats = blocks.block_features(img, grid)
+        assert feats.shape == (grid.n_rows * grid.n_cols, 6)
+        expected = np.array(
+            [features_of_region(img, grid.rect(i, j)).as_tuple() for i, j in grid.indices()]
+        )
+        assert np.array_equal(feats.view(np.uint64), expected.view(np.uint64))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        grid_cases(),
+        st.sampled_from([0.0, 0.02, 0.1, 0.5, 1e9]),
+        st.sampled_from([1e-6, 1e-2, 1e-320]),
+    )
+    @example((_NOISE, partition(_NOISE, 1, 1), 5), 0.5, 1e-6)
+    @example((_NOISE, partition(_NOISE, 12, 10), 1), 0.0, 1e-6)
+    def test_classification_equals_per_block_loop(self, case, threshold, epsilon):
+        img, grid, rows_per_chunk = case
+        with chunked(grid, rows_per_chunk):
+            res = classify_blocks(img, grid, threshold, epsilon)
+        anomalies, representative, max_devs = per_block_classify(img, grid, threshold, epsilon)
+        assert res.anomalies == anomalies
+        assert res.representative == representative
+        assert res.max_deviation.tolist() == max_devs
+        assert [r.max_deviation for r in res.reports] == max_devs
+
+    def test_result_arrays_are_read_only(self, rng):
+        img = random_image(rng, 8, 8)
+        res = classify_blocks(img, partition(img, 4, 4), threshold=0.1)
+        for arr in (res.features, res.deviations, res.max_deviation, res.conforming):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+    def test_overflowing_deviation_is_inf(self):
+        # global skewness is exactly 0, so epsilon alone divides a skewed block
+        img = make_image([[0, 0, 0, 255], [255, 255, 255, 0]])
+        res = classify_blocks(img, partition(img, 1, 4), threshold=0.1, epsilon=1e-320)
+        assert res.global_features.skewness == 0.0
+        assert res.max_deviation.tolist() == [float("inf")] * 2
+        assert res.anomalies == [(0, 0), (1, 0)]
+
+    def test_grid_outside_image_rejected(self, rng):
+        small = random_image(rng, 8, 8)
+        grid = partition(random_image(rng, 12, 12), 4, 4)
+        with pytest.raises(ValueError, match="does not fit"):
+            classify_blocks(small, grid, threshold=0.1)

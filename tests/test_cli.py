@@ -5,17 +5,23 @@ import json
 import subprocess
 import sys
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from texelkit import cli, periodicity
 from texelkit import (
     GrayImage,
+    PeriodEstimate,
+    classify_blocks,
     column_dmf,
     estimate_periods,
     load_pgm,
     random_texel,
     row_dmf,
+    partition,
     save_pgm,
     synthesize,
 )
@@ -326,9 +332,24 @@ class TestFlagValidation:
         assert_flag_error(proc, flag)
         assert not (tmp_path / "hi.pgm").exists()
 
+    # global skewness is exactly 0, so --epsilon alone divides and overflows
+    SYMMETRIC_P2 = b"P2\n4 2\n255\n0 0 0 255\n255 255 255 0\n"
+
+    def test_overflowing_deviation_writes_no_file(self, tmp_path):
+        (tmp_path / "sym.pgm").write_bytes(self.SYMMETRIC_P2)
+        manual = ("--period-rows", "1", "--period-cols", "4", "--epsilon", "1e-320")
+        proc = run_cli("detect", "sym.pgm", "o.pgm", *manual, cwd=tmp_path)
+        assert_flag_error(proc, "--epsilon")
+        assert not (tmp_path / "o.pgm").exists()
+        proc = run_cli(
+            "analyze", "sym.pgm", *manual, "--json-out", "r.json", cwd=tmp_path
+        )
+        assert_flag_error(proc, "--epsilon")
+        assert not (tmp_path / "r.json").exists()
+
     def test_report_json_is_strict(self):
         with pytest.raises(ValueError):
-            cli._emit_json({"threshold": float("nan")}, None)
+            cli._emit_json({"threshold": float("nan")})
 
 
 class TestGenerate:
@@ -370,3 +391,47 @@ class TestGenerate:
         )
         assert proc.returncode == 2
         assert "outside" in proc.stderr
+
+
+@st.composite
+def reports(draw):
+    """An analyze- or detect-shaped report of a random image; thresholds
+    include 0, so some reports have no representative. Some feature and
+    deviation values are replaced by arbitrary finite floats."""
+    h, w = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    img = GrayImage(draw(hnp.arrays(np.uint8, (h, w))))
+    grid = partition(img, draw(st.integers(1, h)), draw(st.integers(1, w)))
+    threshold = draw(st.sampled_from([0.0, 0.05, 1e9]))
+    analysis = classify_blocks(img, grid, threshold).to_dict()
+    floats = st.floats(allow_nan=False, allow_infinity=False)
+    for block in analysis["blocks"]:
+        for group in ("features", "deviations"):
+            for name in draw(st.sets(st.sampled_from(list(block[group])), max_size=2)):
+                block[group][name] = draw(floats)
+    if draw(st.booleans()):
+        return analysis
+    est = PeriodEstimate(grid.block_h, grid.block_w, [], [])
+    return {"periods": {**est.to_dict(), "manual": True}, "analysis": analysis}
+
+
+class TestReportText:
+    @settings(max_examples=150, deadline=None)
+    @given(reports())
+    def test_equals_json_dumps(self, report):
+        assert cli._emit_json(report) == json.dumps(report, indent=2, allow_nan=False) + "\n"
+
+    @settings(max_examples=50, deadline=None)
+    @given(reports(), st.sampled_from([float("inf"), float("-inf"), float("nan")]),
+           st.sampled_from(["deviations", "max_deviation"]), st.data())
+    def test_non_finite_value_raises_json_error(self, report, bad, where, data):
+        blocks = report.get("analysis", report)["blocks"]
+        block = data.draw(st.sampled_from(blocks))
+        if where == "max_deviation":
+            block["max_deviation"] = bad
+        else:
+            block["deviations"][data.draw(st.sampled_from(list(block["deviations"])))] = bad
+        with pytest.raises(ValueError) as want:
+            json.dumps(report, indent=2, allow_nan=False)
+        with pytest.raises(ValueError) as got:
+            cli._emit_json(report)
+        assert str(got.value) == str(want.value)

@@ -166,3 +166,19 @@ class TestHighlightAnomalies:
             highlight_anomalies(img, grid, [(0, 0)], value=300)
         with pytest.raises(ValueError):
             highlight_anomalies(img, grid, [(0, 0)], thickness=0)
+
+    @pytest.mark.parametrize("anomalies", [[(0, 0), (2, 0)], [(0, -1)], [(1, 1), (0, 2)]])
+    def test_out_of_grid_index_rejected(self, rng, anomalies):
+        img = random_image(rng, 8, 8)
+        with pytest.raises(ValueError, match="outside 2x2 grid"):
+            highlight_anomalies(img, partition(img, 4, 4), anomalies)
+
+    def test_grid_larger_than_image_rejected(self, rng):
+        small = random_image(rng, 8, 8)
+        grid = partition(random_image(rng, 12, 12), 4, 4)
+        # blocks inside the small image are painted as before
+        assert highlight_anomalies(small, grid, [(1, 1)]) == per_anomaly_highlight(
+            small, grid, [(1, 1)], 255, 1
+        )
+        with pytest.raises(ValueError, match="does not fit"):
+            highlight_anomalies(small, grid, [(0, 0), (2, 1)])
