@@ -11,7 +11,6 @@ from .blocks import (
     DEFAULT_EPSILON,
     AnalysisResult,
     BlockGrid,
-    BlockReport,
     classify_blocks,
     deviation,
     partition,
@@ -59,7 +58,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AnalysisResult",
     "BlockGrid",
-    "BlockReport",
     "DEFAULT_EPSILON",
     "DEFECT_SHIFT",
     "DmfCurve",

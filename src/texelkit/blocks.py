@@ -10,9 +10,10 @@ anomalies (defects or camouflaged regions).
 
 from __future__ import annotations
 
+import itertools
+import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -53,35 +54,7 @@ class BlockGrid:
 
     def indices(self):
         """All (row, col) block indices in row-major order."""
-        for i in range(self.n_rows):
-            for j in range(self.n_cols):
-                yield i, j
-
-
-@dataclass(frozen=True)
-class BlockReport:
-    """Per-block features and their deviations from the global features."""
-
-    index: tuple[int, int]
-    features: FeatureVector
-    deviations: dict[str, float]
-    max_deviation: float
-    conforming: bool
-
-    def to_dict(self) -> dict:
-        return _block_dict(self.index, self.features.as_tuple(), self.deviations.values(),
-                           self.max_deviation, self.conforming)
-
-
-def _block_dict(index, features, deviations, max_deviation, conforming) -> dict:
-    """One block of the report; key order is part of the output contract."""
-    return {
-        "index": list(index),
-        "features": dict(zip(FEATURE_NAMES, features)),
-        "deviations": dict(zip(FEATURE_NAMES, deviations)),
-        "max_deviation": max_deviation,
-        "conforming": conforming,
-    }
+        return itertools.product(range(self.n_rows), range(self.n_cols))
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,32 +88,57 @@ class AnalysisResult:
             self.conforming.tolist(),
         )
 
-    @cached_property
-    def reports(self) -> list[BlockReport]:
-        """One report per block, row-major; built on first use."""
-        return [
-            BlockReport(index, FeatureVector(*f), dict(zip(FEATURE_NAMES, d)), m, c)
-            for index, f, d, m, c in self._rows()
-        ]
-
-    def report_at(self, i: int, j: int) -> BlockReport:
-        return self.reports[i * self.grid.n_cols + j]
-
-    def to_dict(self) -> dict:
-        # Key order is part of the output contract.
+    def head(self) -> dict:
+        """to_dict() without its "blocks" list; key order is part of the output contract."""
         return {
-            "grid": {
-                "block_h": self.grid.block_h,
-                "block_w": self.grid.block_w,
-                "n_rows": self.grid.n_rows,
-                "n_cols": self.grid.n_cols,
-            },
+            "grid": {k: getattr(self.grid, k) for k in ("block_h", "block_w", "n_rows", "n_cols")},
             "threshold": self.threshold,
             "epsilon": self.epsilon,
             "global": self.global_features.to_dict(),
             "representative": None if self.representative is None else list(self.representative),
-            "blocks": [_block_dict(*row) for row in self._rows()],
         }
+
+    def to_dict(self) -> dict:
+        """The report as a dict; blocks_json() writes its "blocks" list."""
+        return {**self.head(), "blocks": [
+            {
+                "index": list(index),
+                "features": dict(zip(FEATURE_NAMES, f)),
+                "deviations": dict(zip(FEATURE_NAMES, d)),
+                "max_deviation": m,
+                "conforming": c,
+            }
+            for index, f, d, m, c in self._rows()
+        ]}
+
+    def blocks_json(self, pad: str) -> str:
+        """to_dict()["blocks"] as json.dumps(indent=2, allow_nan=False)
+        writes it when its key sits at indent `pad`, from "[" to "]".
+
+        Each block is one %-template laid out as json lays it out: index i,
+        j, six features, six deviations, max deviation, "true" or "false".
+        Floats go through float.__repr__ as json writes them, and a
+        non-finite one raises json's own ValueError.
+        """
+        floats = (self.features, self.deviations, self.max_deviation)
+        if not all(np.isfinite(a).all() for a in floats):
+            json.dumps(self.to_dict()["blocks"], indent=2, allow_nan=False)
+        p = pad + "  "  # the blocks sit one level inside the list
+        members = ",\n".join(f'{p}    "{name}": %r' for name in FEATURE_NAMES)
+        template = (
+            f'{p}{{\n'
+            f'{p}  "index": [\n{p}    %d,\n{p}    %d\n{p}  ],\n'
+            f'{p}  "features": {{\n{members}\n{p}  }},\n'
+            f'{p}  "deviations": {{\n{members}\n{p}  }},\n'
+            f'{p}  "max_deviation": %r,\n'
+            f'{p}  "conforming": %s\n'
+            f'{p}}}'
+        )
+        body = ",\n".join([
+            template % (*index, *f, *d, m, "true" if c else "false")
+            for index, f, d, m, c in self._rows()
+        ])
+        return f"[\n{body}\n{pad}]"
 
 
 def partition(img: GrayImage, block_h: int, block_w: int) -> BlockGrid:

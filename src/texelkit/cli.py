@@ -20,7 +20,6 @@ from pathlib import Path
 from .blocks import DEFAULT_EPSILON, AnalysisResult, BlockGrid, classify_blocks, partition
 from .image import GrayImage, load_pgm, save_pgm
 from .periodicity import PeriodEstimate, estimate_periods, forward_difference
-from .stats import FEATURE_NAMES
 from .synthesis import extract_texel, highlight_anomalies, synthesize
 from .testgen import GroundTruth, generate, random_texel
 
@@ -34,72 +33,31 @@ def _warn(msg: str) -> None:
     print(f"warning: {msg}", file=sys.stderr)
 
 
-def _load_image(path: str) -> GrayImage:
-    return load_pgm(Path(path).read_bytes())
-
-
 def _save_image(path: str, img: GrayImage) -> None:
     Path(path).write_bytes(save_pgm(img))
 
 
-def _block_template(pad: str) -> str:
-    """%-template of one report block at indent `pad`, laid out as
-    json.dumps(indent=2) lays it out: index i, j, six features, six
-    deviations, max deviation, then "true" or "false"."""
-    def members(names):
-        return ",\n".join(f'{pad}    "{name}": %r' for name in names)
+def _emit_json(result: AnalysisResult, epsilon: float, periods: dict | None = None) -> str:
+    """Report text: json.dumps(report, indent=2, allow_nan=False) plus a
+    newline, byte for byte, where report is result.to_dict() (detect), or
+    {"periods": periods, "analysis": result.to_dict()} when periods are
+    given (analyze).
 
-    return (
-        f'{pad}{{\n'
-        f'{pad}  "index": [\n{pad}    %d,\n{pad}    %d\n{pad}  ],\n'
-        f'{pad}  "features": {{\n{members(FEATURE_NAMES)}\n{pad}  }},\n'
-        f'{pad}  "deviations": {{\n{members(FEATURE_NAMES)}\n{pad}  }},\n'
-        f'{pad}  "max_deviation": %r,\n'
-        f'{pad}  "conforming": %s\n'
-        f'{pad}}}'
-    )
-
-
-def _emit_json(obj: dict) -> str:
-    """Report text: json.dumps(obj, indent=2, allow_nan=False) plus a newline,
-    byte for byte.
-
-    The `blocks` list of a detect report (or of an analyze report's
-    `analysis`) must hold blocks shaped as AnalysisResult.to_dict() makes
-    them; it is written with one %-template per block. Floats go through
-    float.__repr__ as json writes them, and a non-finite one raises json's
-    own ValueError.
+    The rest of the report is dumped once with a marker string where the
+    blocks go, and result.blocks_json() fills it in. A non-finite deviation
+    raises json's own ValueError, extended to name --epsilon.
     """
-    analysis, depth = (obj["analysis"], 1) if "analysis" in obj else (obj, 0)
-    blocks = analysis.get("blocks")
-    if not blocks:
-        return json.dumps(obj, indent=2, allow_nan=False) + "\n"
-    marked = {**analysis, "blocks": "\0"}
-    if depth:
-        marked = {**obj, "analysis": marked}
-    head, tail = json.dumps(marked, indent=2, allow_nan=False).split('"\\u0000"')
-    pad = "  " * (depth + 2)
-    template = _block_template(pad)
-    body = ",\n".join([
-        template % (*b["index"], *b["features"].values(), *b["deviations"].values(),
-                    b["max_deviation"], "true" if b["conforming"] else "false")
-        for b in blocks
-    ])
-    # keys hold neither word, so these find any inf, -inf or nan value;
-    # json.dumps then raises its own error for the first of them
-    if "inf" in body or "nan" in body:
-        json.dumps(blocks, indent=2, allow_nan=False)
-    return f"{head}[\n{body}\n{pad[:-2]}]{tail}\n"
-
-
-def _report_text(obj: dict, epsilon: float) -> str:
-    """_emit_json(obj), with its error for a non-finite deviation naming --epsilon."""
+    report, pad = {**result.head(), "blocks": "\0"}, "  "
+    if periods is not None:
+        report, pad = {"periods": periods, "analysis": report}, "    "
+    before, after = json.dumps(report, indent=2, allow_nan=False).split('"\\u0000"')
     try:
-        return _emit_json(obj)
+        blocks = result.blocks_json(pad)
     except ValueError as exc:
         raise ValueError(
             f"{exc}: a relative deviation overflowed; --epsilon {epsilon!r} is too small"
         ) from None
+    return f"{before}{blocks}{after}\n"
 
 
 def _write_report(text: str, json_out: str | None) -> None:
@@ -127,7 +85,7 @@ def _classify(args) -> tuple[GrayImage, PeriodEstimate, BlockGrid, AnalysisResul
     """Load the input, take its periods (manual when given, DMF estimation
     otherwise), and classify its blocks. A manual estimate carries no curves.
     """
-    img = _load_image(args.input)
+    img = load_pgm(Path(args.input).read_bytes())
     if args.period_rows is None and args.period_cols is None:
         est = estimate_periods(img, args.dmax_fraction)
         if est.row_degenerate:
@@ -157,7 +115,7 @@ def cmd_analyze(args) -> int:
     _, est, _, result = _classify(args)
     manual = est.row_curve is None
     periods = {**est.to_dict(), "manual": manual}
-    report = _report_text({"periods": periods, "analysis": result.to_dict()}, args.epsilon)
+    report = _emit_json(result, args.epsilon, periods)
     if args.csv_dmf:
         if manual:
             _warn("--csv-dmf ignored: DMF estimation was skipped (manual periods)")
@@ -188,7 +146,7 @@ def cmd_synthesize(args) -> int:
 
 def cmd_detect(args) -> int:
     img, _, grid, result = _classify(args)
-    report = _report_text(result.to_dict(), args.epsilon)
+    report = _emit_json(result, args.epsilon)
     highlighted = highlight_anomalies(
         img, grid, result.anomalies, args.highlight_value, args.thickness
     )
@@ -198,6 +156,10 @@ def cmd_detect(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    out = Path(args.output)
+    sidecar = out.with_suffix(".json")
+    if sidecar == out:
+        raise ValueError(f"output {out} would be overwritten by its ground-truth sidecar")
     gt = GroundTruth(
         texel_h=args.texel_h,
         texel_w=args.texel_w,
@@ -209,9 +171,8 @@ def cmd_generate(args) -> int:
     )
     texel = random_texel(gt.texel_h, gt.texel_w, gt.seed)
     img = generate(gt, texel)
-    out = Path(args.output)
     out.write_bytes(save_pgm(img))
-    out.with_suffix(".json").write_text(gt.to_json() + "\n")
+    sidecar.write_text(gt.to_json() + "\n")
     return EXIT_OK
 
 
@@ -306,8 +267,9 @@ def main(argv=None) -> int:
     try:
         _check_flags(args)
         return args.func(args)
-    except (OSError, ValueError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, ValueError, RuntimeError, MemoryError) as exc:
+        # a bare MemoryError has no message
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -223,12 +223,12 @@ def test_criterion_6_invariant_suites(capsys):
         grid = partition(img, 6, 6)
         loose = classify_blocks(img, grid, threshold=0.10)
         tight = classify_blocks(img, grid, threshold=0.02)
-        conf_loose = {r.index for r in loose.reports if r.conforming}
-        conf_tight = {r.index for r in tight.reports if r.conforming}
+        conf_loose = set(np.flatnonzero(loose.conforming).tolist())
+        conf_tight = set(np.flatnonzero(tight.conforming).tolist())
         if not conf_tight <= conf_loose:
             problems.append("threshold monotonicity")
         for res in (loose, tight):
-            conf = {r.index for r in res.reports if r.conforming}
+            conf = {divmod(k, grid.n_cols) for k in np.flatnonzero(res.conforming).tolist()}
             anom = set(res.anomalies)
             if conf | anom != set(grid.indices()) or conf & anom:
                 problems.append("conforming/anomaly partition")

@@ -101,17 +101,15 @@ class TestClassifyBlocks:
         res = classify_blocks(img, grid, threshold=0.02)
         assert res.anomalies == []
         assert res.representative == (0, 0)
-        for rep in res.reports:
-            assert rep.conforming and rep.max_deviation == 0.0
+        assert res.conforming.all() and (res.max_deviation == 0.0).all()
 
     def test_representative_minimizes_max_deviation(self, rng):
         img = random_image(rng, 24, 24)
         grid = partition(img, 6, 6)
         # huge threshold so every block conforms and the minimizer is free
         res = classify_blocks(img, grid, threshold=1e9)
-        best = min(res.reports, key=lambda r: r.max_deviation)
-        got = res.report_at(*res.representative)
-        assert got.max_deviation == best.max_deviation
+        i, j = res.representative
+        assert res.max_deviation[i * grid.n_cols + j] == res.max_deviation.min()
 
     def test_representative_tie_breaks_row_major(self):
         # two identical halves: every block has identical deviations, so
@@ -126,20 +124,19 @@ class TestClassifyBlocks:
         img = random_image(rng, 30, 30)
         grid = partition(img, 6, 6)
         res = classify_blocks(img, grid, threshold=0.05)
-        conforming = {r.index for r in res.reports if r.conforming}
+        conforming = {divmod(k, grid.n_cols) for k in np.flatnonzero(res.conforming).tolist()}
         anomalous = set(res.anomalies)
         assert conforming | anomalous == set(grid.indices())
         assert conforming & anomalous == set()
-        for rep in res.reports:
-            assert rep.conforming == (rep.max_deviation <= res.threshold)
+        assert res.conforming.tolist() == (res.max_deviation <= res.threshold).tolist()
 
     def test_threshold_monotonicity(self, rng):
         img = random_image(rng, 30, 30)
         grid = partition(img, 5, 5)
         loose = classify_blocks(img, grid, threshold=0.10)
         tight = classify_blocks(img, grid, threshold=0.02)
-        conforming_loose = {r.index for r in loose.reports if r.conforming}
-        conforming_tight = {r.index for r in tight.reports if r.conforming}
+        conforming_loose = set(np.flatnonzero(loose.conforming).tolist())
+        conforming_tight = set(np.flatnonzero(tight.conforming).tolist())
         assert conforming_tight <= conforming_loose
 
     def test_no_conforming_block(self):
@@ -274,7 +271,6 @@ class TestWholeGrid:
         assert res.anomalies == anomalies
         assert res.representative == representative
         assert res.max_deviation.tolist() == max_devs
-        assert [r.max_deviation for r in res.reports] == max_devs
 
     def test_result_arrays_are_read_only(self, rng):
         img = random_image(rng, 8, 8)

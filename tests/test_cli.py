@@ -1,6 +1,7 @@
 """End-to-end CLI runs via subprocess: exit codes, JSON, and file outputs."""
 
 import csv
+import dataclasses
 import json
 import subprocess
 import sys
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from texelkit import cli, periodicity
 from texelkit import (
+    AnalysisResult,
     GrayImage,
     PeriodEstimate,
     classify_blocks,
@@ -348,8 +350,22 @@ class TestFlagValidation:
         assert not (tmp_path / "r.json").exists()
 
     def test_report_json_is_strict(self):
+        img = GrayImage(np.arange(16, dtype=np.uint8).reshape(4, 4))
+        res = classify_blocks(img, partition(img, 2, 2), threshold=0.1)
         with pytest.raises(ValueError):
-            cli._emit_json({"threshold": float("nan")})
+            cli._emit_json(dataclasses.replace(res, threshold=float("nan")), 1e-6)
+
+    def test_out_of_memory_exits_2(self, tmp_path):
+        # 10**18 bytes exceed any 64-bit address space, so the allocator
+        # refuses the request outright; the tiles of one column take 10 MB
+        write_tiling(tmp_path / "in.pgm", 4, 5, 6, seed=4)
+        proc = run_cli(
+            "synthesize", "in.pgm", "o.pgm", "--period-rows", "4", "--period-cols", "5",
+            "--height", str(10**6), "--width", str(10**12), cwd=tmp_path,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:") and len(proc.stderr.splitlines()) == 1
+        assert not (tmp_path / "o.pgm").exists()
 
 
 class TestGenerate:
@@ -383,6 +399,16 @@ class TestGenerate:
         )
         assert proc.returncode == 2
 
+    def test_output_named_like_its_sidecar_exits_2(self, tmp_path):
+        proc = run_cli(
+            "generate", "t.json", "--texel-h", "4", "--texel-w", "4",
+            "--reps-r", "4", "--reps-c", "4", cwd=tmp_path,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:") and len(proc.stderr.splitlines()) == 1
+        assert "sidecar" in proc.stderr
+        assert list(tmp_path.iterdir()) == []
+
     def test_defect_outside_grid_exits_2(self, tmp_path):
         proc = run_cli(
             "generate", "t.pgm", "--texel-h", "4", "--texel-w", "4",
@@ -394,44 +420,75 @@ class TestGenerate:
 
 
 @st.composite
-def reports(draw):
-    """An analyze- or detect-shaped report of a random image; thresholds
-    include 0, so some reports have no representative. Some feature and
-    deviation values are replaced by arbitrary finite floats."""
+def results(draw):
+    """An AnalysisResult of a random image, with the periods of an analyze
+    report or None for a detect report. Thresholds include 0, so some
+    results have no representative. Some feature and deviation values are
+    replaced by arbitrary finite floats."""
     h, w = draw(st.integers(1, 12)), draw(st.integers(1, 12))
     img = GrayImage(draw(hnp.arrays(np.uint8, (h, w))))
     grid = partition(img, draw(st.integers(1, h)), draw(st.integers(1, w)))
-    threshold = draw(st.sampled_from([0.0, 0.05, 1e9]))
-    analysis = classify_blocks(img, grid, threshold).to_dict()
+    res = classify_blocks(img, grid, draw(st.sampled_from([0.0, 0.05, 1e9])))
+    feats, devs = res.features.copy(), res.deviations.copy()
     floats = st.floats(allow_nan=False, allow_infinity=False)
-    for block in analysis["blocks"]:
-        for group in ("features", "deviations"):
-            for name in draw(st.sets(st.sampled_from(list(block[group])), max_size=2)):
-                block[group][name] = draw(floats)
+    for arr in (feats, devs):
+        for row in arr:
+            for col in draw(st.sets(st.integers(0, 5), max_size=2)):
+                row[col] = draw(floats)
+    res = dataclasses.replace(res, features=feats, deviations=devs)
     if draw(st.booleans()):
-        return analysis
+        return res, None
     est = PeriodEstimate(grid.block_h, grid.block_w, [], [])
-    return {"periods": {**est.to_dict(), "manual": True}, "analysis": analysis}
+    return res, {**est.to_dict(), "manual": True}
+
+
+def reference_text(res, periods):
+    """The report as json.dumps writes the dict form."""
+    report = res.to_dict()
+    if periods is not None:
+        report = {"periods": periods, "analysis": report}
+    return json.dumps(report, indent=2, allow_nan=False) + "\n"
 
 
 class TestReportText:
     @settings(max_examples=150, deadline=None)
-    @given(reports())
-    def test_equals_json_dumps(self, report):
-        assert cli._emit_json(report) == json.dumps(report, indent=2, allow_nan=False) + "\n"
+    @given(results(), st.sampled_from([1e-6, 1e-320]))
+    def test_equals_json_dumps(self, case, epsilon):
+        res, periods = case
+        assert cli._emit_json(res, epsilon, periods) == reference_text(res, periods)
 
     @settings(max_examples=50, deadline=None)
-    @given(reports(), st.sampled_from([float("inf"), float("-inf"), float("nan")]),
+    @given(results(), st.sampled_from([float("inf"), float("-inf"), float("nan")]),
            st.sampled_from(["deviations", "max_deviation"]), st.data())
-    def test_non_finite_value_raises_json_error(self, report, bad, where, data):
-        blocks = report.get("analysis", report)["blocks"]
-        block = data.draw(st.sampled_from(blocks))
+    def test_non_finite_value_raises_json_error(self, case, bad, where, data):
+        res, periods = case
+        arr = getattr(res, where).copy()
+        k = data.draw(st.integers(0, len(arr) - 1))
         if where == "max_deviation":
-            block["max_deviation"] = bad
+            arr[k] = bad
         else:
-            block["deviations"][data.draw(st.sampled_from(list(block["deviations"])))] = bad
+            arr[k, data.draw(st.integers(0, 5))] = bad
+        res = dataclasses.replace(res, **{where: arr})
         with pytest.raises(ValueError) as want:
-            json.dumps(report, indent=2, allow_nan=False)
+            reference_text(res, periods)
         with pytest.raises(ValueError) as got:
-            cli._emit_json(report)
-        assert str(got.value) == str(want.value)
+            cli._emit_json(res, 1e-320, periods)
+        assert str(got.value) == (
+            f"{want.value}: a relative deviation overflowed; --epsilon 1e-320 is too small"
+        )
+
+    def test_cli_builds_no_block_dicts(self, tmp_path, monkeypatch):
+        img = write_tiling(tmp_path / "in.pgm", 6, 5, 4, seed=2)
+        want = classify_blocks(img, partition(img, 6, 5), threshold=0.1).to_dict()
+
+        def refuse(self):
+            raise AssertionError("the CLI report must not call to_dict()")
+
+        monkeypatch.setattr(AnalysisResult, "to_dict", refuse)
+        manual = ["--period-rows", "6", "--period-cols", "5"]
+        detect = [str(tmp_path / "in.pgm"), str(tmp_path / "o.pgm"), *manual]
+        assert cli.main(["detect", *detect, "--json-out", str(tmp_path / "d.json")]) == 0
+        assert cli.main(["analyze", str(tmp_path / "in.pgm"),
+                         "--json-out", str(tmp_path / "a.json")]) == 0
+        assert json.loads((tmp_path / "d.json").read_text()) == want
+        assert json.loads((tmp_path / "a.json").read_text())["analysis"] == want
