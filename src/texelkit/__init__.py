@@ -12,7 +12,6 @@ from .blocks import (
     AnalysisResult,
     BlockGrid,
     classify_blocks,
-    deviation,
     partition,
 )
 from .image import (
@@ -29,7 +28,6 @@ from .periodicity import (
     DmfCurve,
     PeriodEstimate,
     column_dmf,
-    estimate_period,
     estimate_periods,
     find_minima,
     forward_difference,
@@ -74,9 +72,7 @@ __all__ = [
     "classify_blocks",
     "column_dmf",
     "crop",
-    "deviation",
     "draw_rect_outline",
-    "estimate_period",
     "estimate_periods",
     "extract_texel",
     "features",

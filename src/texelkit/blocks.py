@@ -172,14 +172,6 @@ def deviation_matrix(
         return np.abs(local - reference) / np.maximum(np.abs(reference), epsilon)
 
 
-def deviation(
-    local: FeatureVector, reference: FeatureVector, epsilon: float = DEFAULT_EPSILON
-) -> dict[str, float]:
-    """Per-feature relative deviations of one feature vector; see deviation_matrix."""
-    row = deviation_matrix(np.array([local.as_tuple()]), np.array(reference.as_tuple()), epsilon)
-    return dict(zip(FEATURE_NAMES, row[0].tolist()))
-
-
 def block_features(img: GrayImage, grid: BlockGrid) -> np.ndarray:
     """(n_rows * n_cols, 6) features of every grid block, row-major.
 

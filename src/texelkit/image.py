@@ -6,9 +6,19 @@ image, so values can be shared freely across threads.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
+
+# True for every byte but the six that bytes.isspace() accepts
+_INK = np.ones(256, dtype=bool)
+_INK[list(b" \t\n\r\x0b\x0c")] = False
+_COMMENT = re.compile(rb"#[^\r\n]*")
+
+# P2 text of each gray level: its digits and one separator, left-aligned
+_P2_TEXT = np.frombuffer(b"".join(b"%-4d" % v for v in range(256)), np.uint8).reshape(256, 4)
+_P2_WIDTH = np.array([len(b"%d " % v) for v in range(256)])
 
 
 class PgmError(ValueError):
@@ -27,7 +37,7 @@ class GrayImage:
             raise ValueError(f"image must be a non-empty 2-D grid, got shape {arr.shape}")
         if not np.issubdtype(arr.dtype, np.integer):
             raise ValueError(f"pixel values must be integers, got dtype {arr.dtype}")
-        if arr.min() < 0 or arr.max() > 255:
+        if arr.dtype != np.uint8 and (arr.min() < 0 or arr.max() > 255):
             raise ValueError("pixel values must lie in [0, 255]")
         arr = np.ascontiguousarray(arr, dtype=np.uint8)
         arr.setflags(write=False)
@@ -50,10 +60,6 @@ class GrayImage:
 
     def __repr__(self) -> str:
         return f"GrayImage({self.width}x{self.height})"
-
-    def transposed(self) -> "GrayImage":
-        """Image with rows and columns exchanged."""
-        return GrayImage(self.pixels.T)
 
 
 @dataclass(frozen=True)
@@ -105,6 +111,55 @@ def _read_header_int(data: bytes, pos: int, what: str) -> tuple[int, int]:
     return int(token), pos
 
 
+def _p2_samples(data: bytes, pos: int, count: int, maxval: int) -> np.ndarray:
+    """The first `count` samples of the P2 raster at data[pos:], tokenized as
+    the header is.
+
+    A '#' comment becomes one space, so it ends a token too. Bytes after the
+    count-th sample are ignored. A non-digit token among the first `count`
+    raises before a short raster does. Each sample is rebuilt from its last
+    three digits: a nonzero digit before them makes it 1000 or more, past any
+    maxval, however long the token.
+    """
+    if data.find(b"#", pos) >= 0:
+        data, pos = _COMMENT.sub(b" ", data[pos:]), 0
+    raw = np.frombuffer(data, dtype=np.uint8, offset=pos)
+    # inside[k + 3]: byte k is part of a token; three blanks pad each side
+    inside = np.zeros(raw.size + 6, dtype=bool)
+    inside[3:-3] = _INK[raw]
+    last = inside[3:-3] > inside[4:-2]  # the last byte of each token
+    found = int(np.count_nonzero(last))
+    n = raw.size
+    if found > count:
+        n = int(np.flatnonzero(last)[count - 1]) + 1
+        raw, last = raw[:n], last[:n]
+        inside[n + 3 :] = False
+
+    def token(k: int) -> bytes:  # the token that holds byte k
+        start = k + 1 - int(np.argmin(inside[k + 3 :: -1]))
+        return raw[start : start + int(np.argmin(inside[start + 3 :]))].tobytes()
+
+    tok = inside[3 : n + 3]
+    # d[k + 2]: byte k minus b"0"; bytes other than digits wrap past 9
+    d = np.zeros(n + 2, dtype=np.uint8)
+    np.subtract(raw, 48, out=d[2:])
+    hit = tok & (d[2:] > 9)
+    if hit.any():
+        raise PgmError(f"malformed P2 sample: {token(int(hit.argmax()))!r}")
+    if found < count:
+        raise PgmError(f"truncated P2 pixel data: expected {count} samples, got {found}")
+    hit = tok & (d[2:] > 0) & inside[4 : n + 4] & inside[5 : n + 5] & inside[6 : n + 6]
+    if hit.any():
+        value = int(token(int(hit.argmax())))
+        raise PgmError(f"sample value {value} exceeds declared maxval {maxval}")
+    d[2:] *= tok
+    samples = d[2:][last].astype(np.uint16)
+    samples += 10 * d[1:-1][last]
+    # a hundreds digit counts only when the tens digit is in the same token
+    samples += 100 * d[:-2][last].astype(np.uint16) * inside[2 : n + 2][last]
+    return samples
+
+
 def load_pgm(data: bytes) -> GrayImage:
     """Parse PGM bytes (binary "P5" or ASCII "P2", maxval <= 255) into an image.
 
@@ -137,27 +192,13 @@ def load_pgm(data: bytes) -> GrayImage:
             )
         samples = np.frombuffer(raster, dtype=np.uint8)
     else:
-        tokens = []
-        while len(tokens) < count:
-            try:
-                token, pos = _read_header_token(data, pos)
-            except PgmError:
-                raise PgmError(
-                    f"truncated P2 pixel data: expected {count} samples, got {len(tokens)}"
-                ) from None
-            if not token.isdigit():
-                raise PgmError(f"malformed P2 sample: {token!r}")
-            tokens.append(int(token))
-        try:
-            samples = np.array(tokens, dtype=np.int64)
-        except OverflowError:  # a sample beyond int64 exceeds any maxval
-            raise PgmError(f"P2 sample exceeds declared maxval {maxval}") from None
+        samples = _p2_samples(data, pos, count, maxval)
 
     if samples.max() > maxval:
         raise PgmError(
             f"sample value {samples.max()} exceeds declared maxval {maxval}"
         )
-    return GrayImage(samples.reshape(height, width))
+    return GrayImage(samples.reshape(height, width).astype(np.uint8, copy=False))
 
 
 def save_pgm(img: GrayImage, mode: str = "P5") -> bytes:
@@ -170,21 +211,18 @@ def save_pgm(img: GrayImage, mode: str = "P5") -> bytes:
         raise ValueError(f"mode must be 'P5' or 'P2', got {mode!r}")
     header = f"{mode}\n{img.width} {img.height}\n255\n".encode("ascii")
     if mode == "P5":
-        return header + img.pixels.tobytes()
-    lines = []
-    for row in img.pixels:
-        line = ""
-        for v in row:
-            tok = str(int(v))
-            if not line:
-                line = tok
-            elif len(line) + 1 + len(tok) <= 70:
-                line += " " + tok
-            else:
-                lines.append(line)
-                line = tok
-        lines.append(line)
-    return header + "\n".join(lines).encode("ascii") + b"\n"
+        return b"".join((header, img.pixels.data))
+    flat = img.pixels.ravel()
+    text, width = _P2_TEXT[flat], _P2_WIDTH[flat]
+    end = np.cumsum(width)  # offset just past each sample's separator
+    row_end = np.arange(img.width, flat.size + 1, img.width)
+    line = row_end - img.width  # first sample of each row's open line
+    while (todo := line < row_end).any():
+        # greedy wrap: a line takes every next sample that keeps it within 70 characters
+        limit = end[line[todo]] - width[line[todo]] + 71
+        line[todo] = np.minimum(np.searchsorted(end, limit, "right"), row_end[todo])
+        text[line[todo] - 1, width[line[todo] - 1] - 1] = ord("\n")
+    return header + text[np.arange(4) < width[:, None]].tobytes()
 
 
 def crop(img: GrayImage, r: Rect) -> GrayImage:

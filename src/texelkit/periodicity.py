@@ -222,7 +222,15 @@ def _mode_smallest(candidates: list[int]) -> int:
 
 
 def _select_period(curve: DmfCurve) -> tuple[int, list[int], bool]:
-    """Period, the minima actually used, and whether the fallback fired."""
+    """Most plausible period of one curve, the minima actually used, and
+    whether the fallback fired.
+
+    Selection: take the significant local minima (see MINIMA_DEPTH_FRACTION),
+    pool the first minimum's displacement with the spacings between
+    consecutive minima, and return the pool's mode, ties broken toward the
+    smallest value. A curve without minima falls back to the displacement of
+    its global minimum.
+    """
     minima = find_minima(curve) if curve.d_max >= 3 else []
     if not minima:
         return int(np.argmin(curve.values)) + 1, [], True
@@ -232,19 +240,6 @@ def _select_period(curve: DmfCurve) -> tuple[int, list[int], bool]:
     used = significant if significant else minima
     spacings = [b - a for a, b in zip(used, used[1:])]
     return _mode_smallest([used[0]] + spacings), used, False
-
-
-def estimate_period(curve: DmfCurve) -> int:
-    """Most plausible period of one curve.
-
-    Selection: take the significant local minima (see MINIMA_DEPTH_FRACTION),
-    pool the first minimum's displacement with the spacings between
-    consecutive minima, and return the pool's mode, ties broken toward the
-    smallest value. A curve without minima falls back to the displacement of
-    its global minimum.
-    """
-    period, _, _ = _select_period(curve)
-    return period
 
 
 def estimate_periods(img: GrayImage, d_max_fraction: float = 0.5) -> PeriodEstimate:

@@ -45,11 +45,6 @@ class Histogram:
         arr.setflags(write=False)
         object.__setattr__(self, "counts", arr)
 
-    @property
-    def n(self) -> int:
-        """Total pixel count."""
-        return int(self.counts.sum())
-
 
 @dataclass(frozen=True)
 class FeatureVector:

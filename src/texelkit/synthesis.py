@@ -24,14 +24,14 @@ def synthesize(texel: GrayImage, out_w: int, out_h: int) -> GrayImage:
     """Tile `texel` into an out_w x out_h image.
 
     Output pixel (row, col) equals texel pixel (row mod texel.height,
-    col mod texel.width).
+    col mod texel.width). One strip of texel.height full-width rows is
+    repeated down the output by np.resize: one allocation, at most one strip
+    larger than the output.
     """
     if out_w < 1 or out_h < 1:
         raise ValueError(f"output size must be positive, got {out_w}x{out_h}")
-    reps_r = -(-out_h // texel.height)
-    reps_c = -(-out_w // texel.width)
-    tiled = np.tile(texel.pixels, (reps_r, reps_c))
-    return GrayImage(tiled[:out_h, :out_w])
+    strip = np.tile(texel.pixels, (1, -(-out_w // texel.width)))[:, :out_w]
+    return GrayImage(np.resize(strip, (out_h, out_w)))
 
 
 def highlight_anomalies(

@@ -69,19 +69,6 @@ class GroundTruth:
             indent=2,
         )
 
-    @classmethod
-    def from_json(cls, text: str) -> "GroundTruth":
-        raw = json.loads(text)
-        return cls(
-            texel_h=raw["texel_h"],
-            texel_w=raw["texel_w"],
-            reps_r=raw["reps_r"],
-            reps_c=raw["reps_c"],
-            defect_blocks=[tuple(b) for b in raw.get("defect_blocks", [])],
-            noise_amplitude=raw.get("noise_amplitude", 0),
-            seed=raw.get("seed", 0),
-        )
-
 
 def has_subperiod(texel: GrayImage) -> bool:
     """True when a proper divisor of either texel dimension is already a

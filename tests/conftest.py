@@ -16,7 +16,9 @@ import numpy as np
 import pytest
 
 import texelkit
-from texelkit import GrayImage, Rect, deviation, features_of_region
+from texelkit import GrayImage, PgmError, Rect, features_of_region
+from texelkit.blocks import deviation_matrix
+from texelkit.image import _read_header_int, _read_header_token
 
 
 def cli_env() -> dict[str, str]:
@@ -38,6 +40,54 @@ def make_image(rows) -> GrayImage:
 
 def random_image(rng: np.random.Generator, h: int, w: int) -> GrayImage:
     return GrayImage(rng.integers(0, 256, size=(h, w), dtype=np.uint8))
+
+
+def p2_reference(data: bytes) -> GrayImage:
+    """Per-token reference for P2 decoding: the loop load_pgm used to run.
+
+    Every sample is read by the header tokenizer and converted with one int
+    per token. Raises PgmError wherever load_pgm must, with the same message
+    for a malformed sample.
+    """
+    magic, pos = _read_header_token(data, 0)
+    if magic != b"P2":
+        raise PgmError(f"not a P2 file: bad magic {magic!r}")
+    width, pos = _read_header_int(data, pos, "width")
+    height, pos = _read_header_int(data, pos, "height")
+    maxval, pos = _read_header_int(data, pos, "maxval")
+    if width < 1 or height < 1 or not 1 <= maxval <= 255:
+        raise PgmError(f"invalid P2 header {width}x{height}, maxval {maxval}")
+    samples = []
+    while len(samples) < width * height:
+        try:
+            token, pos = _read_header_token(data, pos)
+        except PgmError:
+            raise PgmError("truncated P2 pixel data") from None
+        if not token.isdigit():
+            raise PgmError(f"malformed P2 sample: {token!r}")
+        samples.append(int(token))
+    if max(samples) > maxval:
+        raise PgmError(f"sample value {max(samples)} exceeds declared maxval {maxval}")
+    return GrayImage(np.array(samples, dtype=np.uint8).reshape(height, width))
+
+
+def p2_text_reference(img: GrayImage) -> bytes:
+    """Per-pixel reference for P2 encoding: the loop save_pgm used to run."""
+    lines = []
+    for row in img.pixels:
+        line = ""
+        for v in row:
+            tok = str(int(v))
+            if not line:
+                line = tok
+            elif len(line) + 1 + len(tok) <= 70:
+                line += " " + tok
+            else:
+                lines.append(line)
+                line = tok
+        lines.append(line)
+    header = f"P2\n{img.width} {img.height}\n255\n".encode("ascii")
+    return header + "\n".join(lines).encode("ascii") + b"\n"
 
 
 def pixel_loop_features(img: GrayImage, region: Rect | None = None) -> dict[str, float]:
@@ -74,12 +124,12 @@ def per_block_classify(img: GrayImage, grid, threshold: float, epsilon: float):
     Returns (anomalies, representative, max deviation of every block in
     row-major order); a strict `<` keeps the earliest of tied minima.
     """
-    global_features = features_of_region(img)
+    global_features = np.array(features_of_region(img).as_tuple())
     anomalies, max_devs = [], []
     representative, best = None, None
     for i, j in grid.indices():
-        devs = deviation(features_of_region(img, grid.rect(i, j)), global_features, epsilon)
-        max_dev = max(devs.values())
+        local = np.array(features_of_region(img, grid.rect(i, j)).as_tuple())
+        max_dev = float(deviation_matrix(local, global_features, epsilon).max())
         max_devs.append(max_dev)
         if max_dev > threshold:
             anomalies.append((i, j))

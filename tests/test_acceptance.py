@@ -239,7 +239,7 @@ def test_criterion_6_invariant_suites(capsys):
                              seed=7000 + k)
         img = synthesize(texel, texel.width * 5, texel.height * 5)
         a = estimate_periods(img)
-        b = estimate_periods(img.transposed())
+        b = estimate_periods(GrayImage(img.pixels.T))
         if (a.row_period, a.col_period) != (b.col_period, b.row_period):
             problems.append("transpose symmetry")
 

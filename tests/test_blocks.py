@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 
 from texelkit import blocks
 from texelkit import (
+    FEATURE_NAMES,
     GrayImage,
     Rect,
     classify_blocks,
-    deviation,
     features_of_region,
     partition,
     random_texel,
@@ -21,6 +21,12 @@ from texelkit import (
 )
 
 from conftest import make_image, per_block_classify, random_image
+
+
+def named_deviations(local, reference, **kw) -> dict[str, float]:
+    """deviation_matrix of one feature vector, keyed by feature name."""
+    row = blocks.deviation_matrix(np.array(local.as_tuple()), np.array(reference.as_tuple()), **kw)
+    return dict(zip(FEATURE_NAMES, row.tolist()))
 
 
 class TestPartition:
@@ -69,19 +75,19 @@ class TestDeviation:
     def test_hand_computed(self):
         local = features_of_region(make_image([[10, 20], [10, 20]]))
         ref = features_of_region(make_image([[10, 30], [10, 30]]))
-        devs = deviation(local, ref)
+        devs = named_deviations(local, ref)
         assert devs["mean"] == pytest.approx(abs(15 - 20) / 20)
         assert devs["variance"] == pytest.approx(abs(25 - 100) / 100)
 
     def test_identical_features_give_zero(self, rng):
         f = features_of_region(random_image(rng, 6, 6))
-        assert set(deviation(f, f).values()) == {0.0}
+        assert set(named_deviations(f, f).values()) == {0.0}
 
     def test_epsilon_guards_zero_denominator(self):
         # constant reference: variance 0, deviation divides by epsilon
         ref = features_of_region(make_image([[50, 50], [50, 50]]))
         local = features_of_region(make_image([[50, 54], [50, 54]]))
-        devs = deviation(local, ref, epsilon=1e-6)
+        devs = named_deviations(local, ref, epsilon=1e-6)
         assert devs["variance"] == pytest.approx(4.0 / 1e-6)
         assert devs["mean"] == pytest.approx(2.0 / 50.0)
 
@@ -90,7 +96,7 @@ class TestDeviation:
         # block then shows an enormous relative deviation
         ref = features_of_region(make_image([[0, 255], [255, 0]]))
         local = features_of_region(make_image([[0, 0], [0, 255]]))
-        assert deviation(local, ref)["skewness"] > 1e6
+        assert named_deviations(local, ref)["skewness"] > 1e6
 
 
 class TestClassifyBlocks:

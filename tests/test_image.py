@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from texelkit import GrayImage, PgmError, Rect, crop, draw_rect_outline, load_pgm, save_pgm
 
-from conftest import make_image, random_image
+from conftest import make_image, p2_reference, p2_text_reference, random_image
 
 
 _SEP = st.sampled_from([b" ", b"\n", b"\t", b"\r\n", b"#c\n", b" # x\n", b""])
@@ -17,6 +17,23 @@ _TOKEN = st.one_of(
     st.sampled_from([b"P2", b"P5", b"P6", b"-1", b"#", b""]),
     st.binary(max_size=4),
 )
+
+
+# P2 body pieces: samples (with leading zeros and past int64), all six
+# whitespace bytes, comment starts and bytes no sample may hold
+_P2_PIECE = st.one_of(
+    st.sampled_from([b"0", b"7", b"42", b"255", b"256", b"0000255", b"9" * 20]),
+    st.integers(0, 10**25).map(b"%d".__mod__),
+    st.sampled_from([b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c", b"#", b"x", b"P", b"-", b"\xff"]),
+)
+
+
+@st.composite
+def p2_files(draw) -> bytes:
+    """A P2 header of up to 4x4 samples followed by a body of random pieces."""
+    w, h, maxval = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 255))
+    sep = draw(st.sampled_from([b" ", b"\n", b"#c\n", b""]))
+    return b"P2 %d %d %d" % (w, h, maxval) + sep + b"".join(draw(st.lists(_P2_PIECE, max_size=40)))
 
 
 @st.composite
@@ -71,9 +88,16 @@ class TestGrayImage:
 
     def test_transposed(self):
         img = make_image([[1, 2, 3], [4, 5, 6]])
-        t = img.transposed()
+        t = GrayImage(img.pixels.T)
         assert t.height == 3 and t.width == 2
         assert t.pixels[2, 1] == 6
+
+    def test_uint8_input_is_stored_read_only_and_contiguous(self):
+        strided = np.arange(48, dtype=np.uint8).reshape(4, 12)[:, ::2]
+        img = GrayImage(strided)
+        assert img.pixels.dtype == np.uint8 and img.pixels.flags.c_contiguous
+        assert not img.pixels.flags.writeable
+        assert np.array_equal(img.pixels, strided)
 
 
 class TestPgmRoundTrip:
@@ -90,6 +114,15 @@ class TestPgmRoundTrip:
         data = save_pgm(img)
         assert data == b"P5\n2 2\n255\n" + bytes([0, 128, 255, 7])
         assert save_pgm(img) == data
+
+    def test_p2_text_matches_reference_loop(self, rng):
+        shapes = [(1, 1), (1, 300), (300, 1), (9, 50), (7, 71), (3, 18)]
+        shapes += [(int(rng.integers(1, 40)), int(rng.integers(1, 200))) for _ in range(30)]
+        for h, w in shapes:
+            # narrow ranges give rows of one- and two-digit samples only
+            top = int(rng.choice([2, 10, 100, 256]))
+            img = GrayImage(rng.integers(0, top, size=(h, w), dtype=np.uint8))
+            assert save_pgm(img, "P2") == p2_text_reference(img)
 
     def test_p2_lines_within_70_chars(self, rng):
         img = random_image(rng, 9, 50)
@@ -139,6 +172,27 @@ class TestPgmParsing:
     def test_malformed_inputs_raise(self, data):
         with pytest.raises(PgmError):
             load_pgm(data)
+
+    @settings(max_examples=500, deadline=None)
+    @given(p2_files())
+    @example(b"P2 2 1 255 12#x\n3")  # a comment ends a token
+    @example(b"P2 2 1 255 1#c\r2")  # a comment ended by a carriage return
+    @example(b"P2 3 1 255\x0b1\x0c2\x0b3")  # vertical tab and form feed separate
+    @example(b"P2 1 1 255 0000255")  # leading zeros
+    @example(b"P2 1 1 255 12345678901234567890")  # a 20-digit sample
+    @example(b"P2 1 1 255 00000000000000000255")  # 20 digits, in range
+    @example(b"P2 2 1 9 1 2 x-\xff#")  # trailing garbage after the samples
+    @example(b"P2 3 1 255 1 x")  # a malformed sample, then truncation
+    def test_p2_decode_matches_reference_loop(self, data):
+        try:
+            want = p2_reference(data)
+        except PgmError as exc:
+            with pytest.raises(PgmError) as got:
+                load_pgm(data)
+            if str(exc).startswith("malformed P2 sample"):
+                assert str(got.value) == str(exc)
+            return
+        assert load_pgm(data) == want
 
     def test_pgm_error_is_value_error(self):
         assert issubclass(PgmError, ValueError)
