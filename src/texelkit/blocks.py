@@ -24,6 +24,8 @@ DEFAULT_EPSILON = 1e-6
 
 # budget for the largest temporary of one chunk of block rows
 _CHUNK_BYTES = 1 << 20
+# bytes of float64 values in one run of block rows the report writer formats
+_REPORT_CHUNK_BYTES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -77,17 +79,6 @@ class AnalysisResult:
     representative: tuple[int, int] | None
     anomalies: list[tuple[int, int]]
 
-    def _rows(self):
-        """(index, features, deviations, max deviation, conforming) of every
-        block in row-major order, as Python values."""
-        return zip(
-            self.grid.indices(),
-            self.features.tolist(),
-            self.deviations.tolist(),
-            self.max_deviation.tolist(),
-            self.conforming.tolist(),
-        )
-
     def head(self) -> dict:
         """to_dict() without its "blocks" list; key order is part of the output contract."""
         return {
@@ -100,6 +91,13 @@ class AnalysisResult:
 
     def to_dict(self) -> dict:
         """The report as a dict; blocks_json() writes its "blocks" list."""
+        rows = zip(
+            self.grid.indices(),
+            self.features.tolist(),
+            self.deviations.tolist(),
+            self.max_deviation.tolist(),
+            self.conforming.tolist(),
+        )
         return {**self.head(), "blocks": [
             {
                 "index": list(index),
@@ -108,7 +106,7 @@ class AnalysisResult:
                 "max_deviation": m,
                 "conforming": c,
             }
-            for index, f, d, m, c in self._rows()
+            for index, f, d, m, c in rows
         ]}
 
     def blocks_json(self, pad: str) -> str:
@@ -119,26 +117,44 @@ class AnalysisResult:
         j, six features, six deviations, max deviation, "true" or "false".
         Floats go through float.__repr__ as json writes them, and a
         non-finite one raises json's own ValueError.
+
+        The blocks are written in runs of block rows holding about
+        _REPORT_CHUNK_BYTES of floats. Within a run, repr is called once per
+        distinct float64 bit pattern (so -0.0 and 0.0 stay apart) and the
+        strings are gathered back into the run's repeated template.
         """
         floats = (self.features, self.deviations, self.max_deviation)
         if not all(np.isfinite(a).all() for a in floats):
             json.dumps(self.to_dict()["blocks"], indent=2, allow_nan=False)
         p = pad + "  "  # the blocks sit one level inside the list
-        members = ",\n".join(f'{p}    "{name}": %r' for name in FEATURE_NAMES)
+        members = ",\n".join(f'{p}    "{name}": %s' for name in FEATURE_NAMES)
         template = (
             f'{p}{{\n'
             f'{p}  "index": [\n{p}    %d,\n{p}    %d\n{p}  ],\n'
             f'{p}  "features": {{\n{members}\n{p}  }},\n'
             f'{p}  "deviations": {{\n{members}\n{p}  }},\n'
-            f'{p}  "max_deviation": %r,\n'
+            f'{p}  "max_deviation": %s,\n'
             f'{p}  "conforming": %s\n'
             f'{p}}}'
         )
-        body = ",\n".join([
-            template % (*index, *f, *d, m, "true" if c else "false")
-            for index, f, d, m, c in self._rows()
-        ])
-        return f"[\n{body}\n{pad}]"
+        n_cols, n = self.grid.n_cols, self.conforming.size
+        words = np.array(["false", "true"], dtype=object)
+        step = n_cols * max(1, _REPORT_CHUNK_BYTES // (n_cols * 13 * 8))
+        runs = []
+        for k0 in range(0, n, step):
+            k1 = min(k0 + step, n)
+            run = np.column_stack([a[k0:k1] for a in floats])  # the 13 floats in template order
+            bits, at = np.unique(run.view(np.uint64), return_inverse=True)
+            texts = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+            args = np.empty((k1 - k0, 16), dtype=object)  # i, j, 13 floats, true/false
+            args[:, 0], args[:, 1] = np.divmod(np.arange(k0, k1), n_cols)
+            args[:, 2:15] = texts[at.reshape(run.shape)]
+            args[:, 15] = words[self.conforming[k0:k1].view(np.uint8)]
+            runs.append(",\n".join([template] * (k1 - k0)) % tuple(args.ravel().tolist()))
+        # brackets go onto the end runs, so the text is built in one join
+        runs[0] = "[\n" + runs[0]
+        runs[-1] += f"\n{pad}]"
+        return ",\n".join(runs)
 
 
 def partition(img: GrayImage, block_h: int, block_w: int) -> BlockGrid:

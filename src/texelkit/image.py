@@ -27,7 +27,13 @@ class PgmError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class GrayImage:
-    """Immutable 2-D grid of gray levels in [0, 255], row-major."""
+    """Immutable 2-D grid of gray levels in [0, 255], row-major.
+
+    A writable input is copied, so no one can change the image through it and
+    the caller's array stays writable. A read-only contiguous uint8 input is
+    kept as is: read-only is taken as a promise that nothing writes to it,
+    which is how the library's own constructors hand over fresh arrays.
+    """
 
     pixels: np.ndarray = field(repr=False)
 
@@ -39,7 +45,11 @@ class GrayImage:
             raise ValueError(f"pixel values must be integers, got dtype {arr.dtype}")
         if arr.dtype != np.uint8 and (arr.min() < 0 or arr.max() > 255):
             raise ValueError("pixel values must lie in [0, 255]")
-        arr = np.ascontiguousarray(arr, dtype=np.uint8)
+        if arr.flags.writeable:
+            arr = np.array(arr, dtype=np.uint8, order="C")
+        else:
+            arr = np.ascontiguousarray(arr, dtype=np.uint8)
+        # a no-op on a kept input, which is read-only already
         arr.setflags(write=False)
         object.__setattr__(self, "pixels", arr)
 
@@ -60,6 +70,13 @@ class GrayImage:
 
     def __repr__(self) -> str:
         return f"GrayImage({self.width}x{self.height})"
+
+
+def _sealed(arr: np.ndarray) -> np.ndarray:
+    """`arr` marked read-only, for a constructor that hands its fresh array
+    to GrayImage, which then keeps it without a copy."""
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True)
@@ -198,7 +215,7 @@ def load_pgm(data: bytes) -> GrayImage:
         raise PgmError(
             f"sample value {samples.max()} exceeds declared maxval {maxval}"
         )
-    return GrayImage(samples.reshape(height, width).astype(np.uint8, copy=False))
+    return GrayImage(_sealed(samples.reshape(height, width).astype(np.uint8, copy=False)))
 
 
 def save_pgm(img: GrayImage, mode: str = "P5") -> bytes:
@@ -264,4 +281,4 @@ def draw_rect_outline(img: GrayImage, r: Rect, value: int, thickness: int = 1) -
         )
     out = img.pixels.copy()
     _paint_band(out, r, value, thickness)
-    return GrayImage(out)
+    return GrayImage(_sealed(out))

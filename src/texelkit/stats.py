@@ -85,21 +85,33 @@ def feature_matrix(counts: np.ndarray) -> np.ndarray:
     depend on m or on the rows beside it. Everything is computed from
     p = counts / n, so regions whose counts are multiples of one another
     (a tile and a tiling of it) get bit-identical features.
+
+    When every row counts the same n pixels and a table of n + 1 entries is
+    no larger than the counts, p, p^2 and p * log2(p) are looked up per count
+    from t = arange(n + 1) / n: each entry is the same float operation on the
+    same operands as the direct formula, so the features are bit-identical.
     """
     n = counts.sum(axis=-1, keepdims=True)
     if not n.all():
         raise ValueError("cannot compute features of an empty histogram")
-    p = counts / n
+    n0 = int(n.flat[0])
+    if n0 + 1 <= counts.size and (n == n0).all():
+        t = np.arange(n0 + 1) / n0
+        t_log_t = t * np.log2(t, out=np.zeros_like(t), where=t > 0)
+        p, p_sq, p_log_p = t[counts], (t * t)[counts], t_log_t[counts]
+    else:
+        p = counts / n
+        p_sq = p * p
+        p_log_p = p * np.log2(p, out=np.zeros_like(p), where=p > 0)
     mean = (p * _LEVELS).sum(axis=-1, keepdims=True)
     centered = _LEVELS - mean
     c2 = centered * centered
     variance = (c2 * p).sum(axis=-1)
     skewness = (c2 * centered * p).sum(axis=-1)
     kurtosis = (c2 * c2 * p).sum(axis=-1)
-    energy = (p * p).sum(axis=-1)
-    log_p = np.log2(p, out=np.zeros_like(p), where=p > 0)
+    energy = p_sq.sum(axis=-1)
     # +0.0 normalizes the -0.0 produced by single-level regions
-    entropy = -(p * log_p).sum(axis=-1) + 0.0
+    entropy = -p_log_p.sum(axis=-1) + 0.0
     return np.stack([mean[:, 0], variance, skewness, kurtosis, energy, entropy], axis=-1)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .blocks import BlockGrid
-from .image import GrayImage, _check_band, crop
+from .image import GrayImage, _check_band, _sealed, crop
 
 
 def extract_texel(img: GrayImage, grid: BlockGrid, index: tuple[int, int]) -> GrayImage:
@@ -31,7 +31,7 @@ def synthesize(texel: GrayImage, out_w: int, out_h: int) -> GrayImage:
     if out_w < 1 or out_h < 1:
         raise ValueError(f"output size must be positive, got {out_w}x{out_h}")
     strip = np.tile(texel.pixels, (1, -(-out_w // texel.width)))[:, :out_w]
-    return GrayImage(np.resize(strip, (out_h, out_w)))
+    return GrayImage(_sealed(np.resize(strip, (out_h, out_w))))
 
 
 def highlight_anomalies(
@@ -68,4 +68,4 @@ def highlight_anomalies(
         band[th : bh - th, tw : bw - tw] = False
         view = out[: n_rows * bh, : n_cols * bw].reshape(n_rows, bh, n_cols, bw)
         view[flagged[:, None, :, None] & band[:, None, :]] = value
-    return GrayImage(out)
+    return GrayImage(_sealed(out))

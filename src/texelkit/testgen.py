@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .image import GrayImage
+from .image import GrayImage, _sealed
 
 DEFECT_SHIFT = 60
 
@@ -113,7 +113,7 @@ def random_texel(
         else:
             u = rng.random(size=(h, w)) ** power
             pix = low + np.floor(u * (high - low + 1)).astype(np.int64)
-        texel = GrayImage(pix)
+        texel = GrayImage(_sealed(pix))
         if len(np.unique(pix)) >= 2 and not has_subperiod(texel):
             return texel
     raise RuntimeError(
@@ -145,4 +145,4 @@ def generate(gt: GroundTruth, texel: GrayImage) -> GrayImage:
         rng = _stream(gt.seed, _NOISE_STREAM)
         noise = rng.integers(-gt.noise_amplitude, gt.noise_amplitude + 1, size=img.shape)
         img = np.clip(img + noise, 0, 255)
-    return GrayImage(img)
+    return GrayImage(_sealed(img))

@@ -1,5 +1,6 @@
 """Block partitioning, relative deviations, and conformance classification."""
 
+import json
 from unittest import mock
 
 import hypothesis.extra.numpy as hnp
@@ -11,6 +12,8 @@ from hypothesis import strategies as st
 from texelkit import blocks
 from texelkit import (
     FEATURE_NAMES,
+    BlockGrid,
+    FeatureVector,
     GrayImage,
     Rect,
     classify_blocks,
@@ -298,3 +301,61 @@ class TestWholeGrid:
         grid = partition(random_image(rng, 12, 12), 4, 4)
         with pytest.raises(ValueError, match="does not fit"):
             classify_blocks(small, grid, threshold=0.1)
+
+
+@st.composite
+def block_values(draw):
+    """Result of an n_rows x n_cols grid whose 13 floats per block come from a
+    small pool (so values repeat) that always holds both 0.0 and -0.0, and
+    block rows per report run."""
+    n_rows, n_cols = draw(st.integers(1, 12)), draw(st.integers(1, 5))
+    pool = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=4))
+    k = n_rows * n_cols
+    values = draw(hnp.arrays(np.float64, (k, 13), elements=st.sampled_from([0.0, -0.0, *pool])))
+    conforming = draw(hnp.arrays(np.bool_, k))
+    return result_of(n_rows, n_cols, values, conforming), draw(st.integers(1, n_rows))
+
+
+def result_of(n_rows, n_cols, values, conforming):
+    return blocks.AnalysisResult(
+        grid=BlockGrid(block_h=1, block_w=1, n_rows=n_rows, n_cols=n_cols),
+        global_features=FeatureVector(*[1.0] * 6),
+        features=values[:, :6].copy(),
+        deviations=values[:, 6:12].copy(),
+        max_deviation=values[:, 12].copy(),
+        conforming=conforming,
+        threshold=0.1,
+        epsilon=1e-6,
+        representative=None,
+        anomalies=[],
+    )
+
+
+def report_runs(res, rows_per_run):
+    """Patch the report budget so blocks_json formats this many block rows
+    at a time."""
+    return mock.patch.object(blocks, "_REPORT_CHUNK_BYTES", rows_per_run * res.grid.n_cols * 13 * 8)
+
+
+_SIGNED_ZEROS = np.array([[0.0, -0.0] * 6 + [-0.0]] * 4)
+
+
+class TestBlocksJson:
+    @settings(max_examples=200, deadline=None)
+    @given(block_values(), st.sampled_from(["", "  ", "    "]))
+    @example((result_of(2, 2, _SIGNED_ZEROS, np.array([True, False] * 2)), 2), "  ")
+    @example((result_of(7, 3, np.tile(np.arange(13.0) / 3, (21, 1)), np.ones(21, bool)), 2), "")
+    def test_equals_json_dumps_of_dict_form(self, case, pad):
+        res, rows_per_run = case
+        with report_runs(res, rows_per_run):
+            text = res.blocks_json(pad)
+        expected = json.dumps(res.to_dict()["blocks"], indent=2, allow_nan=False)
+        assert text == expected.replace("\n", "\n" + pad)
+
+    def test_default_budget_spans_several_runs(self):
+        # one column of 700 blocks is more block rows than one run holds
+        values = np.random.default_rng(3).integers(-4, 5, (700, 13)) / 4
+        res = result_of(700, 1, values, values[:, 12] <= 0)
+        assert 700 * 13 * 8 > blocks._REPORT_CHUNK_BYTES
+        expected = json.dumps(res.to_dict()["blocks"], indent=2, allow_nan=False)
+        assert res.blocks_json("") == expected

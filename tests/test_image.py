@@ -99,6 +99,23 @@ class TestGrayImage:
         assert not img.pixels.flags.writeable
         assert np.array_equal(img.pixels, strided)
 
+    def test_writes_to_a_writable_input_view_do_not_reach_the_image(self):
+        base = np.zeros((4, 4), dtype=np.uint8)
+        img = GrayImage(base[:2])
+        base[0, 0] = 7
+        assert img.pixels[0, 0] == 0 and not np.shares_memory(img.pixels, base)
+
+    def test_callers_array_stays_writable(self):
+        own = np.zeros((3, 3), dtype=np.uint8)
+        img = GrayImage(own)
+        own[1, 1] = 9
+        assert own.flags.writeable and img.pixels[1, 1] == 0
+
+    def test_read_only_uint8_input_is_kept_without_a_copy(self):
+        frozen = np.arange(12, dtype=np.uint8).reshape(3, 4)
+        frozen.setflags(write=False)
+        assert np.shares_memory(GrayImage(frozen).pixels, frozen)
+
 
 class TestPgmRoundTrip:
     def test_roundtrip_random_images_both_modes(self, rng):

@@ -1,10 +1,15 @@
 """First-order statistics against a per-pixel reference and closed forms."""
 
 import math
+from unittest import mock
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from texelkit import stats
 from texelkit import (
     FEATURE_NAMES,
     GrayImage,
@@ -130,3 +135,78 @@ class TestFeatureVector:
         f = features_of_region(random_image(rng, 4, 4))
         assert tuple(f.to_dict()) == FEATURE_NAMES
         assert f.as_tuple() == tuple(f.to_dict().values())
+
+
+def direct_feature_matrix(counts: np.ndarray) -> np.ndarray:
+    """feature_matrix's formula with p = counts / n and log2 taken per
+    element: the reference its per-count tables must match bit for bit."""
+    n = counts.sum(axis=-1, keepdims=True)
+    p = counts / n
+    levels = np.arange(256, dtype=np.float64)
+    mean = (p * levels).sum(axis=-1, keepdims=True)
+    centered = levels - mean
+    c2 = centered * centered
+    log_p = np.log2(p, out=np.zeros_like(p), where=p > 0)
+    return np.stack([
+        mean[:, 0],
+        (c2 * p).sum(axis=-1),
+        (c2 * centered * p).sum(axis=-1),
+        (c2 * c2 * p).sum(axis=-1),
+        (p * p).sum(axis=-1),
+        -(p * log_p).sum(axis=-1) + 0.0,
+    ], axis=-1)
+
+
+@st.composite
+def count_rows(draw, uniform: bool):
+    """(m, 256) gray-level counts of m regions drawn from a few or many
+    levels; every row counts the same n pixels when `uniform`."""
+    pool = draw(st.lists(st.integers(0, 255), min_size=1, max_size=256))
+    m = draw(st.integers(1 if uniform else 2, 6))
+    sizes = [draw(st.integers(1, 300))] * m if uniform else draw(
+        st.lists(st.integers(1, 300), min_size=m, max_size=m, unique=True)
+    )
+    return np.array([
+        np.bincount(draw(hnp.arrays(np.uint8, n, elements=st.sampled_from(pool))), minlength=256)
+        for n in sizes
+    ])
+
+
+def log2_argument_shape(counts: np.ndarray) -> tuple[int, ...]:
+    """Shape of the array feature_matrix(counts) takes log2 of: (n + 1,) on
+    the per-count table path, counts.shape on the direct path."""
+    with mock.patch.object(stats.np, "log2", wraps=np.log2) as log2:
+        stats.feature_matrix(counts)
+    (args, _), = log2.call_args_list
+    return args[0].shape
+
+
+def one_hot(m: int, n: int, level: int) -> np.ndarray:
+    counts = np.zeros((m, 256), dtype=np.int64)
+    counts[:, level] = n
+    return counts
+
+
+class TestPerCountTables:
+    @settings(max_examples=300, deadline=None)
+    @given(count_rows(uniform=True))
+    @example(one_hot(3, 1, 0))  # n = 1
+    @example(one_hot(1, 64, 200))  # one single-level row
+    @example(one_hot(1, 255, 9))  # n + 1 == counts.size: the largest table
+    def test_uniform_n_is_bit_identical_to_direct_formula(self, counts):
+        got = stats.feature_matrix(counts)
+        assert np.array_equal(got.view(np.uint64), direct_feature_matrix(counts).view(np.uint64))
+        n = int(counts[0].sum())
+        table = n + 1 <= counts.size
+        assert log2_argument_shape(counts) == ((n + 1,) if table else counts.shape)
+
+    @settings(max_examples=100, deadline=None)
+    @given(count_rows(uniform=False))
+    def test_mixed_n_takes_direct_path(self, counts):
+        assert log2_argument_shape(counts) == counts.shape
+        got = stats.feature_matrix(counts)
+        assert np.array_equal(got.view(np.uint64), direct_feature_matrix(counts).view(np.uint64))
+
+    def test_large_single_row_takes_direct_path(self):
+        counts = one_hot(1, 256, 3)
+        assert log2_argument_shape(counts) == counts.shape
