@@ -37,10 +37,7 @@ from .stats import (
     FEATURE_NAMES,
     GRAY_LEVELS,
     FeatureVector,
-    Histogram,
-    features,
     features_of_region,
-    histogram,
 )
 from .synthesis import extract_texel, highlight_anomalies, synthesize
 from .testgen import (
@@ -64,7 +61,6 @@ __all__ = [
     "GRAY_LEVELS",
     "GrayImage",
     "GroundTruth",
-    "Histogram",
     "MINIMA_DEPTH_FRACTION",
     "PeriodEstimate",
     "PgmError",
@@ -75,14 +71,12 @@ __all__ = [
     "draw_rect_outline",
     "estimate_periods",
     "extract_texel",
-    "features",
     "features_of_region",
     "find_minima",
     "forward_difference",
     "generate",
     "has_subperiod",
     "highlight_anomalies",
-    "histogram",
     "load_pgm",
     "partition",
     "random_texel",

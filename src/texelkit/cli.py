@@ -176,6 +176,15 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser whose usage errors are one `error:` line and exit 2;
+    subparsers inherit the class.
+    """
+
+    def error(self, message):
+        self.exit(EXIT_ERROR, f"error: {message}\n")
+
+
 def _add_analysis_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--threshold", type=float, default=0.10,
                    help="max per-feature relative deviation for a block to conform "
@@ -193,7 +202,7 @@ def _add_analysis_flags(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="texelkit",
         description="Near-regular texture analysis, synthesis, and defect detection "
                     "for grayscale PGM images.",

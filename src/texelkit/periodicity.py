@@ -36,7 +36,7 @@ MINIMA_DEPTH_FRACTION = 0.25
 # stay bounded whatever the image size.
 _FFT_CHUNK_BYTES = 1 << 20
 
-# _dmf rounds float lag sums only while their error bound is below this.
+# _dmf rounds a chunk's lag sums only while their error bound is below this.
 _MAX_ROUNDING_ERROR = 0.5
 
 
@@ -111,7 +111,7 @@ def _d_max(length: int, fraction: float) -> int:
 
 
 def _corr_error_bound(n: int, depth: int, energy: int) -> float:
-    """Bound on the float error of each lag sum C[d] computed by _dmf.
+    """Bound on the float error of the lag sums _dmf rounds for one chunk.
 
     `energy`, the exact sum of squared (centred) pixels, bounds every |C[d]|
     and, times n, the 1-norm of the power spectrum (Parseval). A length-n
@@ -119,8 +119,8 @@ def _corr_error_bound(n: int, depth: int, energy: int) -> float:
     output, inverse per output against the 1-norm of its input over n (the
     radix-2 analysis in Higham, Accuracy and Stability of Numerical
     Algorithms, 2nd ed., section 24.1, gives about 6.7 u per stage). Each
-    power value adds two roundings and the chunked sum over rows a chain of
-    `depth` - 1 additions.
+    power value adds two roundings and the sum over the chunk's `depth` rows
+    a chain of `depth` - 1 additions.
     """
     u = np.finfo(np.float64).eps / 2
     eps = 10 * u * math.log2(n)
@@ -129,44 +129,39 @@ def _corr_error_bound(n: int, depth: int, energy: int) -> float:
     return energy * (spectrum + eps * (1 + spectrum))
 
 
-def _dmf_direct(pix: np.ndarray, d_max: int) -> np.ndarray:
-    """_dmf by a direct integer loop, O(h * w * d_max); its fallback."""
-    pix = pix.astype(np.int64)
-    h, w = pix.shape
-    values = np.empty(d_max, dtype=np.float64)
-    for d in range(1, d_max + 1):
-        diff = pix[:, d:] - pix[:, : w - d]
-        values[d - 1] = np.sum(diff * diff) / (h * (w - d))
-    return values
-
-
 def _dmf(pix: np.ndarray, d_max: int) -> np.ndarray:
     """DMF values for displacements 1..d_max along the last axis.
 
     The squared-difference sum at d is (S[w] - S[d]) + S[w - d] - 2 C[d]:
     S is the exact prefix sum of per-column sums of squares, C[d] the lag-d
-    autocorrelation summed over rows, from one real FFT per row zero-padded
-    to n >= w + d_max (so no lag wraps around). C is an integer, recovered
-    by rounding while _corr_error_bound allows; otherwise _dmf_direct runs.
-    Both divide the same integers, so curves are bit-identical.
+    autocorrelation summed over rows. Each row chunk's share of C comes from
+    one real FFT per row, zero-padded to n >= w + d_max (so no lag wraps
+    around), and is an integer: rounding recovers it exactly while
+    _corr_error_bound for the worst-case chunk stays below 0.5, and the
+    int64 sum over chunks is exact. An axis too long for that bound (about
+    3e8 pixels) raises ValueError.
     """
     h, w = pix.shape
     n = 1 << (w + d_max - 1).bit_length()
+    rows = max(1, _FFT_CHUNK_BYTES // (16 * (n // 2 + 1)))
+    # no centred pixel is more than 128 from mid-gray
+    bound = _corr_error_bound(n, rows, 128 * 128 * rows * w)
+    if bound >= _MAX_ROUNDING_ERROR:
+        raise ValueError(
+            f"DMF along an axis of {w} pixels cannot be summed exactly "
+            f"(rounding error bound {bound:.3g})"
+        )
     col_sq = np.zeros(w, dtype=np.int64)
-    power = np.zeros(n // 2 + 1)
-    rows = max(1, _FFT_CHUNK_BYTES // (16 * power.size))
+    corr = np.zeros(d_max, dtype=np.int64)
     for r0 in range(0, h, rows):
         # Centring on mid-gray changes no difference and quarters the
         # worst-case energy the error bound scales with.
         chunk = np.ascontiguousarray(pix[r0 : r0 + rows], dtype=np.int64) - 128
         col_sq += (chunk * chunk).sum(axis=0)
         spec = np.fft.rfft(chunk, n)
-        power += (spec.real * spec.real + spec.imag * spec.imag).sum(axis=0)
+        power = (spec.real * spec.real + spec.imag * spec.imag).sum(axis=0)
+        corr += np.rint(np.fft.irfft(power, n)[1 : d_max + 1]).astype(np.int64)
     prefix = np.concatenate(([0], np.cumsum(col_sq)))
-    depth = min(rows, h) + (h - 1) // rows
-    if _corr_error_bound(n, depth, int(prefix[-1])) >= _MAX_ROUNDING_ERROR:
-        return _dmf_direct(pix, d_max)
-    corr = np.rint(np.fft.irfft(power, n)[1 : d_max + 1]).astype(np.int64)
     d = np.arange(1, d_max + 1)
     return ((prefix[w] - prefix[d]) + prefix[w - d] - 2 * corr) / (h * (w - d))
 

@@ -16,7 +16,7 @@ standard deviation; downstream conformance checks compare them as-is.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,23 +27,6 @@ GRAY_LEVELS = 256
 FEATURE_NAMES = ("mean", "variance", "skewness", "kurtosis", "energy", "entropy")
 
 _LEVELS = np.arange(GRAY_LEVELS, dtype=np.float64)
-
-
-@dataclass(frozen=True)
-class Histogram:
-    """Gray-level counts over one region; 256 bins."""
-
-    counts: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        arr = np.asarray(self.counts)
-        if arr.shape != (GRAY_LEVELS,):
-            raise ValueError(f"histogram needs {GRAY_LEVELS} bins, got shape {arr.shape}")
-        if not np.issubdtype(arr.dtype, np.integer) or arr.min() < 0:
-            raise ValueError("histogram counts must be non-negative integers")
-        arr = arr.astype(np.int64)
-        arr.setflags(write=False)
-        object.__setattr__(self, "counts", arr)
 
 
 @dataclass(frozen=True)
@@ -63,17 +46,6 @@ class FeatureVector:
 
     def to_dict(self) -> dict[str, float]:
         return dict(zip(FEATURE_NAMES, self.as_tuple()))
-
-
-def histogram(img: GrayImage, region: Rect | None = None) -> Histogram:
-    """Histogram of the pixels inside `region` (whole image when omitted)."""
-    if region is None:
-        block = img.pixels
-    else:
-        region.check_inside(img)
-        block = img.pixels[region.y0 : region.y0 + region.h,
-                           region.x0 : region.x0 + region.w]
-    return Histogram(np.bincount(block.ravel(), minlength=GRAY_LEVELS))
 
 
 def feature_matrix(counts: np.ndarray) -> np.ndarray:
@@ -115,11 +87,13 @@ def feature_matrix(counts: np.ndarray) -> np.ndarray:
     return np.stack([mean[:, 0], variance, skewness, kurtosis, energy, entropy], axis=-1)
 
 
-def features(h: Histogram) -> FeatureVector:
-    """Feature vector of a histogram; requires at least one counted pixel."""
-    return FeatureVector(*feature_matrix(h.counts[None])[0].tolist())
-
-
 def features_of_region(img: GrayImage, region: Rect | None = None) -> FeatureVector:
-    """features(histogram(img, region)); whole image when `region` is omitted."""
-    return features(histogram(img, region))
+    """Feature vector of the pixels inside `region` (whole image when omitted):
+    one row of feature_matrix over the region's gray-level counts.
+    """
+    block = img.pixels
+    if region is not None:
+        region.check_inside(img)
+        block = block[region.y0 : region.y0 + region.h, region.x0 : region.x0 + region.w]
+    counts = np.bincount(block.ravel(), minlength=GRAY_LEVELS)
+    return FeatureVector(*feature_matrix(counts[None])[0].tolist())

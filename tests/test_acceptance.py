@@ -21,14 +21,12 @@ from texelkit import (
     extract_texel,
     features_of_region,
     generate,
-    histogram,
     load_pgm,
     partition,
     random_texel,
     row_dmf,
     save_pgm,
     synthesize,
-    features,
 )
 
 from conftest import (
@@ -63,13 +61,13 @@ def test_criterion_1_statistics_oracle(capsys):
 
     # closed forms, exact
     uniform = GrayImage(np.arange(256, dtype=np.uint8).reshape(16, 16))
-    fu = features(histogram(uniform))
+    fu = features_of_region(uniform)
     exact = (
         fu.entropy == 8.0
         and math.isclose(fu.energy, 1 / 256, rel_tol=1e-15)
     )
     flat = GrayImage(np.full((9, 9), 42, dtype=np.uint8))
-    ff = features(histogram(flat))
+    ff = features_of_region(flat)
     exact = exact and (
         ff.variance == 0.0
         and ff.skewness == 0.0

@@ -334,6 +334,17 @@ class TestFlagValidation:
         assert_flag_error(proc, flag)
         assert not (tmp_path / "hi.pgm").exists()
 
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["analyze", "in.pgm", "--threshold", "abc"], "--threshold"),
+            (["frobnicate"], "frobnicate"),
+            ([], "command"),
+        ],
+    )
+    def test_usage_error_is_one_line(self, tmp_path, argv, named):
+        assert_flag_error(run_cli(*argv, cwd=tmp_path), named)
+
     # global skewness is exactly 0, so --epsilon alone divides and overflows
     SYMMETRIC_P2 = b"P2\n4 2\n255\n0 0 0 255\n255 255 255 0\n"
 

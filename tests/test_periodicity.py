@@ -1,12 +1,14 @@
 """DMF curves, forward differences, minima, and period selection."""
 
+from unittest import mock
+
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from texelkit import periodicity
+from texelkit import cli, periodicity
 from texelkit.periodicity import _select_period
 from texelkit import (
     DmfCurve,
@@ -17,6 +19,7 @@ from texelkit import (
     forward_difference,
     random_texel,
     row_dmf,
+    save_pgm,
     synthesize,
 )
 
@@ -114,33 +117,45 @@ class TestFftDmf:
     def test_equals_naive_reference(self, pixels):
         assert_dmf_matches_naive(GrayImage(pixels))
 
-    def test_integer_fallback_when_rounding_unproven(self, rng, monkeypatch):
-        direct_calls = []
-        direct = periodicity._dmf_direct
+    @settings(max_examples=100, deadline=None)
+    @given(DMF_IMAGES, st.integers(1, 3))
+    def test_equals_naive_reference_across_chunks(self, pixels, rows):
+        # _dmf fits _FFT_CHUNK_BYTES // (16 * (n // 2 + 1)) rows in a chunk,
+        # n the padded length; size the budget so every chunk holds `rows`
+        dmf = periodicity._dmf
 
-        def spy(pix, d_max):
-            direct_calls.append(d_max)
-            return direct(pix, d_max)
+        def chunked(pix, d_max):
+            n = 1 << (pix.shape[1] + d_max - 1).bit_length()
+            budget = rows * 16 * (n // 2 + 1)
+            with mock.patch.object(periodicity, "_FFT_CHUNK_BYTES", budget):
+                return dmf(pix, d_max)
 
+        with mock.patch.object(periodicity, "_dmf", chunked):
+            assert_dmf_matches_naive(GrayImage(pixels))
+
+    def test_unproven_rounding_raises(self, rng, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(periodicity, "_MAX_ROUNDING_ERROR", 0.0)
-        monkeypatch.setattr(periodicity, "_dmf_direct", spy)
-        shapes = [(9, 13), (17, 4), (2, 2)]
-        for h, w in shapes:
-            assert_dmf_matches_naive(random_image(rng, h, w))
-        # one direct call per curve: d_max runs over 1..w-1 and 1..h-1
-        assert len(direct_calls) == sum(h + w - 2 for h, w in shapes)
+        img = random_image(rng, 9, 13)
+        with pytest.raises(ValueError, match="cannot be summed exactly"):
+            column_dmf(img, 6)
+        with pytest.raises(ValueError, match="cannot be summed exactly"):
+            row_dmf(img, 4)
+        (tmp_path / "in.pgm").write_bytes(save_pgm(img))
+        assert cli.main(["analyze", str(tmp_path / "in.pgm")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
 
-    def test_fft_path_covers_large_images(self, rng, monkeypatch):
-        def fail(pix, d_max):
-            raise AssertionError("integer fallback ran")
-
-        monkeypatch.setattr(periodicity, "_dmf_direct", fail)
+    def test_fft_path_covers_large_images(self, rng):
         img = random_image(rng, 300, 500)
         column_dmf(img, 499)
         row_dmf(img, 299)
-        # worst case for 4096x4096 at the default fraction: every centred
-        # pixel at -128, n = 8192, 15 rows per chunk, 273 further chunks
-        assert periodicity._corr_error_bound(8192, 15 + 273, 128**2 * 4096**2) < 0.05
+        # worst case per chunk (every centred pixel at -128) for 20000x20000
+        # at the default fraction: n = 32768, 3 rows per chunk
+        assert periodicity._FFT_CHUNK_BYTES // (16 * (32768 // 2 + 1)) == 3
+        assert periodicity._corr_error_bound(32768, 3, 128**2 * 3 * 20000) < 1e-3
+        # one row of 10**8 pixels: n = 2**28, one row per chunk
+        assert max(1, periodicity._FFT_CHUNK_BYTES // (16 * (2**27 + 1))) == 1
+        assert periodicity._corr_error_bound(2**28, 1, 128**2 * 10**8) < 0.5
 
 
 class TestForwardDifference:

@@ -14,43 +14,16 @@ from texelkit import (
     FEATURE_NAMES,
     GrayImage,
     Rect,
-    features,
     features_of_region,
-    histogram,
 )
 
 from conftest import features_close, make_image, pixel_loop_features, random_image
 
 
-class TestHistogram:
-    def test_counts_match_counter(self, rng):
-        img = random_image(rng, 13, 9)
-        h = histogram(img)
-        assert h.counts.shape == (256,)
-        assert h.counts.sum() == 13 * 9
-        for v in range(256):
-            assert h.counts[v] == int((img.pixels == v).sum())
-
-    def test_region_restricts_counts(self, rng):
-        img = random_image(rng, 10, 10)
-        r = Rect(2, 3, 4, 5)
-        h = histogram(img, r)
-        assert h.counts.sum() == 20
-        sub = img.pixels[3:8, 2:6]
-        for v in range(256):
-            assert h.counts[v] == int((sub == v).sum())
-
-    def test_histogram_additive_over_partition(self, rng):
-        img = random_image(rng, 8, 12)
-        left = histogram(img, Rect(0, 0, 5, 8))
-        right = histogram(img, Rect(5, 0, 7, 8))
-        assert np.array_equal(left.counts + right.counts, histogram(img).counts)
-
-
 class TestClosedForms:
     def test_single_level_region(self):
         img = make_image([[77] * 4] * 3)
-        f = features(histogram(img))
+        f = features_of_region(img)
         assert f.mean == 77.0
         assert f.variance == 0.0 and f.skewness == 0.0 and f.kurtosis == 0.0
         assert f.energy == 1.0 and f.entropy == 0.0
@@ -59,14 +32,14 @@ class TestClosedForms:
 
     def test_uniform_histogram(self):
         img = GrayImage(np.arange(256, dtype=np.uint8).reshape(16, 16))
-        f = features(histogram(img))
+        f = features_of_region(img)
         assert f.entropy == 8.0
         assert f.energy == pytest.approx(1 / 256, rel=1e-15)
         assert f.mean == 127.5
 
     def test_two_level_extremes(self):
         img = make_image([[0, 255], [255, 0]])
-        f = features(histogram(img))
+        f = features_of_region(img)
         assert f.mean == 127.5
         assert f.variance == 127.5**2
         assert f.skewness == 0.0
