@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -109,23 +110,31 @@ class AnalysisResult:
             for index, f, d, m, c in rows
         ]}
 
-    def blocks_json(self, pad: str) -> str:
+    def blocks_json(self, pad: str) -> Iterator[str]:
         """to_dict()["blocks"] as json.dumps(indent=2, allow_nan=False)
-        writes it when its key sits at indent `pad`, from "[" to "]".
+        writes it when its key sits at indent `pad`, from "[" to "]", in
+        pieces whose concatenation is that text.
 
         Each block is one %-template laid out as json lays it out: index i,
         j, six features, six deviations, max deviation, "true" or "false".
-        Floats go through float.__repr__ as json writes them, and a
-        non-finite one raises json's own ValueError.
+        Floats go through float.__repr__ as json writes them. A non-finite
+        one raises json's own ValueError here, before any piece is made.
 
-        The blocks are written in runs of block rows holding about
-        _REPORT_CHUNK_BYTES of floats. Within a run, repr is called once per
-        distinct float64 bit pattern (so -0.0 and 0.0 stay apart) and the
-        strings are gathered back into the run's repeated template.
+        The blocks come in runs of block rows holding about
+        _REPORT_CHUNK_BYTES of floats, each formatted when it is asked for:
+        "[\n" comes before the first run, ",\n" before each later one, and
+        the last piece is the closing "\n{pad}]". Within a run, repr is
+        called once per distinct float64 bit pattern (so -0.0 and 0.0 stay
+        apart) and the strings are gathered back into the run's repeated
+        template.
         """
         floats = (self.features, self.deviations, self.max_deviation)
         if not all(np.isfinite(a).all() for a in floats):
             json.dumps(self.to_dict()["blocks"], indent=2, allow_nan=False)
+        return self._block_runs(pad)
+
+    def _block_runs(self, pad: str) -> Iterator[str]:
+        floats = (self.features, self.deviations, self.max_deviation)
         p = pad + "  "  # the blocks sit one level inside the list
         members = ",\n".join(f'{p}    "{name}": %s' for name in FEATURE_NAMES)
         template = (
@@ -140,7 +149,6 @@ class AnalysisResult:
         n_cols, n = self.grid.n_cols, self.conforming.size
         words = np.array(["false", "true"], dtype=object)
         step = n_cols * max(1, _REPORT_CHUNK_BYTES // (n_cols * 13 * 8))
-        runs = []
         for k0 in range(0, n, step):
             k1 = min(k0 + step, n)
             run = np.column_stack([a[k0:k1] for a in floats])  # the 13 floats in template order
@@ -150,11 +158,9 @@ class AnalysisResult:
             args[:, 0], args[:, 1] = np.divmod(np.arange(k0, k1), n_cols)
             args[:, 2:15] = texts[at.reshape(run.shape)]
             args[:, 15] = words[self.conforming[k0:k1].view(np.uint8)]
-            runs.append(",\n".join([template] * (k1 - k0)) % tuple(args.ravel().tolist()))
-        # brackets go onto the end runs, so the text is built in one join
-        runs[0] = "[\n" + runs[0]
-        runs[-1] += f"\n{pad}]"
-        return ",\n".join(runs)
+            yield "[\n" if k0 == 0 else ",\n"
+            yield ",\n".join([template] * (k1 - k0)) % tuple(args.ravel().tolist())
+        yield f"\n{pad}]"
 
 
 def partition(img: GrayImage, block_h: int, block_w: int) -> BlockGrid:

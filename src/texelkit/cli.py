@@ -12,13 +12,16 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import sys
+from collections.abc import Iterator
 from pathlib import Path
+from typing import TextIO
 
 from .blocks import DEFAULT_EPSILON, AnalysisResult, BlockGrid, classify_blocks, partition
-from .image import GrayImage, load_pgm, save_pgm
+from .image import GrayImage, load_pgm, pgm_parts
 from .periodicity import PeriodEstimate, estimate_periods, forward_difference
 from .synthesis import extract_texel, highlight_anomalies, synthesize
 from .testgen import GroundTruth, generate, random_texel
@@ -33,19 +36,28 @@ def _warn(msg: str) -> None:
     print(f"warning: {msg}", file=sys.stderr)
 
 
-def _save_image(path: str, img: GrayImage) -> None:
-    Path(path).write_bytes(save_pgm(img))
+def _save_image(path: str | Path, img: GrayImage) -> None:
+    """Write `img` as P5: the header, then the pixel buffer itself."""
+    with open(path, "wb") as fh:
+        fh.writelines(pgm_parts(img))
 
 
-def _emit_json(result: AnalysisResult, epsilon: float, periods: dict | None = None) -> str:
+def _emit_json(
+    result: AnalysisResult, epsilon: float, periods: dict | None = None, out: TextIO | None = None
+) -> Iterator[str] | None:
     """Report text: json.dumps(report, indent=2, allow_nan=False) plus a
     newline, byte for byte, where report is result.to_dict() (detect), or
     {"periods": periods, "analysis": result.to_dict()} when periods are
     given (analyze).
 
     The rest of the report is dumped once with a marker string where the
-    blocks go, and result.blocks_json() fills it in. A non-finite deviation
-    raises json's own ValueError, extended to name --epsilon.
+    blocks go, and result.blocks_json() streams them in between. The text
+    comes in pieces that are written to the text stream `out` when one is
+    given, and returned otherwise; no piece holds more than one run of
+    blocks. Writing through `out` keeps the formatting inside this call,
+    where the benchmark's cli.emit_json span times it. Every check runs
+    before the first piece: a non-finite deviation raises json's own
+    ValueError, extended to name --epsilon.
     """
     report, pad = {**result.head(), "blocks": "\0"}, "  "
     if periods is not None:
@@ -57,14 +69,27 @@ def _emit_json(result: AnalysisResult, epsilon: float, periods: dict | None = No
         raise ValueError(
             f"{exc}: a relative deviation overflowed; --epsilon {epsilon!r} is too small"
         ) from None
-    return f"{before}{blocks}{after}\n"
+    pieces = itertools.chain((before,), blocks, (after + "\n",))
+    if out is None:
+        return pieces
+    out.writelines(pieces)
+    return None
 
 
-def _write_report(text: str, json_out: str | None) -> None:
-    if json_out:
-        Path(json_out).write_text(text)
-    else:
-        sys.stdout.write(text)
+def _write_report(json_out: str | None, result: AnalysisResult, epsilon: float,
+                  periods: dict | None = None) -> None:
+    """Stream the report to json_out, or to stdout. A report that fails
+    part-way removes its file, so it never leaves a truncated one."""
+    if not json_out:
+        _emit_json(result, epsilon, periods, sys.stdout)
+        return
+    fh = open(json_out, "w")
+    try:
+        with fh:
+            _emit_json(result, epsilon, periods, fh)
+    except BaseException:
+        Path(json_out).unlink(missing_ok=True)
+        raise
 
 
 def _parse_defects(text: str) -> list[tuple[int, int]]:
@@ -115,7 +140,7 @@ def cmd_analyze(args) -> int:
     _, est, _, result = _classify(args)
     manual = est.row_curve is None
     periods = {**est.to_dict(), "manual": manual}
-    report = _emit_json(result, args.epsilon, periods)
+    _emit_json(result, args.epsilon, periods)  # a report that would fail raises before any file
     if args.csv_dmf:
         if manual:
             _warn("--csv-dmf ignored: DMF estimation was skipped (manual periods)")
@@ -123,7 +148,7 @@ def cmd_analyze(args) -> int:
             _dump_dmf_csv(args.csv_dmf, (est.row_curve, est.col_curve))
     if result.representative is None:
         _warn("no block conforms at this threshold; no representative texel")
-    _write_report(report, args.json_out)
+    _write_report(args.json_out, result, args.epsilon, periods)
     return EXIT_OK
 
 
@@ -146,12 +171,12 @@ def cmd_synthesize(args) -> int:
 
 def cmd_detect(args) -> int:
     img, _, grid, result = _classify(args)
-    report = _emit_json(result, args.epsilon)
+    _emit_json(result, args.epsilon)  # a report that would fail raises before any file
     highlighted = highlight_anomalies(
         img, grid, result.anomalies, args.highlight_value, args.thickness
     )
     _save_image(args.output, highlighted)
-    _write_report(report, args.json_out)
+    _write_report(args.json_out, result, args.epsilon)
     return EXIT_ANOMALIES if result.anomalies else EXIT_OK
 
 
@@ -171,7 +196,7 @@ def cmd_generate(args) -> int:
     )
     texel = random_texel(gt.texel_h, gt.texel_w, gt.seed)
     img = generate(gt, texel)
-    out.write_bytes(save_pgm(img))
+    _save_image(out, img)
     sidecar.write_text(gt.to_json() + "\n")
     return EXIT_OK
 
@@ -254,8 +279,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the two outputs of a command that would overwrite each other if they named one file
+_OUTPUT_PAIRS = {
+    "analyze": ("csv_dmf", "json_out"),
+    "synthesize": ("output", "texel_out"),
+    "detect": ("output", "json_out"),
+}
+
+
 def _check_flags(args) -> None:
-    """Reject numeric flags the library would misread, before any work."""
+    """Reject numeric flags the library would misread, and two outputs that
+    name one file, before any work."""
     if not 0 <= getattr(args, "threshold", 0) < math.inf:
         raise ValueError(f"--threshold must be finite and >= 0, got {args.threshold}")
     if not 0 < getattr(args, "epsilon", 1) < math.inf:
@@ -269,6 +303,11 @@ def _check_flags(args) -> None:
     for name in ("width", "height"):
         if getattr(args, name, None) is not None and getattr(args, name) <= 0:
             raise ValueError(f"--{name} must be positive, got {getattr(args, name)}")
+    pair = _OUTPUT_PAIRS.get(args.command, ())
+    paths = [getattr(args, dest) for dest in pair]
+    if pair and all(paths) and Path(paths[0]).resolve() == Path(paths[1]).resolve():
+        a, b = (dest if dest == "output" else "--" + dest.replace("_", "-") for dest in pair)
+        raise ValueError(f"{a} and {b} name the same file {paths[1]}")
 
 
 def main(argv=None) -> int:

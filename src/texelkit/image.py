@@ -218,17 +218,19 @@ def load_pgm(data: bytes) -> GrayImage:
     return GrayImage(_sealed(samples.reshape(height, width).astype(np.uint8, copy=False)))
 
 
-def save_pgm(img: GrayImage, mode: str = "P5") -> bytes:
-    """Serialize an image to PGM bytes; output is deterministic per image.
+def pgm_parts(img: GrayImage, mode: str = "P5") -> tuple[bytes, memoryview | bytes]:
+    """The PGM header and raster of an image, which save_pgm joins; a file
+    writer can write them in turn, and a P5 raster is the pixel buffer
+    itself, not a copy.
 
-    mode "P5" writes the binary raster, "P2" the ASCII one (rows wrapped to
+    mode "P5" gives the binary raster, "P2" the ASCII one (rows wrapped to
     keep lines at 70 characters or less).
     """
     if mode not in ("P5", "P2"):
         raise ValueError(f"mode must be 'P5' or 'P2', got {mode!r}")
     header = f"{mode}\n{img.width} {img.height}\n255\n".encode("ascii")
     if mode == "P5":
-        return b"".join((header, img.pixels.data))
+        return header, img.pixels.data
     flat = img.pixels.ravel()
     text, width = _P2_TEXT[flat], _P2_WIDTH[flat]
     end = np.cumsum(width)  # offset just past each sample's separator
@@ -239,7 +241,13 @@ def save_pgm(img: GrayImage, mode: str = "P5") -> bytes:
         limit = end[line[todo]] - width[line[todo]] + 71
         line[todo] = np.minimum(np.searchsorted(end, limit, "right"), row_end[todo])
         text[line[todo] - 1, width[line[todo] - 1] - 1] = ord("\n")
-    return header + text[np.arange(4) < width[:, None]].tobytes()
+    return header, text[np.arange(4) < width[:, None]].tobytes()
+
+
+def save_pgm(img: GrayImage, mode: str = "P5") -> bytes:
+    """Serialize an image to PGM bytes, the joined pgm_parts(img, mode);
+    output is deterministic per image."""
+    return b"".join(pgm_parts(img, mode))
 
 
 def crop(img: GrayImage, r: Rect) -> GrayImage:

@@ -348,7 +348,7 @@ class TestBlocksJson:
     def test_equals_json_dumps_of_dict_form(self, case, pad):
         res, rows_per_run = case
         with report_runs(res, rows_per_run):
-            text = res.blocks_json(pad)
+            text = "".join(res.blocks_json(pad))
         expected = json.dumps(res.to_dict()["blocks"], indent=2, allow_nan=False)
         assert text == expected.replace("\n", "\n" + pad)
 
@@ -358,4 +358,4 @@ class TestBlocksJson:
         res = result_of(700, 1, values, values[:, 12] <= 0)
         assert 700 * 13 * 8 > blocks._REPORT_CHUNK_BYTES
         expected = json.dumps(res.to_dict()["blocks"], indent=2, allow_nan=False)
-        assert res.blocks_json("") == expected
+        assert "".join(res.blocks_json("")) == expected

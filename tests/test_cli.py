@@ -5,6 +5,7 @@ import dataclasses
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from texelkit import cli, periodicity
+from texelkit import blocks, cli, periodicity
 from texelkit import (
     AnalysisResult,
     GrayImage,
@@ -360,6 +361,22 @@ class TestFlagValidation:
         assert_flag_error(proc, "--epsilon")
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["detect", "in.pgm", "x.pgm", "--json-out", "./x.pgm"], "--json-out"),
+            (["synthesize", "in.pgm", "x.pgm", "--texel-out", "sub/../x.pgm"], "--texel-out"),
+            (["analyze", "in.pgm", "--csv-dmf", "x.out", "--json-out", "x.out"], "--csv-dmf"),
+        ],
+        ids=["detect-json-out", "synthesize-texel-out", "analyze-csv-dmf-json-out"],
+    )
+    def test_outputs_naming_one_file_exit_2(self, tmp_path, argv, named):
+        write_tiling(tmp_path / "in.pgm", 4, 5, 6, seed=4)
+        (tmp_path / "sub").mkdir()
+        manual = ["--period-rows", "4", "--period-cols", "5"]
+        assert_flag_error(run_cli(*argv, *manual, cwd=tmp_path), named)
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["in.pgm", "sub"]
+
     def test_report_json_is_strict(self):
         img = GrayImage(np.arange(16, dtype=np.uint8).reshape(4, 4))
         res = classify_blocks(img, partition(img, 2, 2), threshold=0.1)
@@ -466,7 +483,7 @@ class TestReportText:
     @given(results(), st.sampled_from([1e-6, 1e-320]))
     def test_equals_json_dumps(self, case, epsilon):
         res, periods = case
-        assert cli._emit_json(res, epsilon, periods) == reference_text(res, periods)
+        assert "".join(cli._emit_json(res, epsilon, periods)) == reference_text(res, periods)
 
     @settings(max_examples=50, deadline=None)
     @given(results(), st.sampled_from([float("inf"), float("-inf"), float("nan")]),
@@ -503,3 +520,81 @@ class TestReportText:
                          "--json-out", str(tmp_path / "a.json")]) == 0
         assert json.loads((tmp_path / "d.json").read_text()) == want
         assert json.loads((tmp_path / "a.json").read_text())["analysis"] == want
+
+
+def run_cli_bytes(*args, cwd):
+    """run_cli with stdout kept as the bytes the process wrote."""
+    return subprocess.run(
+        [sys.executable, "-m", "texelkit", *args], capture_output=True, cwd=cwd, env=cli_env()
+    )
+
+
+def write_noise(path, side, seed):
+    """A noisy side x side image: its report floats are mostly distinct."""
+    path.write_bytes(save_pgm(GrayImage(
+        np.random.default_rng(seed).integers(0, 256, (side, side), dtype=np.uint8)
+    )))
+
+
+def report_runs(n_rows, n_cols):
+    """How many block-row runs blocks_json writes for this grid."""
+    rows_per_run = max(1, blocks._REPORT_CHUNK_BYTES // (n_cols * 13 * 8))
+    return -(-n_rows // rows_per_run)
+
+
+class TestStreamedOutputs:
+    @pytest.mark.parametrize("command", ["analyze", "detect"])
+    def test_stdout_and_json_out_bytes_equal(self, tmp_path, command):
+        write_noise(tmp_path / "in.pgm", 128, seed=8)
+        assert report_runs(64, 64) > 1
+        manual = ["--period-rows", "2", "--period-cols", "2"]
+        outputs = ["o.pgm"] if command == "detect" else []
+        printed = run_cli_bytes(command, "in.pgm", *outputs, *manual, cwd=tmp_path)
+        written = run_cli_bytes(
+            command, "in.pgm", *outputs, *manual, "--json-out", "r.json", cwd=tmp_path
+        )
+        assert printed.returncode == written.returncode
+        assert written.stdout == b""
+        assert printed.stdout == (tmp_path / "r.json").read_bytes()
+        json.loads(printed.stdout)
+
+    def test_detect_peak_below_report_size(self, tmp_path):
+        write_noise(tmp_path / "in.pgm", 320, seed=9)
+        assert report_runs(160, 160) > 1
+        argv = ["detect", str(tmp_path / "in.pgm"), str(tmp_path / "o.pgm"),
+                "--period-rows", "2", "--period-cols", "2",
+                "--json-out", str(tmp_path / "r.json")]
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (tmp_path / "r.json").stat().st_size
+
+    def test_synthesize_peak_below_one_and_a_half_outputs(self, tmp_path):
+        write_tiling(tmp_path / "in.pgm", 8, 8, 8, seed=6)
+        argv = ["synthesize", str(tmp_path / "in.pgm"), str(tmp_path / "o.pgm"),
+                "--period-rows", "8", "--period-cols", "8",
+                "--width", "2048", "--height", "2048"]
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2048 * 2048
+        assert load_pgm((tmp_path / "o.pgm").read_bytes()).pixels.shape == (2048, 2048)
+
+    def test_report_failing_part_way_leaves_no_file(self, tmp_path, monkeypatch):
+        write_noise(tmp_path / "in.pgm", 32, seed=10)
+
+        def runs(self, pad):
+            yield "[\n"
+            raise MemoryError
+
+        monkeypatch.setattr(AnalysisResult, "_block_runs", runs)
+        argv = ["analyze", str(tmp_path / "in.pgm"), "--period-rows", "2",
+                "--period-cols", "2", "--json-out", str(tmp_path / "r.json")]
+        assert cli.main(argv) == 2
+        assert not (tmp_path / "r.json").exists()
