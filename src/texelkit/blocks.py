@@ -118,7 +118,7 @@ class AnalysisResult:
         Each block is one %-template laid out as json lays it out: index i,
         j, six features, six deviations, max deviation, "true" or "false".
         Floats go through float.__repr__ as json writes them. A non-finite
-        one raises json's own ValueError here, before any piece is made.
+        one raises check_finite's error here, before any piece is made.
 
         The blocks come in runs of block rows holding about
         _REPORT_CHUNK_BYTES of floats, each formatted when it is asked for:
@@ -128,10 +128,14 @@ class AnalysisResult:
         apart) and the strings are gathered back into the run's repeated
         template.
         """
+        self.check_finite()
+        return self._block_runs(pad)
+
+    def check_finite(self) -> None:
+        """Raise json's own ValueError if a block holds a non-finite float."""
         floats = (self.features, self.deviations, self.max_deviation)
         if not all(np.isfinite(a).all() for a in floats):
             json.dumps(self.to_dict()["blocks"], indent=2, allow_nan=False)
-        return self._block_runs(pad)
 
     def _block_runs(self, pad: str) -> Iterator[str]:
         floats = (self.features, self.deviations, self.max_deviation)

@@ -15,8 +15,9 @@ import csv
 import itertools
 import json
 import math
+import os
+import stat
 import sys
-from collections.abc import Iterator
 from pathlib import Path
 from typing import TextIO
 
@@ -42,53 +43,57 @@ def _save_image(path: str | Path, img: GrayImage) -> None:
         fh.writelines(pgm_parts(img))
 
 
-def _emit_json(
-    result: AnalysisResult, epsilon: float, periods: dict | None = None, out: TextIO | None = None
-) -> Iterator[str] | None:
-    """Report text: json.dumps(report, indent=2, allow_nan=False) plus a
-    newline, byte for byte, where report is result.to_dict() (detect), or
-    {"periods": periods, "analysis": result.to_dict()} when periods are
-    given (analyze).
-
-    The rest of the report is dumped once with a marker string where the
-    blocks go, and result.blocks_json() streams them in between. The text
-    comes in pieces that are written to the text stream `out` when one is
-    given, and returned otherwise; no piece holds more than one run of
-    blocks. Writing through `out` keeps the formatting inside this call,
-    where the benchmark's cli.emit_json span times it. Every check runs
-    before the first piece: a non-finite deviation raises json's own
-    ValueError, extended to name --epsilon.
-    """
-    report, pad = {**result.head(), "blocks": "\0"}, "  "
-    if periods is not None:
-        report, pad = {"periods": periods, "analysis": report}, "    "
-    before, after = json.dumps(report, indent=2, allow_nan=False).split('"\\u0000"')
+def _check_report(result: AnalysisResult, epsilon: float) -> None:
+    """Raise if the report's blocks cannot be written, so that detect and
+    analyze fail before they write any file. A non-finite deviation raises
+    json's own ValueError, extended to name --epsilon, the only flag that
+    can make a deviation overflow."""
     try:
-        blocks = result.blocks_json(pad)
+        result.check_finite()
     except ValueError as exc:
         raise ValueError(
             f"{exc}: a relative deviation overflowed; --epsilon {epsilon!r} is too small"
         ) from None
-    pieces = itertools.chain((before,), blocks, (after + "\n",))
-    if out is None:
-        return pieces
-    out.writelines(pieces)
-    return None
+
+
+def _emit_json(
+    result: AnalysisResult, epsilon: float, periods: dict | None = None, out: TextIO | None = None
+) -> None:
+    """Write the report to the text stream `out` (default stdout):
+    json.dumps(report, indent=2, allow_nan=False) plus a newline, byte for
+    byte, where report is result.to_dict() (detect), or {"periods": periods,
+    "analysis": result.to_dict()} when periods are given (analyze).
+
+    The rest of the report is dumped once with a marker string where the
+    blocks go, and result.blocks_json() streams them in between, so no
+    piece holds more than one run of blocks. Every check runs before the
+    first piece is written.
+    """
+    _check_report(result, epsilon)
+    report, pad = {**result.head(), "blocks": "\0"}, "  "
+    if periods is not None:
+        report, pad = {"periods": periods, "analysis": report}, "    "
+    before, after = json.dumps(report, indent=2, allow_nan=False).split('"\\u0000"')
+    blocks = result.blocks_json(pad)
+    (out or sys.stdout).writelines(itertools.chain((before,), blocks, (after + "\n",)))
 
 
 def _write_report(json_out: str | None, result: AnalysisResult, epsilon: float,
                   periods: dict | None = None) -> None:
     """Stream the report to json_out, or to stdout. A report that fails
-    part-way removes its file, so it never leaves a truncated one."""
+    part way removes its file when json_out is a regular file, so it never
+    leaves a truncated one; a device, pipe or link it names is left alone."""
     if not json_out:
-        _emit_json(result, epsilon, periods, sys.stdout)
+        _emit_json(result, epsilon, periods)
         return
-    fh = open(json_out, "w")
+    regular = False
     try:
-        with fh:
+        with open(json_out, "w") as fh:
+            regular = stat.S_ISREG(os.lstat(json_out).st_mode)
             _emit_json(result, epsilon, periods, fh)
     except BaseException:
-        Path(json_out).unlink(missing_ok=True)
+        if regular:
+            Path(json_out).unlink(missing_ok=True)
         raise
 
 
@@ -140,7 +145,7 @@ def cmd_analyze(args) -> int:
     _, est, _, result = _classify(args)
     manual = est.row_curve is None
     periods = {**est.to_dict(), "manual": manual}
-    _emit_json(result, args.epsilon, periods)  # a report that would fail raises before any file
+    _check_report(result, args.epsilon)
     if args.csv_dmf:
         if manual:
             _warn("--csv-dmf ignored: DMF estimation was skipped (manual periods)")
@@ -171,7 +176,7 @@ def cmd_synthesize(args) -> int:
 
 def cmd_detect(args) -> int:
     img, _, grid, result = _classify(args)
-    _emit_json(result, args.epsilon)  # a report that would fail raises before any file
+    _check_report(result, args.epsilon)
     highlighted = highlight_anomalies(
         img, grid, result.anomalies, args.highlight_value, args.thickness
     )
@@ -304,8 +309,10 @@ def _check_flags(args) -> None:
         if getattr(args, name, None) is not None and getattr(args, name) <= 0:
             raise ValueError(f"--{name} must be positive, got {getattr(args, name)}")
     pair = _OUTPUT_PAIRS.get(args.command, ())
-    paths = [getattr(args, dest) for dest in pair]
-    if pair and all(paths) and Path(paths[0]).resolve() == Path(paths[1]).resolve():
+    paths = [Path(getattr(args, dest)) for dest in pair if getattr(args, dest)]
+    # a device such as /dev/stdout may take both outputs in turn
+    files = len(paths) == 2 and all(p.is_file() or not p.exists() for p in paths)
+    if files and paths[0].resolve() == paths[1].resolve():
         a, b = (dest if dest == "output" else "--" + dest.replace("_", "-") for dest in pair)
         raise ValueError(f"{a} and {b} name the same file {paths[1]}")
 

@@ -159,10 +159,7 @@ def _dmf(pix: np.ndarray, d_max: int) -> np.ndarray:
         chunk = np.ascontiguousarray(pix[r0 : r0 + rows], dtype=np.int64) - 128
         col_sq += (chunk * chunk).sum(axis=0)
         spec = np.fft.rfft(chunk, n)
-        # |X|^2 = re * re + im * im, formed in the spectrum's own memory
-        parts = spec.view(np.float64)  # re, im interleaved
-        np.multiply(parts, parts, out=parts)
-        power = np.add(parts[:, 0::2], parts[:, 1::2], out=parts[:, 0::2]).sum(axis=0)
+        power = (spec.real * spec.real + spec.imag * spec.imag).sum(axis=0)
         corr += np.rint(np.fft.irfft(power, n)[1 : d_max + 1]).astype(np.int64)
     prefix = np.concatenate(([0], np.cumsum(col_sq)))
     d = np.arange(1, d_max + 1)

@@ -2,7 +2,9 @@
 
 import csv
 import dataclasses
+import io
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -483,7 +485,9 @@ class TestReportText:
     @given(results(), st.sampled_from([1e-6, 1e-320]))
     def test_equals_json_dumps(self, case, epsilon):
         res, periods = case
-        assert "".join(cli._emit_json(res, epsilon, periods)) == reference_text(res, periods)
+        out = io.StringIO()
+        cli._emit_json(res, epsilon, periods, out)
+        assert out.getvalue() == reference_text(res, periods)
 
     @settings(max_examples=50, deadline=None)
     @given(results(), st.sampled_from([float("inf"), float("-inf"), float("nan")]),
@@ -586,15 +590,47 @@ class TestStreamedOutputs:
         assert peak < 1.5 * 2048 * 2048
         assert load_pgm((tmp_path / "o.pgm").read_bytes()).pixels.shape == (2048, 2048)
 
-    def test_report_failing_part_way_leaves_no_file(self, tmp_path, monkeypatch):
-        write_noise(tmp_path / "in.pgm", 32, seed=10)
-
+    @staticmethod
+    def fail_part_way(monkeypatch):
         def runs(self, pad):
             yield "[\n"
             raise MemoryError
 
         monkeypatch.setattr(AnalysisResult, "_block_runs", runs)
+
+    def test_report_failing_part_way_leaves_no_file(self, tmp_path, monkeypatch):
+        write_noise(tmp_path / "in.pgm", 32, seed=10)
+        self.fail_part_way(monkeypatch)
         argv = ["analyze", str(tmp_path / "in.pgm"), "--period-rows", "2",
                 "--period-cols", "2", "--json-out", str(tmp_path / "r.json")]
         assert cli.main(argv) == 2
         assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("kind", ["fifo", "symlink"])
+    def test_report_failing_part_way_keeps_a_non_regular_path(self, tmp_path, monkeypatch, kind):
+        write_noise(tmp_path / "in.pgm", 32, seed=10)
+        target = tmp_path / "r.json"
+        reader = None
+        if kind == "fifo":
+            os.mkfifo(target)
+            reader = os.open(target, os.O_RDONLY | os.O_NONBLOCK)  # so the writer can open
+        else:
+            target.symlink_to(os.devnull)
+        self.fail_part_way(monkeypatch)
+        argv = ["analyze", str(tmp_path / "in.pgm"), "--period-rows", "2",
+                "--period-cols", "2", "--json-out", str(target)]
+        try:
+            assert cli.main(argv) == 2
+        finally:
+            if reader is not None:
+                os.close(reader)
+        assert target.is_symlink() if kind == "symlink" else target.is_fifo()
+
+    def test_both_analyze_outputs_may_name_stdout(self, tmp_path):
+        write_tiling(tmp_path / "in.pgm", 4, 5, 6, seed=4)
+        proc = run_cli("analyze", "in.pgm", "--csv-dmf", "/dev/stdout",
+                       "--json-out", "/dev/stdout", cwd=tmp_path)
+        assert proc.returncode == 0
+        csv_text, brace, report = proc.stdout.partition("{")
+        assert csv_text.startswith("axis,d,dmf,forward_difference")
+        assert json.loads(brace + report)["periods"]["manual"] is False
