@@ -23,8 +23,11 @@ from .stats import FEATURE_NAMES, GRAY_LEVELS, FeatureVector, feature_matrix, fe
 
 DEFAULT_EPSILON = 1e-6
 
-# budget for the largest temporary of one chunk of block rows
-_CHUNK_BYTES = 1 << 20
+# budget for the working set of one chunk of block rows
+_CHUNK_BYTES = 1 << 19
+# arrays of 256 levels per block alive at once: the counts and the six
+# float64 temporaries of feature_matrix
+_LEVEL_ARRAYS = 7
 # bytes of float64 values in one run of block rows the report writer formats
 _REPORT_CHUNK_BYTES = 1 << 16
 
@@ -203,22 +206,25 @@ def block_features(img: GrayImage, grid: BlockGrid) -> np.ndarray:
 
     Row i * n_cols + j equals features_of_region(img, grid.rect(i, j)) bit for
     bit. The histograms of a run of block rows come from one bincount of
-    block_id * 256 + level over the (rows, block_h, n_cols, block_w) view;
-    runs are sized so that no temporary exceeds _CHUNK_BYTES (one block row
-    at the least).
+    block_id * 256 + level over the (rows, block_h, n_cols, block_w) view.
+    A run holds, per block, first the int64 bin ids of its pixels and its
+    counts, then its counts and feature_matrix's temporaries; runs are sized
+    so that the larger of the two fits _CHUNK_BYTES (one block row at the
+    least), whatever the image size.
     """
     bh, bw, n_rows, n_cols = grid.block_h, grid.block_w, grid.n_rows, grid.n_cols
     if n_rows * bh > img.height or n_cols * bw > img.width:
         raise ValueError("grid does not fit inside the image")
     blocks = img.pixels[: n_rows * bh, : n_cols * bw].reshape(n_rows, bh, n_cols, bw)
-    # per block: int64 bin ids of its pixels, float64 temporaries of 256 levels
-    step = max(1, _CHUNK_BYTES // (n_cols * 8 * max(bh * bw, GRAY_LEVELS)))
+    per_block = 8 * max(bh * bw + GRAY_LEVELS, _LEVEL_ARRAYS * GRAY_LEVELS)
+    step = max(1, _CHUNK_BYTES // (n_cols * per_block))
     out = np.empty((n_rows * n_cols, len(FEATURE_NAMES)))
     for r0 in range(0, n_rows, step):
         chunk = blocks[r0 : r0 + step]
         n = chunk.shape[0] * n_cols
-        bins = np.arange(0, n * GRAY_LEVELS, GRAY_LEVELS).reshape(-1, 1, n_cols, 1) + chunk
-        counts = np.bincount(bins.ravel(), minlength=n * GRAY_LEVELS)
+        first_bin = np.arange(0, n * GRAY_LEVELS, GRAY_LEVELS).reshape(-1, 1, n_cols, 1)
+        # the bin ids are a temporary, freed before feature_matrix runs
+        counts = np.bincount((first_bin + chunk).ravel(), minlength=n * GRAY_LEVELS)
         out[r0 * n_cols : r0 * n_cols + n] = feature_matrix(counts.reshape(n, GRAY_LEVELS))
     return out
 

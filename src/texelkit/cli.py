@@ -11,6 +11,7 @@ error; 3 no conforming block to synthesize from (synthesize).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import itertools
 import json
@@ -18,13 +19,14 @@ import math
 import os
 import stat
 import sys
+from collections.abc import Iterable, Iterator
 from pathlib import Path
-from typing import TextIO
+from typing import IO, TextIO
 
 from .blocks import DEFAULT_EPSILON, AnalysisResult, BlockGrid, classify_blocks, partition
-from .image import GrayImage, load_pgm, pgm_parts
+from .image import GrayImage, load_pgm, pgm_header, pgm_parts
 from .periodicity import PeriodEstimate, estimate_periods, forward_difference
-from .synthesis import extract_texel, highlight_anomalies, synthesize
+from .synthesis import extract_texel, highlight_anomalies, tiling_parts
 from .testgen import GroundTruth, generate, random_texel
 
 EXIT_OK = 0
@@ -37,10 +39,28 @@ def _warn(msg: str) -> None:
     print(f"warning: {msg}", file=sys.stderr)
 
 
-def _save_image(path: str | Path, img: GrayImage) -> None:
-    """Write `img` as P5: the header, then the pixel buffer itself."""
-    with open(path, "wb") as fh:
-        fh.writelines(pgm_parts(img))
+@contextlib.contextmanager
+def _output(path: str | Path, mode: str) -> Iterator[IO]:
+    """Open `path` for writing. If the writes fail part way (out of memory,
+    a full disk), the file is removed when `path` names a regular file, so
+    no truncated output is left; a device, pipe or link it names is left
+    alone."""
+    regular = False
+    try:
+        with open(path, mode) as fh:
+            regular = stat.S_ISREG(os.lstat(path).st_mode)
+            yield fh
+    except BaseException:
+        if regular:
+            Path(path).unlink(missing_ok=True)
+        raise
+
+
+def _save_image(path: str | Path, parts: Iterable) -> None:
+    """Write a PGM given as its header and raster pieces, such as
+    pgm_parts(img): each piece is written as it comes, none is joined."""
+    with _output(path, "wb") as fh:
+        fh.writelines(parts)
 
 
 def _check_report(result: AnalysisResult, epsilon: float) -> None:
@@ -80,21 +100,12 @@ def _emit_json(
 
 def _write_report(json_out: str | None, result: AnalysisResult, epsilon: float,
                   periods: dict | None = None) -> None:
-    """Stream the report to json_out, or to stdout. A report that fails
-    part way removes its file when json_out is a regular file, so it never
-    leaves a truncated one; a device, pipe or link it names is left alone."""
+    """Stream the report to json_out through _output, or to stdout."""
     if not json_out:
         _emit_json(result, epsilon, periods)
         return
-    regular = False
-    try:
-        with open(json_out, "w") as fh:
-            regular = stat.S_ISREG(os.lstat(json_out).st_mode)
-            _emit_json(result, epsilon, periods, fh)
-    except BaseException:
-        if regular:
-            Path(json_out).unlink(missing_ok=True)
-        raise
+    with _output(json_out, "w") as fh:
+        _emit_json(result, epsilon, periods, fh)
 
 
 def _parse_defects(text: str) -> list[tuple[int, int]]:
@@ -167,10 +178,12 @@ def cmd_synthesize(args) -> int:
         return EXIT_NO_REPRESENTATIVE
     texel = extract_texel(img, grid, result.representative)
     if args.texel_out:
-        _save_image(args.texel_out, texel)
+        _save_image(args.texel_out, pgm_parts(texel))
     out_w = img.width if args.width is None else args.width
     out_h = img.height if args.height is None else args.height
-    _save_image(args.output, synthesize(texel, out_w, out_h))
+    # the strip is built before the output is opened: a tiling too large fails first
+    raster = tiling_parts(texel, out_w, out_h)
+    _save_image(args.output, itertools.chain((pgm_header(out_w, out_h),), raster))
     return EXIT_OK
 
 
@@ -180,7 +193,7 @@ def cmd_detect(args) -> int:
     highlighted = highlight_anomalies(
         img, grid, result.anomalies, args.highlight_value, args.thickness
     )
-    _save_image(args.output, highlighted)
+    _save_image(args.output, pgm_parts(highlighted))
     _write_report(args.json_out, result, args.epsilon)
     return EXIT_ANOMALIES if result.anomalies else EXIT_OK
 
@@ -201,7 +214,7 @@ def cmd_generate(args) -> int:
     )
     texel = random_texel(gt.texel_h, gt.texel_w, gt.seed)
     img = generate(gt, texel)
-    _save_image(out, img)
+    _save_image(out, pgm_parts(img))
     sidecar.write_text(gt.to_json() + "\n")
     return EXIT_OK
 

@@ -218,6 +218,13 @@ def load_pgm(data: bytes) -> GrayImage:
     return GrayImage(_sealed(samples.reshape(height, width).astype(np.uint8, copy=False)))
 
 
+def pgm_header(width: int, height: int, mode: str = "P5") -> bytes:
+    """The PGM header of a width x height image with maxval 255."""
+    if mode not in ("P5", "P2"):
+        raise ValueError(f"mode must be 'P5' or 'P2', got {mode!r}")
+    return f"{mode}\n{width} {height}\n255\n".encode("ascii")
+
+
 def pgm_parts(img: GrayImage, mode: str = "P5") -> tuple[bytes, memoryview | bytes]:
     """The PGM header and raster of an image, which save_pgm joins; a file
     writer can write them in turn, and a P5 raster is the pixel buffer
@@ -226,9 +233,7 @@ def pgm_parts(img: GrayImage, mode: str = "P5") -> tuple[bytes, memoryview | byt
     mode "P5" gives the binary raster, "P2" the ASCII one (rows wrapped to
     keep lines at 70 characters or less).
     """
-    if mode not in ("P5", "P2"):
-        raise ValueError(f"mode must be 'P5' or 'P2', got {mode!r}")
-    header = f"{mode}\n{img.width} {img.height}\n255\n".encode("ascii")
+    header = pgm_header(img.width, img.height, mode)
     if mode == "P5":
         return header, img.pixels.data
     flat = img.pixels.ravel()

@@ -28,6 +28,9 @@ FEATURE_NAMES = ("mean", "variance", "skewness", "kurtosis", "energy", "entropy"
 
 _LEVELS = np.arange(GRAY_LEVELS, dtype=np.float64)
 
+# budget for the int64 copy that bincount makes of one run of rows
+_CHUNK_BYTES = 1 << 19
+
 
 @dataclass(frozen=True)
 class FeatureVector:
@@ -90,10 +93,18 @@ def feature_matrix(counts: np.ndarray) -> np.ndarray:
 def features_of_region(img: GrayImage, region: Rect | None = None) -> FeatureVector:
     """Feature vector of the pixels inside `region` (whole image when omitted):
     one row of feature_matrix over the region's gray-level counts.
+
+    The counts are the sum of one bincount per run of rows whose int64 copy,
+    which bincount makes, fits _CHUNK_BYTES (one row at the least), so the
+    working memory does not grow with the region. Counts are integers, so
+    the sum is exact in any order.
     """
     block = img.pixels
     if region is not None:
         region.check_inside(img)
         block = block[region.y0 : region.y0 + region.h, region.x0 : region.x0 + region.w]
-    counts = np.bincount(block.ravel(), minlength=GRAY_LEVELS)
+    step = max(1, _CHUNK_BYTES // (8 * block.shape[1]))
+    counts = np.zeros(GRAY_LEVELS, dtype=np.int64)
+    for r0 in range(0, block.shape[0], step):
+        counts += np.bincount(block[r0 : r0 + step].ravel(), minlength=GRAY_LEVELS)
     return FeatureVector(*feature_matrix(counts[None])[0].tolist())

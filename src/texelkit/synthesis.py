@@ -8,6 +8,9 @@ tiles with visible junctions by design.
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Iterator
+
 import numpy as np
 
 from .blocks import BlockGrid
@@ -20,18 +23,33 @@ def extract_texel(img: GrayImage, grid: BlockGrid, index: tuple[int, int]) -> Gr
     return crop(img, grid.rect(i, j))
 
 
+def tiling_parts(texel: GrayImage, out_w: int, out_h: int) -> Iterator[memoryview]:
+    """The row-major raster of synthesize(texel, out_w, out_h), in pieces.
+
+    The one strip of texel.height full-width rows is built before this
+    returns, so an output too wide to tile fails here. The pieces are that
+    strip's buffer out_h // texel.height times, then its first
+    out_h % texel.height rows; none is a copy, so a writer that takes them
+    in turn holds one strip, however tall the output.
+    """
+    if out_w < 1 or out_h < 1:
+        raise ValueError(f"output size must be positive, got {out_w}x{out_h}")
+    tiles = np.tile(texel.pixels, (1, -(-out_w // texel.width)))
+    strip = _sealed(np.ascontiguousarray(tiles[:, :out_w]))
+    whole, rest = divmod(out_h, texel.height)
+    return itertools.chain(itertools.repeat(strip.data, whole), (strip[:rest].data,))
+
+
 def synthesize(texel: GrayImage, out_w: int, out_h: int) -> GrayImage:
     """Tile `texel` into an out_w x out_h image.
 
     Output pixel (row, col) equals texel pixel (row mod texel.height,
-    col mod texel.width). One strip of texel.height full-width rows is
-    repeated down the output by np.resize: one allocation, at most one strip
-    larger than the output.
+    col mod texel.width). The pieces of tiling_parts are joined into one
+    buffer, which the image keeps: the working memory on top of the output
+    is one strip of texel.height rows.
     """
-    if out_w < 1 or out_h < 1:
-        raise ValueError(f"output size must be positive, got {out_w}x{out_h}")
-    strip = np.tile(texel.pixels, (1, -(-out_w // texel.width)))[:, :out_w]
-    return GrayImage(_sealed(np.resize(strip, (out_h, out_w))))
+    raster = b"".join(tiling_parts(texel, out_w, out_h))
+    return GrayImage(np.frombuffer(raster, dtype=np.uint8).reshape(out_h, out_w))
 
 
 def highlight_anomalies(

@@ -1,6 +1,7 @@
 """Block partitioning, relative deviations, and conformance classification."""
 
 import json
+import tracemalloc
 from unittest import mock
 
 import hypothesis.extra.numpy as hnp
@@ -241,7 +242,8 @@ def grid_cases(draw):
 def chunked(grid, rows_per_chunk):
     """Patch the chunk budget so block_features takes this many block rows
     at a time."""
-    per_row = grid.n_cols * 8 * max(grid.block_h * grid.block_w, 256)
+    per_block = 8 * max(grid.block_h * grid.block_w + 256, blocks._LEVEL_ARRAYS * 256)
+    per_row = grid.n_cols * per_block
     return mock.patch.object(blocks, "_CHUNK_BYTES", rows_per_chunk * per_row)
 
 
@@ -301,6 +303,17 @@ class TestWholeGrid:
         grid = partition(random_image(rng, 12, 12), 4, 4)
         with pytest.raises(ValueError, match="does not fit"):
             classify_blocks(small, grid, threshold=0.1)
+
+    def test_block_features_peak_below_4_mb_on_1024_squared(self):
+        img = GrayImage(np.random.default_rng(3).integers(0, 256, (1024, 1024), dtype=np.uint8))
+        grid = partition(img, 8, 8)
+        tracemalloc.start()
+        try:
+            blocks.block_features(img, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 10**6
 
 
 @st.composite

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import errno
 import io
 import json
 import os
@@ -12,7 +13,7 @@ import tracemalloc
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from texelkit import blocks, cli, periodicity
@@ -206,6 +207,28 @@ class TestSynthesize:
         # three-across tiling of the texel
         assert np.array_equal(out.pixels[:4, :6], texel.pixels)
         assert np.array_equal(out.pixels[:4, 6:12], texel.pixels)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        hnp.arrays(np.uint8, st.tuples(st.integers(1, 9), st.integers(1, 9))),
+        st.integers(1, 40),
+        st.integers(1, 40),
+    )
+    @example(np.array([[7]], np.uint8), 5, 3)  # 1x1 texel
+    @example(np.arange(20, dtype=np.uint8).reshape(5, 4), 11, 3)  # out_h < texel height
+    @example(np.arange(20, dtype=np.uint8).reshape(5, 4), 11, 15)  # out_h a multiple of it
+    @example(np.arange(20, dtype=np.uint8).reshape(5, 4), 3, 7)  # out_w < texel width
+    def test_streamed_tiling_equals_reference(self, tmp_path_factory, texel, out_w, out_h):
+        # a 2x2 tiling of the texel: every block conforms and (0, 0) is the texel
+        tmp = tmp_path_factory.getbasetemp()
+        (tmp / "in.pgm").write_bytes(save_pgm(GrayImage(np.tile(texel, (2, 2)))))
+        th, tw = texel.shape
+        argv = ["synthesize", str(tmp / "in.pgm"), str(tmp / "o.pgm"),
+                "--period-rows", str(th), "--period-cols", str(tw),
+                "--width", str(out_w), "--height", str(out_h)]
+        assert cli.main(argv) == 0
+        reference = np.tile(texel, (-(-out_h // th), -(-out_w // tw)))[:out_h, :out_w]
+        assert (tmp / "o.pgm").read_bytes() == save_pgm(GrayImage(reference))
 
     def test_no_conforming_block_exits_3(self, tmp_path):
         top = np.full((8, 16), 10, dtype=np.uint8)
@@ -576,7 +599,8 @@ class TestStreamedOutputs:
             tracemalloc.stop()
         assert peak < (tmp_path / "r.json").stat().st_size
 
-    def test_synthesize_peak_below_one_and_a_half_outputs(self, tmp_path):
+    def test_synthesize_peak_below_1_mb(self, tmp_path):
+        # a 4 MB output from a 64x64 input: the tiling is written from one strip
         write_tiling(tmp_path / "in.pgm", 8, 8, 8, seed=6)
         argv = ["synthesize", str(tmp_path / "in.pgm"), str(tmp_path / "o.pgm"),
                 "--period-rows", "8", "--period-cols", "8",
@@ -587,8 +611,29 @@ class TestStreamedOutputs:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * 2048 * 2048
+        assert peak < 10**6
         assert load_pgm((tmp_path / "o.pgm").read_bytes()).pixels.shape == (2048, 2048)
+
+    @pytest.mark.parametrize("kind", ["file", "symlink"])
+    def test_tiling_failing_part_way_leaves_no_file(self, tmp_path, monkeypatch, kind):
+        write_tiling(tmp_path / "in.pgm", 4, 5, 6, seed=4)
+        target = tmp_path / "o.pgm"
+        if kind == "symlink":
+            target.symlink_to(os.devnull)
+        tiling_parts = cli.tiling_parts
+
+        def first_piece_then_full_disk(*args):
+            yield next(tiling_parts(*args))
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(cli, "tiling_parts", first_piece_then_full_disk)
+        argv = ["synthesize", str(tmp_path / "in.pgm"), str(target),
+                "--period-rows", "4", "--period-cols", "5", "--width", "50", "--height", "40"]
+        assert cli.main(argv) == 2
+        if kind == "symlink":
+            assert target.is_symlink()
+        else:
+            assert not target.exists()
 
     @staticmethod
     def fail_part_way(monkeypatch):

@@ -1,6 +1,7 @@
 """First-order statistics against a per-pixel reference and closed forms."""
 
 import math
+import tracemalloc
 from unittest import mock
 
 import hypothesis.extra.numpy as hnp
@@ -183,3 +184,48 @@ class TestPerCountTables:
     def test_large_single_row_takes_direct_path(self):
         counts = one_hot(1, 256, 3)
         assert log2_argument_shape(counts) == counts.shape
+
+
+def one_bincount_features(img: GrayImage, r: Rect) -> np.ndarray:
+    """Reference: the region's features from one bincount over all its pixels."""
+    block = img.pixels[r.y0 : r.y0 + r.h, r.x0 : r.x0 + r.w]
+    return stats.feature_matrix(np.bincount(block.ravel(), minlength=256)[None])[0]
+
+
+_NOISE_1024 = GrayImage(np.random.default_rng(3).integers(0, 256, (1024, 1024), dtype=np.uint8))
+
+
+@st.composite
+def chunked_regions(draw):
+    """Image, region inside it, and the rows of that region per histogram chunk."""
+    h, w = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    img = GrayImage(draw(hnp.arrays(np.uint8, (h, w))))
+    rh, rw = draw(st.integers(1, h)), draw(st.integers(1, w))
+    region = Rect(draw(st.integers(0, w - rw)), draw(st.integers(0, h - rh)), rw, rh)
+    return img, region, draw(st.integers(1, rh))
+
+
+class TestChunkedCounts:
+    @settings(max_examples=200, deadline=None)
+    @given(chunked_regions())
+    def test_equals_one_bincount(self, case):
+        img, region, rows_per_chunk = case
+        with mock.patch.object(stats, "_CHUNK_BYTES", rows_per_chunk * 8 * region.w):
+            got = np.array(features_of_region(img, region).as_tuple())
+        assert np.array_equal(got.view(np.uint64), one_bincount_features(img, region).view(np.uint64))
+
+    def test_default_budget_spans_several_chunks(self):
+        img = _NOISE_1024
+        assert 1024 * 1024 * 8 > 4 * stats._CHUNK_BYTES
+        got = np.array(features_of_region(img).as_tuple())
+        whole = Rect(0, 0, img.width, img.height)
+        assert np.array_equal(got.view(np.uint64), one_bincount_features(img, whole).view(np.uint64))
+
+    def test_peak_below_2_mb_on_1024_squared(self):
+        tracemalloc.start()
+        try:
+            features_of_region(_NOISE_1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 10**6

@@ -17,6 +17,7 @@ from texelkit import (
     random_texel,
     synthesize,
 )
+from texelkit.synthesis import tiling_parts
 
 from conftest import make_image, random_image
 
@@ -70,6 +71,24 @@ class TestSynthesize:
         texel = random_image(rng, 4, 4)
         with pytest.raises(ValueError):
             synthesize(texel, 0, 4)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        hnp.arrays(np.uint8, st.tuples(st.integers(1, 9), st.integers(1, 9))),
+        st.integers(1, 40),
+        st.integers(1, 40),
+    )
+    @example(np.array([[7]], np.uint8), 5, 3)  # 1x1 texel
+    @example(np.arange(20, dtype=np.uint8).reshape(5, 4), 11, 3)  # out_h < texel height
+    @example(np.arange(20, dtype=np.uint8).reshape(5, 4), 11, 15)  # out_h a multiple of it
+    @example(np.arange(20, dtype=np.uint8).reshape(5, 4), 3, 7)  # out_w < texel width
+    def test_pieces_and_image_equal_np_tile(self, texel, out_w, out_h):
+        th, tw = texel.shape
+        reference = np.tile(texel, (-(-out_h // th), -(-out_w // tw)))[:out_h, :out_w]
+        pieces = list(tiling_parts(GrayImage(texel), out_w, out_h))
+        assert len(pieces) == out_h // th + 1
+        assert b"".join(pieces) == reference.tobytes()
+        assert np.array_equal(synthesize(GrayImage(texel), out_w, out_h).pixels, reference)
 
 
 class TestRoundTrip:
