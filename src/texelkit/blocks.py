@@ -1,11 +1,12 @@
 """Block-grid texture analysis: local versus global first-order statistics.
 
 The image is divided by a period-sized grid anchored at (0, 0). Each whole
-block's feature vector is compared against the whole-image features; a block
-conforms when every per-feature relative deviation stays within the
-threshold. The most typical conforming block (smallest worst-case deviation)
-becomes the representative texel; non-conforming blocks are reported as
-anomalies (defects or camouflaged regions).
+block's feature vector is compared against the whole-image features (both
+come from stats.block_features, the image as one block); a block conforms
+when every per-feature relative deviation stays within the threshold. The
+most typical conforming block (smallest worst-case deviation) becomes the
+representative texel; non-conforming blocks are reported as anomalies
+(defects or camouflaged regions).
 """
 
 from __future__ import annotations
@@ -19,15 +20,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .image import GrayImage, Rect
-from .stats import FEATURE_NAMES, GRAY_LEVELS, FeatureVector, feature_matrix, features_of_region
+from .stats import FEATURE_NAMES, FeatureVector, block_features, features_of_region
 
 DEFAULT_EPSILON = 1e-6
 
-# budget for the working set of one chunk of block rows
-_CHUNK_BYTES = 1 << 19
-# arrays of 256 levels per block alive at once: the counts and the six
-# float64 temporaries of feature_matrix
-_LEVEL_ARRAYS = 7
 # bytes of float64 values in one run of block rows the report writer formats
 _REPORT_CHUNK_BYTES = 1 << 16
 
@@ -201,34 +197,6 @@ def deviation_matrix(
         return np.abs(local - reference) / np.maximum(np.abs(reference), epsilon)
 
 
-def block_features(img: GrayImage, grid: BlockGrid) -> np.ndarray:
-    """(n_rows * n_cols, 6) features of every grid block, row-major.
-
-    Row i * n_cols + j equals features_of_region(img, grid.rect(i, j)) bit for
-    bit. The histograms of a run of block rows come from one bincount of
-    block_id * 256 + level over the (rows, block_h, n_cols, block_w) view.
-    A run holds, per block, first the int64 bin ids of its pixels and its
-    counts, then its counts and feature_matrix's temporaries; runs are sized
-    so that the larger of the two fits _CHUNK_BYTES (one block row at the
-    least), whatever the image size.
-    """
-    bh, bw, n_rows, n_cols = grid.block_h, grid.block_w, grid.n_rows, grid.n_cols
-    if n_rows * bh > img.height or n_cols * bw > img.width:
-        raise ValueError("grid does not fit inside the image")
-    blocks = img.pixels[: n_rows * bh, : n_cols * bw].reshape(n_rows, bh, n_cols, bw)
-    per_block = 8 * max(bh * bw + GRAY_LEVELS, _LEVEL_ARRAYS * GRAY_LEVELS)
-    step = max(1, _CHUNK_BYTES // (n_cols * per_block))
-    out = np.empty((n_rows * n_cols, len(FEATURE_NAMES)))
-    for r0 in range(0, n_rows, step):
-        chunk = blocks[r0 : r0 + step]
-        n = chunk.shape[0] * n_cols
-        first_bin = np.arange(0, n * GRAY_LEVELS, GRAY_LEVELS).reshape(-1, 1, n_cols, 1)
-        # the bin ids are a temporary, freed before feature_matrix runs
-        counts = np.bincount((first_bin + chunk).ravel(), minlength=n * GRAY_LEVELS)
-        out[r0 * n_cols : r0 * n_cols + n] = feature_matrix(counts.reshape(n, GRAY_LEVELS))
-    return out
-
-
 def classify_blocks(
     img: GrayImage,
     grid: BlockGrid,
@@ -237,18 +205,22 @@ def classify_blocks(
 ) -> AnalysisResult:
     """Classify every grid block against the whole-image statistics.
 
-    Global features cover all pixels, including any partial-block edge strips
-    the grid excludes. A block conforms when its largest per-feature deviation
-    is at most `threshold`; the representative is the conforming block with
-    the smallest such deviation, earliest in row-major order on ties. When no
-    block conforms the result carries representative=None rather than failing.
+    The grid must fit inside the image. Global features cover all pixels,
+    including any partial-block edge strips the grid excludes. A block
+    conforms when its largest per-feature deviation is at most `threshold`;
+    the representative is the conforming block with the smallest such
+    deviation, earliest in row-major order on ties. When no block conforms
+    the result carries representative=None rather than failing.
     """
     # threshold 0 is a usable degenerate boundary: only blocks with
     # exactly zero deviation (e.g. on perfect tilings) conform
     if not 0 <= threshold < math.inf:
         raise ValueError(f"threshold must be finite and >= 0, got {threshold}")
+    bh, bw = grid.block_h, grid.block_w
+    if grid.n_rows * bh > img.height or grid.n_cols * bw > img.width:
+        raise ValueError("grid does not fit inside the image")
     global_features = features_of_region(img)
-    feats = block_features(img, grid)
+    feats = block_features(img.pixels[: grid.n_rows * bh, : grid.n_cols * bw], bh, bw)
     devs = deviation_matrix(feats, np.array(global_features.as_tuple()), epsilon)
     max_dev = devs.max(axis=1)
     conforming = max_dev <= threshold

@@ -41,13 +41,13 @@ def _warn(msg: str) -> None:
 
 @contextlib.contextmanager
 def _output(path: str | Path, mode: str) -> Iterator[IO]:
-    """Open `path` for writing. If the writes fail part way (out of memory,
-    a full disk), the file is removed when `path` names a regular file, so
-    no truncated output is left; a device, pipe or link it names is left
-    alone."""
+    """Open `path` for writing, text with newline="" as csv needs. If the
+    writes fail part way (out of memory, a full disk), the file is removed
+    when `path` names a regular file, so no truncated output is left; a
+    device, pipe or link it names is left alone."""
     regular = False
     try:
-        with open(path, mode) as fh:
+        with open(path, mode, newline=None if "b" in mode else "") as fh:
             regular = stat.S_ISREG(os.lstat(path).st_mode)
             yield fh
     except BaseException:
@@ -142,7 +142,7 @@ def _classify(args) -> tuple[GrayImage, PeriodEstimate, BlockGrid, AnalysisResul
 
 
 def _dump_dmf_csv(path: str, curves) -> None:
-    with open(path, "w", newline="") as fh:
+    with _output(path, "w") as fh:
         writer = csv.writer(fh)
         writer.writerow(["axis", "d", "dmf", "forward_difference"])
         for curve in curves:
@@ -215,7 +215,8 @@ def cmd_generate(args) -> int:
     texel = random_texel(gt.texel_h, gt.texel_w, gt.seed)
     img = generate(gt, texel)
     _save_image(out, pgm_parts(img))
-    sidecar.write_text(gt.to_json() + "\n")
+    with _output(sidecar, "w") as fh:
+        fh.write(gt.to_json() + "\n")
     return EXIT_OK
 
 

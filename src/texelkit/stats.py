@@ -16,6 +16,7 @@ standard deviation; downstream conformance checks compare them as-is.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,8 +29,11 @@ FEATURE_NAMES = ("mean", "variance", "skewness", "kurtosis", "energy", "entropy"
 
 _LEVELS = np.arange(GRAY_LEVELS, dtype=np.float64)
 
-# budget for the int64 copy that bincount makes of one run of rows
+# budget for the working set of one run of blocks in block_features
 _CHUNK_BYTES = 1 << 19
+# arrays of 256 levels per block alive at once: the counts and the six
+# float64 temporaries of feature_matrix
+_LEVEL_ARRAYS = 7
 
 
 @dataclass(frozen=True)
@@ -51,9 +55,9 @@ class FeatureVector:
         return dict(zip(FEATURE_NAMES, self.as_tuple()))
 
 
-def feature_matrix(counts: np.ndarray) -> np.ndarray:
+def feature_matrix(counts: np.ndarray, n: int) -> np.ndarray:
     """(m, 6) features of an (m, 256) matrix of gray-level counts, one region
-    per row; every row needs at least one counted pixel.
+    of n >= 1 pixels per row.
 
     Each reduction is a float64 sum along the contiguous last axis, which
     numpy takes pairwise over one row at a time: a row's features do not
@@ -61,17 +65,13 @@ def feature_matrix(counts: np.ndarray) -> np.ndarray:
     p = counts / n, so regions whose counts are multiples of one another
     (a tile and a tiling of it) get bit-identical features.
 
-    When every row counts the same n pixels and a table of n + 1 entries is
-    no larger than the counts, p, p^2 and p * log2(p) are looked up per count
-    from t = arange(n + 1) / n: each entry is the same float operation on the
-    same operands as the direct formula, so the features are bit-identical.
+    When a table of n + 1 entries is no larger than the counts, p, p^2 and
+    p * log2(p) are looked up per count from t = arange(n + 1) / n: each
+    entry is the same float operation on the same operands as the direct
+    formula, so the features are bit-identical.
     """
-    n = counts.sum(axis=-1, keepdims=True)
-    if not n.all():
-        raise ValueError("cannot compute features of an empty histogram")
-    n0 = int(n.flat[0])
-    if n0 + 1 <= counts.size and (n == n0).all():
-        t = np.arange(n0 + 1) / n0
+    if n + 1 <= counts.size:
+        t = np.arange(n + 1) / n
         t_log_t = t * np.log2(t, out=np.zeros_like(t), where=t > 0)
         p, p_sq, p_log_p = t[counts], (t * t)[counts], t_log_t[counts]
     else:
@@ -90,21 +90,43 @@ def feature_matrix(counts: np.ndarray) -> np.ndarray:
     return np.stack([mean[:, 0], variance, skewness, kurtosis, energy, entropy], axis=-1)
 
 
-def features_of_region(img: GrayImage, region: Rect | None = None) -> FeatureVector:
-    """Feature vector of the pixels inside `region` (whole image when omitted):
-    one row of feature_matrix over the region's gray-level counts.
+def block_features(pixels: np.ndarray, block_h: int, block_w: int) -> np.ndarray:
+    """(n_rows * n_cols, 6) features of the whole block_h x block_w blocks
+    of a 2-D uint8 array, row-major: the one place that counts gray levels.
 
-    The counts are the sum of one bincount per run of rows whose int64 copy,
-    which bincount makes, fits _CHUNK_BYTES (one row at the least), so the
-    working memory does not grow with the region. Counts are integers, so
-    the sum is exact in any order.
+    A run of blocks is one bincount of block_id * 256 + level over the
+    (n_rows, block_h, n_cols, block_w) view. Runs take whole block rows
+    while their int64 bin ids and counts, then counts and feature_matrix's
+    temporaries, fit _CHUNK_BYTES (one block row at the least). A block row
+    whose bin ids alone do not fit (one block over a whole image) is counted
+    in runs of pixel rows that do, and their integer counts are added exactly.
     """
+    n_rows, n_cols = pixels.shape[0] // block_h, pixels.shape[1] // block_w
+    blocks = pixels[: n_rows * block_h, : n_cols * block_w].reshape(n_rows, block_h, n_cols, block_w)
+    n = block_h * block_w
+    per_block = 8 * max(n + GRAY_LEVELS, _LEVEL_ARRAYS * GRAY_LEVELS)
+    step = max(1, _CHUNK_BYTES // (n_cols * per_block))
+    # pixel rows per bincount: block_h or more unless one block row does not fit
+    pixel_rows = max(1, _CHUNK_BYTES // (8 * n_cols * block_w))
+    out = np.empty((n_rows * n_cols, len(FEATURE_NAMES)))
+    for r0 in range(0, n_rows, step):
+        chunk = blocks[r0 : r0 + step]
+        m = chunk.shape[0] * n_cols
+        first_bin = np.arange(0, m * GRAY_LEVELS, GRAY_LEVELS).reshape(-1, 1, n_cols, 1)
+        # the bin ids are temporaries, freed before feature_matrix runs
+        counts = functools.reduce(np.add, (
+            np.bincount((first_bin + chunk[:, y0 : y0 + pixel_rows]).ravel(), minlength=m * GRAY_LEVELS)
+            for y0 in range(0, block_h, pixel_rows)
+        ))
+        out[r0 * n_cols : r0 * n_cols + m] = feature_matrix(counts.reshape(m, GRAY_LEVELS), n)
+    return out
+
+
+def features_of_region(img: GrayImage, region: Rect | None = None) -> FeatureVector:
+    """Feature vector of the pixels inside `region` (whole image when
+    omitted): block_features of the region taken as one block."""
     block = img.pixels
     if region is not None:
         region.check_inside(img)
         block = block[region.y0 : region.y0 + region.h, region.x0 : region.x0 + region.w]
-    step = max(1, _CHUNK_BYTES // (8 * block.shape[1]))
-    counts = np.zeros(GRAY_LEVELS, dtype=np.int64)
-    for r0 in range(0, block.shape[0], step):
-        counts += np.bincount(block[r0 : r0 + step].ravel(), minlength=GRAY_LEVELS)
-    return FeatureVector(*feature_matrix(counts[None])[0].tolist())
+    return FeatureVector(*block_features(block, *block.shape)[0].tolist())

@@ -49,6 +49,8 @@ class GroundTruth:
             raise ValueError("texel size and repetition counts must be positive")
         if self.noise_amplitude < 0:
             raise ValueError("noise amplitude cannot be negative")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         for i, j in self.defect_blocks:
             if not (0 <= i < self.reps_r and 0 <= j < self.reps_c):
                 raise ValueError(

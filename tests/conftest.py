@@ -1,8 +1,8 @@
 """Shared fixtures and independent reference implementations.
 
 The reference functions here deliberately avoid the library's vectorized
-code paths (no histogram arrays, no shifted-slice arithmetic) so that
-agreement between the two is meaningful.
+code paths (no chunked or block-indexed histograms, no shifted-slice
+arithmetic) so that agreement between the two is meaningful.
 """
 
 from __future__ import annotations
@@ -116,6 +116,33 @@ def pixel_loop_features(img: GrayImage, region: Rect | None = None) -> dict[str,
         "energy": energy,
         "entropy": entropy + 0.0,
     }
+
+
+def direct_feature_matrix(counts: np.ndarray) -> np.ndarray:
+    """stats.feature_matrix's formula with p = counts / n and log2 taken per
+    element: the reference its per-count tables must match bit for bit."""
+    n = counts.sum(axis=-1, keepdims=True)
+    p = counts / n
+    levels = np.arange(256, dtype=np.float64)
+    mean = (p * levels).sum(axis=-1, keepdims=True)
+    centered = levels - mean
+    c2 = centered * centered
+    log_p = np.log2(p, out=np.zeros_like(p), where=p > 0)
+    return np.stack([
+        mean[:, 0],
+        (c2 * p).sum(axis=-1),
+        (c2 * centered * p).sum(axis=-1),
+        (c2 * c2 * p).sum(axis=-1),
+        (p * p).sum(axis=-1),
+        -(p * log_p).sum(axis=-1) + 0.0,
+    ], axis=-1)
+
+
+def one_bincount_features(img: GrayImage, r: Rect) -> np.ndarray:
+    """Reference: the region's features from one bincount over all its
+    pixels, fed to direct_feature_matrix."""
+    block = img.pixels[r.y0 : r.y0 + r.h, r.x0 : r.x0 + r.w]
+    return direct_feature_matrix(np.bincount(block.ravel(), minlength=256)[None])[0]
 
 
 def per_block_classify(img: GrayImage, grid, threshold: float, epsilon: float):

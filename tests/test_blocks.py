@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from texelkit import blocks
+from texelkit import blocks, stats
 from texelkit import (
     FEATURE_NAMES,
     BlockGrid,
@@ -24,7 +24,7 @@ from texelkit import (
     synthesize,
 )
 
-from conftest import make_image, per_block_classify, random_image
+from conftest import make_image, one_bincount_features, per_block_classify, random_image
 
 
 def named_deviations(local, reference, **kw) -> dict[str, float]:
@@ -236,35 +236,79 @@ def grid_cases(draw):
         pixels = np.tile(tile, (-(-h // th), -(-w // tw)))[:h, :w]
     img = GrayImage(pixels)
     grid = partition(img, draw(st.integers(1, h)), draw(st.integers(1, w)))
-    return img, grid, draw(st.integers(1, grid.n_rows))
+    if grid.block_h > 1 and draw(st.booleans()):
+        return img, grid, pixel_rows_budget(grid, draw(st.integers(1, grid.block_h - 1)))
+    return img, grid, block_rows_budget(grid, draw(st.integers(1, grid.n_rows)))
 
 
-def chunked(grid, rows_per_chunk):
-    """Patch the chunk budget so block_features takes this many block rows
-    at a time."""
-    per_block = 8 * max(grid.block_h * grid.block_w + 256, blocks._LEVEL_ARRAYS * 256)
-    per_row = grid.n_cols * per_block
-    return mock.patch.object(blocks, "_CHUNK_BYTES", rows_per_chunk * per_row)
+def block_rows_budget(grid, rows):
+    """stats._CHUNK_BYTES at which stats.block_features counts this many
+    block rows per bincount."""
+    per_block = 8 * max(grid.block_h * grid.block_w + 256, stats._LEVEL_ARRAYS * 256)
+    return rows * grid.n_cols * per_block
+
+
+def pixel_rows_budget(grid, rows):
+    """stats._CHUNK_BYTES at which stats.block_features splits each block
+    row into runs of this many pixel rows (fewer than block_h)."""
+    return rows * 8 * grid.n_cols * grid.block_w
+
+
+def chunked(budget):
+    """Patch the working-set budget of stats.block_features."""
+    return mock.patch.object(stats, "_CHUNK_BYTES", budget)
 
 
 _NOISE = GrayImage(np.random.default_rng(7).integers(0, 256, (12, 10), dtype=np.uint8))
 
 
+def _case(block_h, block_w, budget_of, rows):
+    grid = partition(_NOISE, block_h, block_w)
+    return _NOISE, grid, budget_of(grid, rows)
+
+
+_CASES = {
+    "1x1 blocks, runs of 5 block rows": _case(1, 1, block_rows_budget, 5),
+    "one block": _case(12, 10, block_rows_budget, 1),
+    "6 block rows: runs of 4 and 2": _case(2, 3, block_rows_budget, 4),
+    "one block: runs of 5, 5 and 2 pixel rows": _case(12, 10, pixel_rows_budget, 5),
+    "2x2 blocks of 6x5: runs of 4 and 2 pixel rows": _case(6, 5, pixel_rows_budget, 4),
+}
+
+
 class TestWholeGrid:
     @settings(max_examples=200, deadline=None)
     @given(grid_cases())
-    @example((_NOISE, partition(_NOISE, 1, 1), 5))  # 1x1 blocks, chunks of 5 rows
-    @example((_NOISE, partition(_NOISE, 12, 10), 1))  # one block
-    @example((_NOISE, partition(_NOISE, 2, 3), 4))  # 6 block rows: chunks of 4 and 2
+    @example(_CASES["1x1 blocks, runs of 5 block rows"])
+    @example(_CASES["one block"])
+    @example(_CASES["6 block rows: runs of 4 and 2"])
+    @example(_CASES["one block: runs of 5, 5 and 2 pixel rows"])
+    @example(_CASES["2x2 blocks of 6x5: runs of 4 and 2 pixel rows"])
     def test_block_features_equal_single_region(self, case):
-        img, grid, rows_per_chunk = case
-        with chunked(grid, rows_per_chunk):
-            feats = blocks.block_features(img, grid)
+        img, grid, budget = case
+        with chunked(budget):
+            feats = stats.block_features(img.pixels, grid.block_h, grid.block_w)
         assert feats.shape == (grid.n_rows * grid.n_cols, 6)
-        expected = np.array(
-            [features_of_region(img, grid.rect(i, j)).as_tuple() for i, j in grid.indices()]
-        )
+        expected = np.array([one_bincount_features(img, grid.rect(i, j)) for i, j in grid.indices()])
         assert np.array_equal(feats.view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("name, calls", [
+        ("6 block rows: runs of 4 and 2", [(4 * 3 * 6, 4 * 3 * 256), (2 * 3 * 6, 2 * 3 * 256)]),
+        ("one block: runs of 5, 5 and 2 pixel rows", [(50, 256), (50, 256), (20, 256)]),
+        ("2x2 blocks of 6x5: runs of 4 and 2 pixel rows",
+         [(40, 512), (20, 512), (40, 512), (20, 512)]),
+    ])
+    def test_budget_sets_the_runs(self, name, calls):
+        img, grid, budget = _CASES[name]
+        seen, real = [], np.bincount
+
+        def bincount(ids, minlength):
+            seen.append((ids.size, minlength))
+            return real(ids, minlength=minlength)
+
+        with chunked(budget), mock.patch.object(stats.np, "bincount", bincount):
+            stats.block_features(img.pixels, grid.block_h, grid.block_w)
+        assert seen == calls
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -272,11 +316,11 @@ class TestWholeGrid:
         st.sampled_from([0.0, 0.02, 0.1, 0.5, 1e9]),
         st.sampled_from([1e-6, 1e-2, 1e-320]),
     )
-    @example((_NOISE, partition(_NOISE, 1, 1), 5), 0.5, 1e-6)
-    @example((_NOISE, partition(_NOISE, 12, 10), 1), 0.0, 1e-6)
+    @example(_CASES["1x1 blocks, runs of 5 block rows"], 0.5, 1e-6)
+    @example(_CASES["one block"], 0.0, 1e-6)
     def test_classification_equals_per_block_loop(self, case, threshold, epsilon):
-        img, grid, rows_per_chunk = case
-        with chunked(grid, rows_per_chunk):
+        img, grid, budget = case
+        with chunked(budget):
             res = classify_blocks(img, grid, threshold, epsilon)
         anomalies, representative, max_devs = per_block_classify(img, grid, threshold, epsilon)
         assert res.anomalies == anomalies
@@ -309,7 +353,7 @@ class TestWholeGrid:
         grid = partition(img, 8, 8)
         tracemalloc.start()
         try:
-            blocks.block_features(img, grid)
+            stats.block_features(img.pixels, grid.block_h, grid.block_w)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

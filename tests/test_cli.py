@@ -142,6 +142,25 @@ class TestAnalyze:
         ]
         assert dumped == expected
 
+    def test_csv_dmf_failing_part_way_leaves_no_file(self, tmp_path, monkeypatch):
+        write_tiling(tmp_path / "in.pgm", 5, 5, 6, seed=4)
+        real = cli.forward_difference
+        calls = []
+
+        def rows_curve_then_out_of_memory(curve):
+            calls.append(curve.axis)
+            if len(calls) == 2:
+                raise MemoryError
+            return real(curve)
+
+        monkeypatch.setattr(cli, "forward_difference", rows_curve_then_out_of_memory)
+        argv = ["analyze", str(tmp_path / "in.pgm"), "--csv-dmf", str(tmp_path / "dmf.csv"),
+                "--json-out", str(tmp_path / "r.json")]
+        assert cli.main(argv) == 2
+        assert calls == ["rows", "columns"]
+        assert not (tmp_path / "dmf.csv").exists()
+        assert not (tmp_path / "r.json").exists()
+
     def test_csv_dmf_skipped_under_manual_periods(self, tmp_path):
         write_tiling(tmp_path / "in.pgm", 5, 5, 6, seed=4)
         proc = run_cli(
@@ -470,6 +489,24 @@ class TestGenerate:
         )
         assert proc.returncode == 2
         assert "outside" in proc.stderr
+
+    def test_negative_seed_exits_2(self, tmp_path):
+        proc = run_cli(
+            "generate", "t.pgm", "--texel-h", "4", "--texel-w", "4",
+            "--reps-r", "4", "--reps-c", "4", "--seed", "-1", cwd=tmp_path,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == "error: seed must be >= 0, got -1\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_sidecar_failing_part_way_leaves_no_file(self, tmp_path, monkeypatch):
+        # a lone surrogate cannot be encoded, so the write fails after the open
+        monkeypatch.setattr(cli.GroundTruth, "to_json", lambda self: '{"seed": "\udcff"}')
+        argv = ["generate", str(tmp_path / "t.pgm"), "--texel-h", "4", "--texel-w", "4",
+                "--reps-r", "4", "--reps-c", "4"]
+        assert cli.main(argv) == 2
+        assert (tmp_path / "t.pgm").exists()
+        assert not (tmp_path / "t.json").exists()
 
 
 @st.composite

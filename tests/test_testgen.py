@@ -101,6 +101,10 @@ class TestGroundTruth:
         with pytest.raises(ValueError):
             gt_of(noise_amplitude=-1)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match=r"seed must be >= 0, got -1"):
+            gt_of(seed=-1)
+
 
 class TestGenerate:
     def test_matches_synthesize_when_clean(self):
