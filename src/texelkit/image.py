@@ -15,6 +15,8 @@ import numpy as np
 _INK = np.ones(256, dtype=bool)
 _INK[list(b" \t\n\r\x0b\x0c")] = False
 _COMMENT = re.compile(rb"#[^\r\n]*")
+# bytes of P2 text per decoded run; its masks take about eight bytes per byte
+_P2_RUN_BYTES = 1 << 16
 
 # P2 text of each gray level: its digits and one separator, left-aligned
 _P2_TEXT = np.frombuffer(b"".join(b"%-4d" % v for v in range(256)), np.uint8).reshape(256, 4)
@@ -128,60 +130,106 @@ def _read_header_int(data: bytes, pos: int, what: str) -> tuple[int, int]:
     return int(token), pos
 
 
-def _p2_samples(data: bytes, pos: int, count: int, maxval: int) -> np.ndarray:
-    """The first `count` samples of the P2 raster at data[pos:], tokenized as
-    the header is.
+def _token(raw: np.ndarray, inside: np.ndarray, k: int) -> bytes:
+    """The token of `raw` that holds byte k, where inside[k + 3] marks the
+    bytes of tokens."""
+    start = k + 1 - int(np.argmin(inside[k + 3 :: -1]))
+    return raw[start : start + int(np.argmin(inside[start + 3 :]))].tobytes()
 
-    A '#' comment becomes one space, so it ends a token too. Bytes after the
-    count-th sample are ignored. A non-digit token among the first `count`
-    raises before a short raster does. Each sample is rebuilt from its last
-    three digits: a nonzero digit before them makes it 1000 or more, past any
-    maxval, however long the token.
+
+def _p2_run_end(data: bytes, start: int) -> int:
+    """End of the P2 run that starts at data[start], outside any comment.
+
+    The run ends just after the last line end in its window of _P2_RUN_BYTES
+    bytes; with none, just after the last whitespace before the window's
+    first '#'; with neither, just after the next line end, or at the end of
+    the data. So a run holds whole tokens and whole comments.
     """
-    if data.find(b"#", pos) >= 0:
-        data, pos = _COMMENT.sub(b" ", data[pos:]), 0
-    raw = np.frombuffer(data, dtype=np.uint8, offset=pos)
-    # inside[k + 3]: byte k is part of a token; three blanks pad each side
-    inside = np.zeros(raw.size + 6, dtype=bool)
-    inside[3:-3] = _INK[raw]
-    last = inside[3:-3] > inside[4:-2]  # the last byte of each token
-    found = int(np.count_nonzero(last))
-    n = raw.size
-    if found > count:
-        n = int(np.flatnonzero(last)[count - 1]) + 1
-        raw, last = raw[:n], last[:n]
-        inside[n + 3 :] = False
+    stop = start + _P2_RUN_BYTES
+    if stop >= len(data):
+        return len(data)
+    cut = max(data.rfind(b"\n", start, stop), data.rfind(b"\r", start, stop))
+    if cut < 0:
+        comment = data.find(b"#", start, stop)
+        head = np.frombuffer(data, np.uint8, (stop if comment < 0 else comment) - start, start)
+        blank = np.flatnonzero(~_INK[head])
+        cut = start + int(blank[-1]) if blank.size else -1
+    if cut < 0:
+        ends = [k for k in (data.find(b"\n", stop), data.find(b"\r", stop)) if k >= 0]
+        cut = min(ends, default=len(data) - 1)
+    return cut + 1
 
-    def token(k: int) -> bytes:  # the token that holds byte k
-        start = k + 1 - int(np.argmin(inside[k + 3 :: -1]))
-        return raw[start : start + int(np.argmin(inside[start + 3 :]))].tobytes()
 
-    tok = inside[3 : n + 3]
-    # d[k + 2]: byte k minus b"0"; bytes other than digits wrap past 9
-    d = np.zeros(n + 2, dtype=np.uint8)
-    np.subtract(raw, 48, out=d[2:])
-    hit = tok & (d[2:] > 9)
-    if hit.any():
-        raise PgmError(f"malformed P2 sample: {token(int(hit.argmax()))!r}")
+def _p2_samples(data: bytes, pos: int, count: int, maxval: int) -> tuple[np.ndarray, int]:
+    """The first `count` samples of the P2 raster at data[pos:], tokenized as
+    the header is, as uint8, and the largest of them.
+
+    The raster is decoded in runs of whole lines (_p2_run_end) of about
+    _P2_RUN_BYTES each, so the masks span one run, never the raster, and
+    reading stops at the run that holds the count-th sample; bytes after it
+    are ignored. A '#' comment becomes one space, so it ends a token too.
+    Each sample is rebuilt from its last three digits: a nonzero digit
+    before them makes it 1000 or more, past any maxval, however long the
+    token. The first non-digit token among the first `count` raises before a
+    short raster does, and both before the first sample of 1000 or more.
+    The output holds at most one sample per two bytes of text, so a declared
+    size the raster cannot hold allocates nothing in proportion to it.
+    """
+    out = np.empty(min(count, (len(data) - pos + 1) // 2), dtype=np.uint8)
+    found, top, big = 0, 0, None
+    while pos < len(data) and found < count:
+        stop = _p2_run_end(data, pos)
+        if data.find(b"#", pos, stop) >= 0:
+            raw = np.frombuffer(_COMMENT.sub(b" ", data[pos:stop]), dtype=np.uint8)
+        else:
+            raw = np.frombuffer(data, dtype=np.uint8, count=stop - pos, offset=pos)
+        pos = stop
+        # inside[k + 3]: byte k is part of a token; three blanks pad each side
+        inside = np.zeros(raw.size + 6, dtype=bool)
+        inside[3:-3] = _INK[raw]
+        last = inside[3:-3] > inside[4:-2]  # the last byte of each token
+        n = raw.size
+        if found + int(np.count_nonzero(last)) > count:
+            n = int(np.flatnonzero(last)[count - found - 1]) + 1
+            raw, last = raw[:n], last[:n]
+            inside[n + 3 :] = False
+
+        tok = inside[3 : n + 3]
+        # d[k + 2]: byte k minus b"0"; bytes other than digits wrap past 9
+        d = np.zeros(n + 2, dtype=np.uint8)
+        np.subtract(raw, 48, out=d[2:])
+        hit = tok & (d[2:] > 9)
+        if hit.any():
+            raise PgmError(f"malformed P2 sample: {_token(raw, inside, int(hit.argmax()))!r}")
+        if big is None:
+            hit = tok & (d[2:] > 0) & inside[4 : n + 4] & inside[5 : n + 5] & inside[6 : n + 6]
+            if hit.any():
+                big = int(_token(raw, inside, int(hit.argmax())))
+        d[2:] *= tok
+        samples = d[2:][last].astype(np.uint16)
+        samples += 10 * d[1:-1][last]
+        # a hundreds digit counts only when the tens digit is in the same token
+        samples += 100 * d[:-2][last].astype(np.uint16) * inside[2 : n + 2][last]
+        if samples.size:
+            # a sample past 255 wraps here, but then top > 255 >= maxval raises
+            out[found : found + samples.size] = samples
+            top = max(top, int(samples.max()))
+            found += samples.size
     if found < count:
         raise PgmError(f"truncated P2 pixel data: expected {count} samples, got {found}")
-    hit = tok & (d[2:] > 0) & inside[4 : n + 4] & inside[5 : n + 5] & inside[6 : n + 6]
-    if hit.any():
-        value = int(token(int(hit.argmax())))
-        raise PgmError(f"sample value {value} exceeds declared maxval {maxval}")
-    d[2:] *= tok
-    samples = d[2:][last].astype(np.uint16)
-    samples += 10 * d[1:-1][last]
-    # a hundreds digit counts only when the tens digit is in the same token
-    samples += 100 * d[:-2][last].astype(np.uint16) * inside[2 : n + 2][last]
-    return samples
+    if big is not None:
+        raise PgmError(f"sample value {big} exceeds declared maxval {maxval}")
+    return out, top
 
 
 def load_pgm(data: bytes) -> GrayImage:
     """Parse PGM bytes (binary "P5" or ASCII "P2", maxval <= 255) into an image.
 
     Header whitespace and '#' comments are tolerated; samples are used as-is
-    without rescaling, whatever the declared maxval.
+    without rescaling, whatever the declared maxval. A P2 raster is decoded
+    in runs of whole lines within a fixed budget (_p2_samples), straight
+    into the image's uint8 buffer; its largest sample, kept as the runs go,
+    is checked against maxval here, as a P5 raster's is.
     """
     magic, pos = _read_header_token(data, 0)
     if magic not in (b"P5", b"P2"):
@@ -208,14 +256,13 @@ def load_pgm(data: bytes) -> GrayImage:
                 f"truncated P5 pixel data: expected {count} bytes, got {len(raster)}"
             )
         samples = np.frombuffer(raster, dtype=np.uint8)
+        top = int(samples.max())
     else:
-        samples = _p2_samples(data, pos, count, maxval)
+        samples, top = _p2_samples(data, pos, count, maxval)
 
-    if samples.max() > maxval:
-        raise PgmError(
-            f"sample value {samples.max()} exceeds declared maxval {maxval}"
-        )
-    return GrayImage(_sealed(samples.reshape(height, width).astype(np.uint8, copy=False)))
+    if top > maxval:
+        raise PgmError(f"sample value {top} exceeds declared maxval {maxval}")
+    return GrayImage(_sealed(samples.reshape(height, width)))
 
 
 def pgm_header(width: int, height: int, mode: str = "P5") -> bytes:

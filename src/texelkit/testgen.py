@@ -14,6 +14,7 @@ two never share underlying random draws.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -106,8 +107,10 @@ def random_texel(
         raise ValueError(f"texel must be at least 2x2, got {h}x{w}")
     if not 0 <= low < high <= 255:
         raise ValueError(f"need 0 <= low < high <= 255, got [{low}, {high}]")
-    if power <= 0:
-        raise ValueError(f"power must be positive, got {power}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    if not 0 < power < math.inf:
+        raise ValueError(f"power must be finite and positive, got {power}")
     rng = _stream(seed, _TEXEL_STREAM)
     for _ in range(_MAX_TEXEL_RETRIES):
         if power == 1.0:

@@ -46,8 +46,9 @@ def p2_reference(data: bytes) -> GrayImage:
     """Per-token reference for P2 decoding: the loop load_pgm used to run.
 
     Every sample is read by the header tokenizer and converted with one int
-    per token. Raises PgmError wherever load_pgm must, with the same message
-    for a malformed sample.
+    per token. Raises PgmError wherever load_pgm must, with load_pgm's
+    message for every raster error: the first malformed sample, then a short
+    raster, then the first sample of 1000 or more, then the largest sample.
     """
     magic, pos = _read_header_token(data, 0)
     if magic != b"P2":
@@ -62,12 +63,15 @@ def p2_reference(data: bytes) -> GrayImage:
         try:
             token, pos = _read_header_token(data, pos)
         except PgmError:
-            raise PgmError("truncated P2 pixel data") from None
+            raise PgmError(
+                f"truncated P2 pixel data: expected {width * height} samples, got {len(samples)}"
+            ) from None
         if not token.isdigit():
             raise PgmError(f"malformed P2 sample: {token!r}")
         samples.append(int(token))
     if max(samples) > maxval:
-        raise PgmError(f"sample value {max(samples)} exceeds declared maxval {maxval}")
+        value = next((s for s in samples if s >= 1000), max(samples))
+        raise PgmError(f"sample value {value} exceeds declared maxval {maxval}")
     return GrayImage(np.array(samples, dtype=np.uint8).reshape(height, width))
 
 

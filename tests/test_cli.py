@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from texelkit import blocks, cli, periodicity
+from texelkit import blocks, cli, image, periodicity
 from texelkit import (
     AnalysisResult,
     GrayImage,
@@ -600,6 +600,39 @@ def write_noise(path, side, seed):
     )))
 
 
+def p2_text(tokens, maxval):
+    """A 256x256 P2 file of the given sample tokens, 16 to a line."""
+    lines = (b" ".join(tokens[k : k + 16]) for k in range(0, len(tokens), 16))
+    return b"P2\n256 256\n%d\n" % maxval + b"\n".join(lines) + b"\n"
+
+
+class TestP2InputErrors:
+    """Errors in a P2 raster that spans several decoding runs keep the
+    one-line messages and their precedence: a malformed sample first, then
+    a short raster, then the first sample of 1000 or more, then the largest
+    sample over maxval."""
+
+    @pytest.mark.parametrize("edits, maxval, kept, line", [
+        ({100: b"1234", 60000: b"12x"}, 255, 65536,
+         "error: malformed P2 sample: b'12x'"),
+        ({100: b"1234"}, 255, 65526,
+         "error: truncated P2 pixel data: expected 65536 samples, got 65526"),
+        ({100: b"300", 60000: b"1234", 62000: b"5678"}, 255, 65536,
+         "error: sample value 1234 exceeds declared maxval 255"),
+        ({100: b"201", 60000: b"250"}, 200, 65536,
+         "error: sample value 250 exceeds declared maxval 200"),
+    ], ids=["malformed", "truncated", "over-999", "over-maxval"])
+    def test_analyze_exits_2_with_the_error(self, tmp_path, edits, maxval, kept, line):
+        tokens = [b"%d" % v for v in np.random.default_rng(3).integers(0, 200, 256 * 256)]
+        for k, token in edits.items():
+            tokens[k] = token
+        text = p2_text(tokens[:kept], maxval)
+        assert len(text) > 3 * image._P2_RUN_BYTES
+        (tmp_path / "in.pgm").write_bytes(text)
+        proc = run_cli("analyze", "in.pgm", cwd=tmp_path)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", line + "\n")
+
+
 def report_runs(n_rows, n_cols):
     """How many block-row runs blocks_json writes for this grid."""
     rows_per_run = max(1, blocks._REPORT_CHUNK_BYTES // (n_cols * 13 * 8))
@@ -649,6 +682,23 @@ class TestStreamedOutputs:
         finally:
             tracemalloc.stop()
         assert peak < 10**6
+        assert load_pgm((tmp_path / "o.pgm").read_bytes()).pixels.shape == (2048, 2048)
+
+    def test_synthesize_from_p2_peak_below_text_plus_1_mb(self, tmp_path):
+        # about 0.95 MB of P2 text, read whole; its decoding takes one run at a time
+        texel = random_texel(8, 8, seed=6)
+        text = save_pgm(synthesize(texel, 512, 512), "P2")
+        (tmp_path / "in.pgm").write_bytes(text)
+        argv = ["synthesize", str(tmp_path / "in.pgm"), str(tmp_path / "o.pgm"),
+                "--period-rows", "8", "--period-cols", "8",
+                "--width", "2048", "--height", "2048"]
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < len(text) + 10**6
         assert load_pgm((tmp_path / "o.pgm").read_bytes()).pixels.shape == (2048, 2048)
 
     @pytest.mark.parametrize("kind", ["file", "symlink"])

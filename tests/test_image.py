@@ -1,11 +1,14 @@
 """PGM I/O, cropping, and outline drawing."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from texelkit import GrayImage, PgmError, Rect, crop, draw_rect_outline, load_pgm, save_pgm
+from texelkit import GrayImage, PgmError, Rect, crop, draw_rect_outline, image, load_pgm, save_pgm
+from texelkit.image import pgm_header
 
 from conftest import make_image, p2_reference, p2_text_reference, random_image
 
@@ -18,6 +21,9 @@ _TOKEN = st.one_of(
     st.binary(max_size=4),
 )
 
+_RUN = image._P2_RUN_BYTES
+# the errors of the raster, whose messages p2_reference gives as load_pgm does
+_RASTER_ERRORS = ("malformed P2 sample", "truncated P2 pixel data", "sample value")
 
 # P2 body pieces: samples (with leading zeros and past int64), all six
 # whitespace bytes, comment starts and bytes no sample may hold
@@ -191,25 +197,34 @@ class TestPgmParsing:
             load_pgm(data)
 
     @settings(max_examples=500, deadline=None)
-    @given(p2_files())
-    @example(b"P2 2 1 255 12#x\n3")  # a comment ends a token
-    @example(b"P2 2 1 255 1#c\r2")  # a comment ended by a carriage return
-    @example(b"P2 3 1 255\x0b1\x0c2\x0b3")  # vertical tab and form feed separate
-    @example(b"P2 1 1 255 0000255")  # leading zeros
-    @example(b"P2 1 1 255 12345678901234567890")  # a 20-digit sample
-    @example(b"P2 1 1 255 00000000000000000255")  # 20 digits, in range
-    @example(b"P2 2 1 9 1 2 x-\xff#")  # trailing garbage after the samples
-    @example(b"P2 3 1 255 1 x")  # a malformed sample, then truncation
-    def test_p2_decode_matches_reference_loop(self, data):
-        try:
-            want = p2_reference(data)
-        except PgmError as exc:
-            with pytest.raises(PgmError) as got:
-                load_pgm(data)
-            if str(exc).startswith("malformed P2 sample"):
-                assert str(got.value) == str(exc)
-            return
-        assert load_pgm(data) == want
+    @given(p2_files(), st.one_of(st.integers(1, 12), st.just(_RUN)))
+    @example(b"P2 2 1 255 12#x\n3", _RUN)  # a comment ends a token
+    @example(b"P2 2 1 255 1#c\r2", _RUN)  # a comment ended by a carriage return
+    @example(b"P2 3 1 255\x0b1\x0c2\x0b3", _RUN)  # vertical tab and form feed separate
+    @example(b"P2 1 1 255 0000255", _RUN)  # leading zeros
+    @example(b"P2 1 1 255 12345678901234567890", _RUN)  # a 20-digit sample
+    @example(b"P2 1 1 255 00000000000000000255", _RUN)  # 20 digits, in range
+    @example(b"P2 2 1 9 1 2 x-\xff#", _RUN)  # trailing garbage after the samples
+    @example(b"P2 3 1 255 1 x", _RUN)  # a malformed sample, then truncation
+    # run boundaries: each window of a few bytes ends where the comment says
+    @example(b"P2 2 1 255\n12 345", 4)  # inside a token
+    @example(b"P2 2 1 255\n1 #a comment\n2", 6)  # inside a comment
+    @example(b"P2 2 1 255\r\n1\r\n2", 4)  # between \r and \n
+    @example(b"P2 2 1 255\n00000000000000000255\n7", 4)  # inside a 20-digit token
+    @example(b"P2 3 1 255\n1000\n7\nx\n", 6)  # 1000+ in run 1, malformed in run 2
+    @example(b"P2 3 1 255\n1000\n7\n", 6)  # 1000+ in run 1, then truncation
+    def test_p2_decode_matches_reference_loop(self, data, budget):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(image, "_P2_RUN_BYTES", budget)
+            try:
+                want = p2_reference(data)
+            except PgmError as exc:
+                with pytest.raises(PgmError) as got:
+                    load_pgm(data)
+                if str(exc).startswith(_RASTER_ERRORS):
+                    assert str(got.value) == str(exc)
+                return
+            assert load_pgm(data) == want
 
     def test_pgm_error_is_value_error(self):
         assert issubclass(PgmError, ValueError)
@@ -223,6 +238,49 @@ class TestPgmParsing:
         except PgmError:
             return
         assert isinstance(img, GrayImage)
+
+
+def decode_peak(data: bytes) -> tuple[GrayImage | PgmError, int]:
+    """What load_pgm(data) returns or raises, and the call's tracemalloc peak."""
+    tracemalloc.start()
+    try:
+        try:
+            got = load_pgm(data)
+        except PgmError as exc:
+            got = exc
+        return got, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestP2DecodeMemory:
+    """A P2 raster is decoded in runs of whole lines: beyond the output, the
+    decoder's working set is one run, however long the text."""
+
+    @pytest.fixture(scope="class")
+    def noise(self):
+        img = GrayImage(np.random.default_rng(12).integers(0, 256, (1024, 1024), np.uint8))
+        return img, save_pgm(img, "P2")
+
+    def test_peak_below_output_plus_1_mb(self, noise):
+        img, data = noise
+        assert len(data) > 3_500_000
+        got, peak = decode_peak(data)
+        assert got == img
+        assert peak < 2**20 + 10**6
+
+    def test_commented_lines_peak_below_output_plus_1_mb(self, noise):
+        img, data = noise
+        header = pgm_header(1024, 1024, "P2")
+        data = header + data[len(header) :].replace(b"\n", b" # comment\n")
+        got, peak = decode_peak(data)
+        assert got == img
+        assert peak < 2**20 + 10**6
+
+    def test_declared_size_the_raster_cannot_hold_allocates_little(self):
+        got, peak = decode_peak(b"P2 100000 100000 255 1 2 3")
+        assert str(got) == "truncated P2 pixel data: expected 10000000000 samples, got 3"
+        assert peak < 64_000
 
 
 class TestCrop:

@@ -76,6 +76,15 @@ class TestRandomTexel:
         with pytest.raises(ValueError):
             random_texel(1, 5, seed=0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            random_texel(4, 4, seed=-1)
+
+    @pytest.mark.parametrize("power", [float("nan"), float("inf")])
+    def test_power_not_finite_rejected(self, power):
+        with pytest.raises(ValueError, match=rf"^power must be finite and positive, got {power}$"):
+            random_texel(4, 4, seed=0, power=power)
+
 
 class TestGroundTruth:
     def test_json_round_trip(self):
