@@ -190,10 +190,10 @@ def cmd_synthesize(args) -> int:
 def cmd_detect(args) -> int:
     img, _, grid, result = _classify(args)
     _check_report(result, args.epsilon)
-    highlighted = highlight_anomalies(
+    # the outlined image is only written, so it is gone before the report
+    _save_image(args.output, pgm_parts(highlight_anomalies(
         img, grid, result.anomalies, args.highlight_value, args.thickness
-    )
-    _save_image(args.output, pgm_parts(highlighted))
+    )))
     _write_report(args.json_out, result, args.epsilon)
     return EXIT_ANOMALIES if result.anomalies else EXIT_OK
 

@@ -127,7 +127,10 @@ def _read_header_int(data: bytes, pos: int, what: str) -> tuple[int, int]:
     token, pos = _read_header_token(data, pos)
     if not token.isdigit():
         raise PgmError(f"malformed PGM header: expected {what}, got {token!r}")
-    return int(token), pos
+    try:
+        return int(token), pos
+    except ValueError:  # more digits than Python converts to int
+        raise PgmError(f"invalid PGM {what} of {len(token)} digits") from None
 
 
 def _token(raw: np.ndarray, inside: np.ndarray, k: int) -> bytes:
@@ -171,9 +174,11 @@ def _p2_samples(data: bytes, pos: int, count: int, maxval: int) -> tuple[np.ndar
     Each sample is rebuilt from its last three digits: a nonzero digit
     before them makes it 1000 or more, past any maxval, however long the
     token. The first non-digit token among the first `count` raises before a
-    short raster does, and both before the first sample of 1000 or more.
-    The output holds at most one sample per two bytes of text, so a declared
-    size the raster cannot hold allocates nothing in proportion to it.
+    short raster does, and both before the first sample of 1000 or more,
+    whose error names its value, or its length when it has more digits
+    than Python converts to int. The output holds at most one sample per
+    two bytes of text, so a declared size the raster cannot hold allocates
+    nothing in proportion to it.
     """
     out = np.empty(min(count, (len(data) - pos + 1) // 2), dtype=np.uint8)
     found, top, big = 0, 0, None
@@ -204,7 +209,7 @@ def _p2_samples(data: bytes, pos: int, count: int, maxval: int) -> tuple[np.ndar
         if big is None:
             hit = tok & (d[2:] > 0) & inside[4 : n + 4] & inside[5 : n + 5] & inside[6 : n + 6]
             if hit.any():
-                big = int(_token(raw, inside, int(hit.argmax())))
+                big = _token(raw, inside, int(hit.argmax()))
         d[2:] *= tok
         samples = d[2:][last].astype(np.uint16)
         samples += 10 * d[1:-1][last]
@@ -218,7 +223,11 @@ def _p2_samples(data: bytes, pos: int, count: int, maxval: int) -> tuple[np.ndar
     if found < count:
         raise PgmError(f"truncated P2 pixel data: expected {count} samples, got {found}")
     if big is not None:
-        raise PgmError(f"sample value {big} exceeds declared maxval {maxval}")
+        try:
+            value = int(big)
+        except ValueError:  # more digits than Python converts to int
+            value = f"of {len(big)} digits"
+        raise PgmError(f"sample value {value} exceeds declared maxval {maxval}")
     return out, top
 
 

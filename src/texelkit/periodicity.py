@@ -32,8 +32,8 @@ COLUMNS = "columns"
 # close to the global minimum and survive this cut.
 MINIMA_DEPTH_FRACTION = 0.25
 
-# _dmf takes row chunks whose spectra fit this many bytes, so its temporaries
-# stay bounded whatever the image size.
+# _dmf takes row chunks whose float64 pixels and spectra fit this many bytes
+# together, so its working set stays bounded whatever the image size.
 _FFT_CHUNK_BYTES = 1 << 20
 
 # _dmf rounds a chunk's lag sums only while their error bound is below this.
@@ -129,6 +129,12 @@ def _corr_error_bound(n: int, depth: int, energy: int) -> float:
     return energy * (spectrum + eps * (1 + spectrum))
 
 
+def _chunk_rows(h: int, w: int, n: int) -> int:
+    """Rows per _dmf chunk: its float64 pixels and their complex128 spectra,
+    padded to n, fit _FFT_CHUNK_BYTES together (at least one row, at most h)."""
+    return max(1, min(h, _FFT_CHUNK_BYTES // (8 * w + 16 * (n // 2 + 1))))
+
+
 def _dmf(pix: np.ndarray, d_max: int) -> np.ndarray:
     """DMF values for displacements 1..d_max along the last axis.
 
@@ -140,10 +146,14 @@ def _dmf(pix: np.ndarray, d_max: int) -> np.ndarray:
     _corr_error_bound for the worst-case chunk stays below 0.5, and the
     int64 sum over chunks is exact. An axis too long for that bound (about
     3e8 pixels) raises ValueError.
+
+    The chunk and its spectrum are two buffers of _chunk_rows rows, made
+    once and reused by every chunk; the power is formed in the spectrum's
+    own memory.
     """
     h, w = pix.shape
     n = 1 << (w + d_max - 1).bit_length()
-    rows = max(1, _FFT_CHUNK_BYTES // (16 * (n // 2 + 1)))
+    rows = _chunk_rows(h, w, n)
     # no centred pixel is more than 128 from mid-gray
     bound = _corr_error_bound(n, rows, 128 * 128 * rows * w)
     if bound >= _MAX_ROUNDING_ERROR:
@@ -151,16 +161,27 @@ def _dmf(pix: np.ndarray, d_max: int) -> np.ndarray:
             f"DMF along an axis of {w} pixels cannot be summed exactly "
             f"(rounding error bound {bound:.3g})"
         )
+    chunk = np.empty((rows, w))
+    spec = np.empty((rows, n // 2 + 1), dtype=np.complex128)
     col_sq = np.zeros(w, dtype=np.int64)
     corr = np.zeros(d_max, dtype=np.int64)
     for r0 in range(0, h, rows):
+        m = min(rows, h - r0)
+        c, s = chunk[:m], spec[:m]
         # Centring on mid-gray changes no difference and quarters the
-        # worst-case energy the error bound scales with.
-        chunk = np.ascontiguousarray(pix[r0 : r0 + rows], dtype=np.int64) - 128
-        col_sq += (chunk * chunk).sum(axis=0)
-        spec = np.fft.rfft(chunk, n)
-        power = (spec.real * spec.real + spec.imag * spec.imag).sum(axis=0)
-        corr += np.rint(np.fft.irfft(power, n)[1 : d_max + 1]).astype(np.int64)
+        # worst-case energy the error bound scales with; it is done in
+        # float64, as uint8 would wrap.
+        c[...] = pix[r0 : r0 + m]
+        c -= 128
+        # integer partial sums below 2**53, so exact
+        col_sq += np.einsum("ij,ij->j", c, c).astype(np.int64)
+        np.fft.rfft(c, n, out=s)
+        # re*re + im*im into the real slots of the spectrum
+        parts = s.view(np.float64)
+        np.square(parts, out=parts)
+        power = parts[:, 0::2]
+        power += parts[:, 1::2]
+        corr += np.rint(np.fft.irfft(power.sum(axis=0), n)[1 : d_max + 1]).astype(np.int64)
     prefix = np.concatenate(([0], np.cumsum(col_sq)))
     d = np.arange(1, d_max + 1)
     return ((prefix[w] - prefix[d]) + prefix[w - d] - 2 * corr) / (h * (w - d))

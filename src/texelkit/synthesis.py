@@ -62,9 +62,10 @@ def highlight_anomalies(
     """Copy of `img` with each anomalous block's border band set to `value`.
 
     A band at least half as wide as a block's shorter side covers the whole
-    block. All outlines are painted at once, through one mask of flagged
-    blocks times the clipped band over the (rows, block_h, cols, block_w)
-    view of the grid up to the last flagged row and column.
+    block. All outlines are painted at once, over the (rows, block_h, cols,
+    block_w) view of the grid up to the last flagged row and column: four
+    writes, one per side's clipped band (top and bottom rows, left and right
+    columns of every block), each where a block is flagged.
     """
     _check_band(value, thickness)
     out = img.pixels.copy()
@@ -79,11 +80,10 @@ def highlight_anomalies(
             i, j = anomalies[int(np.argmin(fits))]
             grid.rect(i, j).check_inside(img)
         n_rows, n_cols = (at.max(axis=0) + 1).tolist()
-        flagged = np.zeros((n_rows, n_cols), dtype=bool)
-        flagged[at[:, 0], at[:, 1]] = True
+        flagged = np.zeros((n_rows, 1, n_cols, 1), dtype=bool)
+        flagged[at[:, 0], 0, at[:, 1], 0] = True
         th, tw = min(thickness, bh), min(thickness, bw)
-        band = np.ones((bh, bw), dtype=bool)
-        band[th : bh - th, tw : bw - tw] = False
         view = out[: n_rows * bh, : n_cols * bw].reshape(n_rows, bh, n_cols, bw)
-        view[flagged[:, None, :, None] & band[:, None, :]] = value
+        for band in (view[:, :th], view[:, bh - th :], view[..., :tw], view[..., bw - tw :]):
+            np.copyto(band, value, where=flagged)
     return GrayImage(_sealed(out))

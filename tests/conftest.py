@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import os
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -68,11 +69,28 @@ def p2_reference(data: bytes) -> GrayImage:
             ) from None
         if not token.isdigit():
             raise PgmError(f"malformed P2 sample: {token!r}")
-        samples.append(int(token))
-    if max(samples) > maxval:
-        value = next((s for s in samples if s >= 1000), max(samples))
+        samples.append(token)
+    # the first sample of 1000 or more, named by its length when int() refuses it
+    big = next((t for t in samples if len(t.lstrip(b"0")) >= 4), None)
+    if big is not None:
+        try:
+            value = int(big)
+        except ValueError:  # more digits than Python converts to int
+            value = f"of {len(big)} digits"
         raise PgmError(f"sample value {value} exceeds declared maxval {maxval}")
+    samples = [int(t) for t in samples]
+    if max(samples) > maxval:
+        raise PgmError(f"sample value {max(samples)} exceeds declared maxval {maxval}")
     return GrayImage(np.array(samples, dtype=np.uint8).reshape(height, width))
+
+
+def peak_bytes(fn, *args, **kwargs) -> tuple[object, int]:
+    """fn(*args, **kwargs) and the tracemalloc peak of the call, in bytes."""
+    tracemalloc.start()
+    try:
+        return fn(*args, **kwargs), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def p2_text_reference(img: GrayImage) -> bytes:

@@ -1,7 +1,6 @@
 """Block partitioning, relative deviations, and conformance classification."""
 
 import json
-import tracemalloc
 from unittest import mock
 
 import hypothesis.extra.numpy as hnp
@@ -24,7 +23,13 @@ from texelkit import (
     synthesize,
 )
 
-from conftest import make_image, one_bincount_features, per_block_classify, random_image
+from conftest import (
+    make_image,
+    one_bincount_features,
+    peak_bytes,
+    per_block_classify,
+    random_image,
+)
 
 
 def named_deviations(local, reference, **kw) -> dict[str, float]:
@@ -351,12 +356,7 @@ class TestWholeGrid:
     def test_block_features_peak_below_4_mb_on_1024_squared(self):
         img = GrayImage(np.random.default_rng(3).integers(0, 256, (1024, 1024), dtype=np.uint8))
         grid = partition(img, 8, 8)
-        tracemalloc.start()
-        try:
-            stats.block_features(img.pixels, grid.block_h, grid.block_w)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = peak_bytes(stats.block_features, img.pixels, grid.block_h, grid.block_w)
         assert peak < 4 * 10**6
 
 

@@ -8,7 +8,6 @@ import json
 import os
 import subprocess
 import sys
-import tracemalloc
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -32,7 +31,7 @@ from texelkit import (
     synthesize,
 )
 
-from conftest import cli_env
+from conftest import cli_env, peak_bytes
 
 
 def run_cli(*args, cwd):
@@ -632,6 +631,16 @@ class TestP2InputErrors:
         proc = run_cli("analyze", "in.pgm", cwd=tmp_path)
         assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", line + "\n")
 
+    @pytest.mark.parametrize("text, line", [
+        (b"P2 1 1 255 " + b"1" * 5000,
+         "error: sample value of 5000 digits exceeds declared maxval 255"),
+        (b"P2 1 " + b"1" * 5000 + b" 255 1", "error: invalid PGM height of 5000 digits"),
+    ], ids=["sample", "header"])
+    def test_integer_too_long_for_int_exits_2(self, tmp_path, text, line):
+        (tmp_path / "in.pgm").write_bytes(text)
+        proc = run_cli("analyze", "in.pgm", cwd=tmp_path)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", line + "\n")
+
 
 def report_runs(n_rows, n_cols):
     """How many block-row runs blocks_json writes for this grid."""
@@ -661,12 +670,8 @@ class TestStreamedOutputs:
         argv = ["detect", str(tmp_path / "in.pgm"), str(tmp_path / "o.pgm"),
                 "--period-rows", "2", "--period-cols", "2",
                 "--json-out", str(tmp_path / "r.json")]
-        tracemalloc.start()
-        try:
-            assert cli.main(argv) == 1
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        code, peak = peak_bytes(cli.main, argv)
+        assert code == 1
         assert peak < (tmp_path / "r.json").stat().st_size
 
     def test_synthesize_peak_below_1_mb(self, tmp_path):
@@ -675,12 +680,8 @@ class TestStreamedOutputs:
         argv = ["synthesize", str(tmp_path / "in.pgm"), str(tmp_path / "o.pgm"),
                 "--period-rows", "8", "--period-cols", "8",
                 "--width", "2048", "--height", "2048"]
-        tracemalloc.start()
-        try:
-            assert cli.main(argv) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        code, peak = peak_bytes(cli.main, argv)
+        assert code == 0
         assert peak < 10**6
         assert load_pgm((tmp_path / "o.pgm").read_bytes()).pixels.shape == (2048, 2048)
 
@@ -692,12 +693,8 @@ class TestStreamedOutputs:
         argv = ["synthesize", str(tmp_path / "in.pgm"), str(tmp_path / "o.pgm"),
                 "--period-rows", "8", "--period-cols", "8",
                 "--width", "2048", "--height", "2048"]
-        tracemalloc.start()
-        try:
-            assert cli.main(argv) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        code, peak = peak_bytes(cli.main, argv)
+        assert code == 0
         assert peak < len(text) + 10**6
         assert load_pgm((tmp_path / "o.pgm").read_bytes()).pixels.shape == (2048, 2048)
 

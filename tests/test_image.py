@@ -1,7 +1,5 @@
 """PGM I/O, cropping, and outline drawing."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -10,7 +8,7 @@ from hypothesis import strategies as st
 from texelkit import GrayImage, PgmError, Rect, crop, draw_rect_outline, image, load_pgm, save_pgm
 from texelkit.image import pgm_header
 
-from conftest import make_image, p2_reference, p2_text_reference, random_image
+from conftest import make_image, p2_reference, p2_text_reference, peak_bytes, random_image
 
 
 _SEP = st.sampled_from([b" ", b"\n", b"\t", b"\r\n", b"#c\n", b" # x\n", b""])
@@ -213,6 +211,8 @@ class TestPgmParsing:
     @example(b"P2 2 1 255\n00000000000000000255\n7", 4)  # inside a 20-digit token
     @example(b"P2 3 1 255\n1000\n7\nx\n", 6)  # 1000+ in run 1, malformed in run 2
     @example(b"P2 3 1 255\n1000\n7\n", 6)  # 1000+ in run 1, then truncation
+    @example(b"P2 1 1 255 " + b"1" * 5000, _RUN)  # more digits than int() converts
+    @example(b"P2 2 1 255 " + b"0" * 5000 + b"1000 7", _RUN)  # the same, with leading zeros
     def test_p2_decode_matches_reference_loop(self, data, budget):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(image, "_P2_RUN_BYTES", budget)
@@ -225,6 +225,16 @@ class TestPgmParsing:
                     assert str(got.value) == str(exc)
                 return
             assert load_pgm(data) == want
+
+    def test_sample_too_long_for_int_names_its_length(self):
+        with pytest.raises(PgmError) as got:
+            load_pgm(b"P2 2 1 255 7 " + b"1" * 5000)
+        assert str(got.value) == "sample value of 5000 digits exceeds declared maxval 255"
+
+    def test_header_integer_too_long_for_int_is_invalid_size(self):
+        with pytest.raises(PgmError) as got:
+            load_pgm(b"P5 " + b"1" * 5000 + b" 1 255 \x00")
+        assert str(got.value) == "invalid PGM width of 5000 digits"
 
     def test_pgm_error_is_value_error(self):
         assert issubclass(PgmError, ValueError)
@@ -240,17 +250,17 @@ class TestPgmParsing:
         assert isinstance(img, GrayImage)
 
 
+def decode_or_error(data: bytes) -> GrayImage | PgmError:
+    """What load_pgm(data) returns or raises."""
+    try:
+        return load_pgm(data)
+    except PgmError as exc:
+        return exc
+
+
 def decode_peak(data: bytes) -> tuple[GrayImage | PgmError, int]:
     """What load_pgm(data) returns or raises, and the call's tracemalloc peak."""
-    tracemalloc.start()
-    try:
-        try:
-            got = load_pgm(data)
-        except PgmError as exc:
-            got = exc
-        return got, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    return peak_bytes(decode_or_error, data)
 
 
 class TestP2DecodeMemory:

@@ -5,7 +5,7 @@ from unittest import mock
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from texelkit import cli, periodicity
@@ -23,7 +23,7 @@ from texelkit import (
     synthesize,
 )
 
-from conftest import make_image, naive_column_dmf, naive_row_dmf, random_image
+from conftest import make_image, naive_column_dmf, naive_row_dmf, peak_bytes, random_image
 
 
 def curve_of(values, axis="columns"):
@@ -119,18 +119,11 @@ class TestFftDmf:
 
     @settings(max_examples=100, deadline=None)
     @given(DMF_IMAGES, st.integers(1, 3))
+    # 7 rows and 5 columns in chunks of 3: the last chunk fills part of the buffers
+    @example(np.arange(35, dtype=np.uint8).reshape(7, 5) * 7, 3)
     def test_equals_naive_reference_across_chunks(self, pixels, rows):
-        # _dmf fits _FFT_CHUNK_BYTES // (16 * (n // 2 + 1)) rows in a chunk,
-        # n the padded length; size the budget so every chunk holds `rows`
-        dmf = periodicity._dmf
-
-        def chunked(pix, d_max):
-            n = 1 << (pix.shape[1] + d_max - 1).bit_length()
-            budget = rows * 16 * (n // 2 + 1)
-            with mock.patch.object(periodicity, "_FFT_CHUNK_BYTES", budget):
-                return dmf(pix, d_max)
-
-        with mock.patch.object(periodicity, "_dmf", chunked):
+        # _chunk_rows sizes every chunk of _dmf; make each hold `rows` rows
+        with mock.patch.object(periodicity, "_chunk_rows", lambda h, w, n: min(rows, h)):
             assert_dmf_matches_naive(GrayImage(pixels))
 
     def test_unproven_rounding_raises(self, rng, tmp_path, monkeypatch, capsys):
@@ -150,12 +143,18 @@ class TestFftDmf:
         column_dmf(img, 499)
         row_dmf(img, 299)
         # worst case per chunk (every centred pixel at -128) for 20000x20000
-        # at the default fraction: n = 32768, 3 rows per chunk
-        assert periodicity._FFT_CHUNK_BYTES // (16 * (32768 // 2 + 1)) == 3
-        assert periodicity._corr_error_bound(32768, 3, 128**2 * 3 * 20000) < 1e-3
-        # one row of 10**8 pixels: n = 2**28, one row per chunk
-        assert max(1, periodicity._FFT_CHUNK_BYTES // (16 * (2**27 + 1))) == 1
+        # at the default fraction: n = 32768, 2 rows per chunk
+        assert periodicity._chunk_rows(20000, 20000, 32768) == 2
+        assert periodicity._corr_error_bound(32768, 2, 128**2 * 2 * 20000) < 1e-3
+        # rows of 10**8 pixels: n = 2**28, one row per chunk
+        assert periodicity._chunk_rows(2, 10**8, 2**28) == 1
         assert periodicity._corr_error_bound(2**28, 1, 128**2 * 10**8) < 0.5
+
+    def test_peak_within_budget_on_960_squared(self):
+        # the float64 chunk and its spectrum are the working set, made once
+        img = GrayImage(np.random.default_rng(4).integers(0, 256, (960, 960), dtype=np.uint8))
+        _, peak = peak_bytes(lambda: (column_dmf(img, 480), row_dmf(img, 480)))
+        assert peak < 1.2 * periodicity._FFT_CHUNK_BYTES
 
 
 class TestForwardDifference:

@@ -1,7 +1,6 @@
 """First-order statistics against a per-pixel reference and closed forms."""
 
 import math
-import tracemalloc
 from unittest import mock
 
 import hypothesis.extra.numpy as hnp
@@ -23,6 +22,7 @@ from conftest import (
     features_close,
     make_image,
     one_bincount_features,
+    peak_bytes,
     pixel_loop_features,
     random_image,
 )
@@ -193,10 +193,5 @@ class TestChunkedCounts:
         assert np.array_equal(got.view(np.uint64), one_bincount_features(img, whole).view(np.uint64))
 
     def test_peak_below_2_mb_on_1024_squared(self):
-        tracemalloc.start()
-        try:
-            features_of_region(_NOISE_1024)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = peak_bytes(features_of_region, _NOISE_1024)
         assert peak < 2 * 10**6
