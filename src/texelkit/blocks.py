@@ -12,7 +12,6 @@ representative texel; non-conforming blocks are reported as anomalies
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -79,6 +78,14 @@ class AnalysisResult:
     representative: tuple[int, int] | None
     anomalies: list[tuple[int, int]]
 
+    def __post_init__(self):
+        # the report is strict JSON, so a result holds no inf or nan to write
+        floats = (self.features, self.deviations, self.max_deviation)
+        if not all(np.isfinite(a).all() for a in floats):
+            raise ValueError(
+                f"a relative deviation overflowed: epsilon {self.epsilon!r} is too small"
+            )
+
     def head(self) -> dict:
         """to_dict() without its "blocks" list; key order is part of the output contract."""
         return {
@@ -116,8 +123,8 @@ class AnalysisResult:
 
         Each block is one %-template laid out as json lays it out: index i,
         j, six features, six deviations, max deviation, "true" or "false".
-        Floats go through float.__repr__ as json writes them. A non-finite
-        one raises check_finite's error here, before any piece is made.
+        Floats go through float.__repr__ as json writes them; they are
+        finite, since the result could not be made otherwise.
 
         The blocks come in runs of block rows holding about
         _REPORT_CHUNK_BYTES of floats, each formatted when it is asked for:
@@ -127,16 +134,6 @@ class AnalysisResult:
         apart) and the strings are gathered back into the run's repeated
         template.
         """
-        self.check_finite()
-        return self._block_runs(pad)
-
-    def check_finite(self) -> None:
-        """Raise json's own ValueError if a block holds a non-finite float."""
-        floats = (self.features, self.deviations, self.max_deviation)
-        if not all(np.isfinite(a).all() for a in floats):
-            json.dumps(self.to_dict()["blocks"], indent=2, allow_nan=False)
-
-    def _block_runs(self, pad: str) -> Iterator[str]:
         floats = (self.features, self.deviations, self.max_deviation)
         p = pad + "  "  # the blocks sit one level inside the list
         members = ",\n".join(f'{p}    "{name}": %s' for name in FEATURE_NAMES)
@@ -210,7 +207,8 @@ def classify_blocks(
     conforms when its largest per-feature deviation is at most `threshold`;
     the representative is the conforming block with the smallest such
     deviation, earliest in row-major order on ties. When no block conforms
-    the result carries representative=None rather than failing.
+    the result carries representative=None rather than failing. An epsilon
+    so small that a deviation overflows raises ValueError.
     """
     # threshold 0 is a usable degenerate boundary: only blocks with
     # exactly zero deviation (e.g. on perfect tilings) conform

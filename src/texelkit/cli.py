@@ -11,8 +11,6 @@ error; 3 no conforming block to synthesize from (synthesize).
 from __future__ import annotations
 
 import argparse
-import contextlib
-import csv
 import itertools
 import json
 import math
@@ -21,7 +19,6 @@ import stat
 import sys
 from collections.abc import Iterable, Iterator
 from pathlib import Path
-from typing import IO, TextIO
 
 from .blocks import DEFAULT_EPSILON, AnalysisResult, BlockGrid, classify_blocks, partition
 from .image import GrayImage, load_pgm, pgm_header, pgm_parts
@@ -39,73 +36,44 @@ def _warn(msg: str) -> None:
     print(f"warning: {msg}", file=sys.stderr)
 
 
-@contextlib.contextmanager
-def _output(path: str | Path, mode: str) -> Iterator[IO]:
-    """Open `path` for writing, text with newline="" as csv needs. If the
-    writes fail part way (out of memory, a full disk), the file is removed
-    when `path` names a regular file, so no truncated output is left; a
-    device, pipe or link it names is left alone."""
+def _write(path: str | Path | None, pieces: Iterable, mode: str = "wb") -> None:
+    """Write the pieces to `path` as each comes, none joined, or to stdout,
+    which takes text, when `path` is None. Text (mode "w") is written with
+    newline="", so a "\r\n" stays as given. If the writes fail part way (out
+    of memory, a full disk), the file is removed when `path` names a regular
+    file, so no truncated output is left; a device, pipe or link it names is
+    left alone."""
+    if path is None:
+        sys.stdout.writelines(pieces)
+        return
     regular = False
     try:
         with open(path, mode, newline=None if "b" in mode else "") as fh:
             regular = stat.S_ISREG(os.lstat(path).st_mode)
-            yield fh
+            fh.writelines(pieces)
     except BaseException:
         if regular:
             Path(path).unlink(missing_ok=True)
         raise
 
 
-def _save_image(path: str | Path, parts: Iterable) -> None:
-    """Write a PGM given as its header and raster pieces, such as
-    pgm_parts(img): each piece is written as it comes, none is joined."""
-    with _output(path, "wb") as fh:
-        fh.writelines(parts)
-
-
-def _check_report(result: AnalysisResult, epsilon: float) -> None:
-    """Raise if the report's blocks cannot be written, so that detect and
-    analyze fail before they write any file. A non-finite deviation raises
-    json's own ValueError, extended to name --epsilon, the only flag that
-    can make a deviation overflow."""
-    try:
-        result.check_finite()
-    except ValueError as exc:
-        raise ValueError(
-            f"{exc}: a relative deviation overflowed; --epsilon {epsilon!r} is too small"
-        ) from None
-
-
-def _emit_json(
-    result: AnalysisResult, epsilon: float, periods: dict | None = None, out: TextIO | None = None
-) -> None:
-    """Write the report to the text stream `out` (default stdout):
-    json.dumps(report, indent=2, allow_nan=False) plus a newline, byte for
-    byte, where report is result.to_dict() (detect), or {"periods": periods,
-    "analysis": result.to_dict()} when periods are given (analyze).
+def _emit_json(result: AnalysisResult, periods: dict | None = None,
+               json_out: str | None = None) -> None:
+    """Write the report to json_out, or to stdout when json_out is None or
+    empty: json.dumps(report, indent=2, allow_nan=False) plus a newline,
+    byte for byte, where report is result.to_dict() (detect), or {"periods":
+    periods, "analysis": result.to_dict()} when periods are given (analyze).
 
     The rest of the report is dumped once with a marker string where the
-    blocks go, and result.blocks_json() streams them in between, so no
-    piece holds more than one run of blocks. Every check runs before the
-    first piece is written.
+    blocks go, before the output is opened, and result.blocks_json()
+    streams them in between, so no piece holds more than one run of blocks.
     """
-    _check_report(result, epsilon)
     report, pad = {**result.head(), "blocks": "\0"}, "  "
     if periods is not None:
         report, pad = {"periods": periods, "analysis": report}, "    "
     before, after = json.dumps(report, indent=2, allow_nan=False).split('"\\u0000"')
-    blocks = result.blocks_json(pad)
-    (out or sys.stdout).writelines(itertools.chain((before,), blocks, (after + "\n",)))
-
-
-def _write_report(json_out: str | None, result: AnalysisResult, epsilon: float,
-                  periods: dict | None = None) -> None:
-    """Stream the report to json_out through _output, or to stdout."""
-    if not json_out:
-        _emit_json(result, epsilon, periods)
-        return
-    with _output(json_out, "w") as fh:
-        _emit_json(result, epsilon, periods, fh)
+    pieces = itertools.chain((before,), result.blocks_json(pad), (after + "\n",))
+    _write(json_out or None, pieces, "w")
 
 
 def _parse_defects(text: str) -> list[tuple[int, int]]:
@@ -141,30 +109,29 @@ def _classify(args) -> tuple[GrayImage, PeriodEstimate, BlockGrid, AnalysisResul
     return img, est, grid, classify_blocks(img, grid, args.threshold, args.epsilon)
 
 
-def _dump_dmf_csv(path: str, curves) -> None:
-    with _output(path, "w") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["axis", "d", "dmf", "forward_difference"])
-        for curve in curves:
-            diffs = forward_difference(curve)
-            for d in range(1, curve.d_max + 1):
-                fd = repr(float(diffs[d - 1])) if d < curve.d_max else ""
-                writer.writerow([curve.axis, d, repr(curve.value_at(d)), fd])
+def _dmf_csv(curves) -> Iterator[str]:
+    """Both DMF curves as the CSV lines csv.writer writes for them: their
+    fields hold no comma, quote or line break, so none is quoted."""
+    yield "axis,d,dmf,forward_difference\r\n"
+    for curve in curves:
+        diffs = forward_difference(curve)
+        for d in range(1, curve.d_max + 1):
+            fd = repr(float(diffs[d - 1])) if d < curve.d_max else ""
+            yield f"{curve.axis},{d},{curve.value_at(d)!r},{fd}\r\n"
 
 
 def cmd_analyze(args) -> int:
     _, est, _, result = _classify(args)
     manual = est.row_curve is None
     periods = {**est.to_dict(), "manual": manual}
-    _check_report(result, args.epsilon)
     if args.csv_dmf:
         if manual:
             _warn("--csv-dmf ignored: DMF estimation was skipped (manual periods)")
         else:
-            _dump_dmf_csv(args.csv_dmf, (est.row_curve, est.col_curve))
+            _write(args.csv_dmf, _dmf_csv((est.row_curve, est.col_curve)), "w")
     if result.representative is None:
         _warn("no block conforms at this threshold; no representative texel")
-    _write_report(args.json_out, result, args.epsilon, periods)
+    _emit_json(result, periods, args.json_out)
     return EXIT_OK
 
 
@@ -178,23 +145,22 @@ def cmd_synthesize(args) -> int:
         return EXIT_NO_REPRESENTATIVE
     texel = extract_texel(img, grid, result.representative)
     if args.texel_out:
-        _save_image(args.texel_out, pgm_parts(texel))
+        _write(args.texel_out, pgm_parts(texel))
     out_w = img.width if args.width is None else args.width
     out_h = img.height if args.height is None else args.height
     # the strip is built before the output is opened: a tiling too large fails first
     raster = tiling_parts(texel, out_w, out_h)
-    _save_image(args.output, itertools.chain((pgm_header(out_w, out_h),), raster))
+    _write(args.output, itertools.chain((pgm_header(out_w, out_h),), raster))
     return EXIT_OK
 
 
 def cmd_detect(args) -> int:
     img, _, grid, result = _classify(args)
-    _check_report(result, args.epsilon)
     # the outlined image is only written, so it is gone before the report
-    _save_image(args.output, pgm_parts(highlight_anomalies(
+    _write(args.output, pgm_parts(highlight_anomalies(
         img, grid, result.anomalies, args.highlight_value, args.thickness
     )))
-    _write_report(args.json_out, result, args.epsilon)
+    _emit_json(result, json_out=args.json_out)
     return EXIT_ANOMALIES if result.anomalies else EXIT_OK
 
 
@@ -214,9 +180,8 @@ def cmd_generate(args) -> int:
     )
     texel = random_texel(gt.texel_h, gt.texel_w, gt.seed)
     img = generate(gt, texel)
-    _save_image(out, pgm_parts(img))
-    with _output(sidecar, "w") as fh:
-        fh.write(gt.to_json() + "\n")
+    _write(out, pgm_parts(img))
+    _write(sidecar, (gt.to_json() + "\n",), "w")
     return EXIT_OK
 
 
@@ -336,7 +301,7 @@ def main(argv=None) -> int:
     try:
         _check_flags(args)
         return args.func(args)
-    except (OSError, ValueError, RuntimeError, MemoryError) as exc:
+    except (OSError, ValueError, RuntimeError, MemoryError, OverflowError) as exc:
         # a bare MemoryError has no message
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_ERROR

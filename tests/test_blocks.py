@@ -342,10 +342,15 @@ class TestWholeGrid:
     def test_overflowing_deviation_is_inf(self):
         # global skewness is exactly 0, so epsilon alone divides a skewed block
         img = make_image([[0, 0, 0, 255], [255, 255, 255, 0]])
-        res = classify_blocks(img, partition(img, 1, 4), threshold=0.1, epsilon=1e-320)
-        assert res.global_features.skewness == 0.0
-        assert res.max_deviation.tolist() == [float("inf")] * 2
-        assert res.anomalies == [(0, 0), (1, 0)]
+        glob = features_of_region(img)
+        assert glob.skewness == 0.0
+        feats = stats.block_features(img.pixels, 1, 4)
+        devs = blocks.deviation_matrix(feats, np.array(glob.as_tuple()), epsilon=1e-320)
+        assert devs.max(axis=1).tolist() == [float("inf")] * 2
+        # a result holding it could not be written as strict JSON
+        with pytest.raises(ValueError, match="^a relative deviation overflowed: "
+                                             "epsilon 1e-320 is too small$"):
+            classify_blocks(img, partition(img, 1, 4), threshold=0.1, epsilon=1e-320)
 
     def test_grid_outside_image_rejected(self, rng):
         small = random_image(rng, 8, 8)

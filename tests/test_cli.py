@@ -1,5 +1,6 @@
 """End-to-end CLI runs via subprocess: exit codes, JSON, and file outputs."""
 
+import contextlib
 import csv
 import dataclasses
 import errno
@@ -140,6 +141,22 @@ class TestAnalyze:
             for d, value in zip(curve.displacements.tolist(), curve.values.tolist())
         ]
         assert dumped == expected
+
+    def test_csv_dmf_bytes_equal_csv_writer(self, tmp_path):
+        img = write_tiling(tmp_path / "in.pgm", 5, 7, 6, seed=4)
+        proc = run_cli("analyze", "in.pgm", "--csv-dmf", "dmf.csv", cwd=tmp_path)
+        assert proc.returncode == 0
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(["axis", "d", "dmf", "forward_difference"])
+        # 30x42 image at fraction 0.5; the last row of each axis has an empty field
+        for curve in (row_dmf(img, 15), column_dmf(img, 21)):
+            values = curve.values.tolist()
+            for k, value in enumerate(values):
+                fd = repr(values[k + 1] - value) if k + 1 < len(values) else ""
+                writer.writerow([curve.axis, k + 1, repr(value), fd])
+        assert expected.getvalue().endswith("21,%r,\r\n" % values[-1])
+        assert (tmp_path / "dmf.csv").read_bytes() == expected.getvalue().encode()
 
     def test_csv_dmf_failing_part_way_leaves_no_file(self, tmp_path, monkeypatch):
         write_tiling(tmp_path / "in.pgm", 5, 5, 6, seed=4)
@@ -396,12 +413,12 @@ class TestFlagValidation:
         (tmp_path / "sym.pgm").write_bytes(self.SYMMETRIC_P2)
         manual = ("--period-rows", "1", "--period-cols", "4", "--epsilon", "1e-320")
         proc = run_cli("detect", "sym.pgm", "o.pgm", *manual, cwd=tmp_path)
-        assert_flag_error(proc, "--epsilon")
+        assert_flag_error(proc, "epsilon 1e-320")
         assert not (tmp_path / "o.pgm").exists()
         proc = run_cli(
             "analyze", "sym.pgm", *manual, "--json-out", "r.json", cwd=tmp_path
         )
-        assert_flag_error(proc, "--epsilon")
+        assert_flag_error(proc, "epsilon 1e-320")
         assert not (tmp_path / "r.json").exists()
 
     @pytest.mark.parametrize(
@@ -423,8 +440,24 @@ class TestFlagValidation:
     def test_report_json_is_strict(self):
         img = GrayImage(np.arange(16, dtype=np.uint8).reshape(4, 4))
         res = classify_blocks(img, partition(img, 2, 2), threshold=0.1)
-        with pytest.raises(ValueError):
-            cli._emit_json(dataclasses.replace(res, threshold=float("nan")), 1e-6)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), pytest.raises(ValueError):
+            cli._emit_json(dataclasses.replace(res, threshold=float("nan")))
+        assert out.getvalue() == ""
+
+    @pytest.mark.parametrize("flag", ["--width", "--height", "--reps-r", "--reps-c"])
+    def test_size_past_c_long_exits_2(self, tmp_path, flag):
+        write_tiling(tmp_path / "in.pgm", 4, 5, 6, seed=4)
+        if flag in ("--width", "--height"):
+            argv = ["synthesize", "in.pgm", "o.pgm", "--period-rows", "4", "--period-cols", "5"]
+        else:
+            argv = ["generate", "o.pgm", "--texel-h", "4", "--texel-w", "4",
+                    "--reps-r", "2", "--reps-c", "2"]
+        # the last value of a repeated flag wins
+        proc = run_cli(*argv, flag, str(10**29), cwd=tmp_path)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("error:") and len(proc.stderr.splitlines()) == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.pgm"]
 
     def test_out_of_memory_exits_2(self, tmp_path):
         # 10**18 bytes exceed any 64-bit address space, so the allocator
@@ -541,31 +574,29 @@ def reference_text(res, periods):
 
 class TestReportText:
     @settings(max_examples=150, deadline=None)
-    @given(results(), st.sampled_from([1e-6, 1e-320]))
-    def test_equals_json_dumps(self, case, epsilon):
+    @given(results())
+    def test_equals_json_dumps(self, case):
         res, periods = case
         out = io.StringIO()
-        cli._emit_json(res, epsilon, periods, out)
+        with contextlib.redirect_stdout(out):
+            cli._emit_json(res, periods)
         assert out.getvalue() == reference_text(res, periods)
 
     @settings(max_examples=50, deadline=None)
     @given(results(), st.sampled_from([float("inf"), float("-inf"), float("nan")]),
-           st.sampled_from(["deviations", "max_deviation"]), st.data())
-    def test_non_finite_value_raises_json_error(self, case, bad, where, data):
-        res, periods = case
+           st.sampled_from(["features", "deviations", "max_deviation"]), st.data())
+    def test_non_finite_value_raises_naming_epsilon(self, case, bad, where, data):
+        res, _ = case
         arr = getattr(res, where).copy()
         k = data.draw(st.integers(0, len(arr) - 1))
         if where == "max_deviation":
             arr[k] = bad
         else:
             arr[k, data.draw(st.integers(0, 5))] = bad
-        res = dataclasses.replace(res, **{where: arr})
-        with pytest.raises(ValueError) as want:
-            reference_text(res, periods)
         with pytest.raises(ValueError) as got:
-            cli._emit_json(res, 1e-320, periods)
+            dataclasses.replace(res, **{where: arr})
         assert str(got.value) == (
-            f"{want.value}: a relative deviation overflowed; --epsilon 1e-320 is too small"
+            f"a relative deviation overflowed: epsilon {res.epsilon!r} is too small"
         )
 
     def test_cli_builds_no_block_dicts(self, tmp_path, monkeypatch):
@@ -725,7 +756,7 @@ class TestStreamedOutputs:
             yield "[\n"
             raise MemoryError
 
-        monkeypatch.setattr(AnalysisResult, "_block_runs", runs)
+        monkeypatch.setattr(AnalysisResult, "blocks_json", runs)
 
     def test_report_failing_part_way_leaves_no_file(self, tmp_path, monkeypatch):
         write_noise(tmp_path / "in.pgm", 32, seed=10)
