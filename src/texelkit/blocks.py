@@ -12,6 +12,7 @@ representative texel; non-conforming blocks are reported as anomalies
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -97,27 +98,11 @@ class AnalysisResult:
         }
 
     def to_dict(self) -> dict:
-        """The report as a dict; blocks_json() writes its "blocks" list."""
-        rows = zip(
-            self.grid.indices(),
-            self.features.tolist(),
-            self.deviations.tolist(),
-            self.max_deviation.tolist(),
-            self.conforming.tolist(),
-        )
-        return {**self.head(), "blocks": [
-            {
-                "index": list(index),
-                "features": dict(zip(FEATURE_NAMES, f)),
-                "deviations": dict(zip(FEATURE_NAMES, d)),
-                "max_deviation": m,
-                "conforming": c,
-            }
-            for index, f, d, m, c in rows
-        ]}
+        """The report as a dict: head() and the blocks blocks_json() lays out, read back."""
+        return {**self.head(), "blocks": json.loads("".join(self.blocks_json("")))}
 
     def blocks_json(self, pad: str) -> Iterator[str]:
-        """to_dict()["blocks"] as json.dumps(indent=2, allow_nan=False)
+        """The report's "blocks" list as json.dumps(indent=2, allow_nan=False)
         writes it when its key sits at indent `pad`, from "[" to "]", in
         pieces whose concatenation is that text.
 

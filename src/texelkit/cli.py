@@ -287,6 +287,17 @@ def _check_flags(args) -> None:
     for name in ("width", "height"):
         if getattr(args, name, None) is not None and getattr(args, name) <= 0:
             raise ValueError(f"--{name} must be positive, got {getattr(args, name)}")
+    # numpy sizes arrays and draws noise in C integers of sys.maxsize at most;
+    # the size flags a command takes multiply to its output's pixel count
+    sizes = {f"--{name.replace('_', '-')}": getattr(args, name) for name in (
+        "width", "height", "texel_h", "texel_w", "reps_r", "reps_c",
+    ) if getattr(args, name, None) is not None}
+    for flag, value in [*sizes.items(), ("--noise-amplitude", getattr(args, "noise_amplitude", 0))]:
+        if value > sys.maxsize:
+            raise ValueError(f"{flag} must be at most {sys.maxsize}, got {value}")
+    if math.prod(sizes.values()) > sys.maxsize:
+        raise ValueError(f"{' * '.join(sizes)} make {math.prod(sizes.values())} pixels, "
+                         f"more than {sys.maxsize}")
     pair = _OUTPUT_PAIRS.get(args.command, ())
     paths = [Path(getattr(args, dest)) for dest in pair if getattr(args, dest)]
     # a device such as /dev/stdout may take both outputs in turn

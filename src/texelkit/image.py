@@ -324,18 +324,16 @@ def _check_band(value: int, thickness: int) -> None:
         raise ValueError(f"thickness must be >= 1, got {thickness}")
 
 
-def _paint_band(pixels: np.ndarray, r: Rect, value: int, thickness: int) -> None:
-    """Set the band of width `thickness` just inside `r` to `value`, in place.
-
-    Each side's band is clipped to the rect, so a band at least half as wide
-    as the shorter side covers the whole rect and never spills past it.
-    """
-    th, tw = min(thickness, r.h), min(thickness, r.w)
-    y1, x1 = r.y0 + r.h, r.x0 + r.w
-    pixels[r.y0 : r.y0 + th, r.x0 : x1] = value
-    pixels[y1 - th : y1, r.x0 : x1] = value
-    pixels[r.y0 : y1, r.x0 : r.x0 + tw] = value
-    pixels[r.y0 : y1, x1 - tw : x1] = value
+def _paint_outlines(view: np.ndarray, flagged, value: int, thickness: int) -> None:
+    """Set the band of width `thickness` just inside each block of `view`, a
+    (rows, block_h, cols, block_w) view, to `value` where `flagged` (True, or
+    a (rows, 1, cols, 1) mask) holds, in place: one write per side, each
+    clipped to its block, so a band at least half as wide as the block's
+    shorter side covers the whole block and never spills past it."""
+    _, bh, _, bw = view.shape
+    th, tw = min(thickness, bh), min(thickness, bw)
+    for band in (view[:, :th], view[:, bh - th :], view[..., :tw], view[..., bw - tw :]):
+        np.copyto(band, value, where=flagged)
 
 
 def draw_rect_outline(img: GrayImage, r: Rect, value: int, thickness: int = 1) -> GrayImage:
@@ -349,5 +347,6 @@ def draw_rect_outline(img: GrayImage, r: Rect, value: int, thickness: int = 1) -
             f"thickness {thickness} too large for a {r.w}x{r.h} rect"
         )
     out = img.pixels.copy()
-    _paint_band(out, r, value, thickness)
+    _paint_outlines(out[r.y0 : r.y0 + r.h, r.x0 : r.x0 + r.w].reshape(1, r.h, 1, r.w),
+                    True, value, thickness)
     return GrayImage(_sealed(out))

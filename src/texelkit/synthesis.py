@@ -14,7 +14,7 @@ from collections.abc import Iterator
 import numpy as np
 
 from .blocks import BlockGrid
-from .image import GrayImage, _check_band, _sealed, crop
+from .image import GrayImage, _check_band, _paint_outlines, _sealed, crop
 
 
 def extract_texel(img: GrayImage, grid: BlockGrid, index: tuple[int, int]) -> GrayImage:
@@ -62,10 +62,9 @@ def highlight_anomalies(
     """Copy of `img` with each anomalous block's border band set to `value`.
 
     A band at least half as wide as a block's shorter side covers the whole
-    block. All outlines are painted at once, over the (rows, block_h, cols,
-    block_w) view of the grid up to the last flagged row and column: four
-    writes, one per side's clipped band (top and bottom rows, left and right
-    columns of every block), each where a block is flagged.
+    block. All outlines are painted at once by image._paint_outlines, over
+    the (rows, block_h, cols, block_w) view of the grid up to the last
+    flagged row and column.
     """
     _check_band(value, thickness)
     out = img.pixels.copy()
@@ -82,8 +81,6 @@ def highlight_anomalies(
         n_rows, n_cols = (at.max(axis=0) + 1).tolist()
         flagged = np.zeros((n_rows, 1, n_cols, 1), dtype=bool)
         flagged[at[:, 0], 0, at[:, 1], 0] = True
-        th, tw = min(thickness, bh), min(thickness, bw)
         view = out[: n_rows * bh, : n_cols * bw].reshape(n_rows, bh, n_cols, bw)
-        for band in (view[:, :th], view[:, bh - th :], view[..., :tw], view[..., bw - tw :]):
-            np.copyto(band, value, where=flagged)
+        _paint_outlines(view, flagged, value, thickness)
     return GrayImage(_sealed(out))

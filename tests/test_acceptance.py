@@ -29,14 +29,8 @@ from texelkit import (
     synthesize,
 )
 
-from conftest import (
-    cli_env,
-    features_close,
-    naive_column_dmf,
-    naive_row_dmf,
-    pixel_loop_features,
-    random_image,
-)
+from conftest import cli_env, features_close, random_image
+from reference import dmf, pixel_loop_features
 
 
 def announce(capsys, name: str, ok: bool, detail: str = ""):
@@ -92,8 +86,8 @@ def test_criterion_2_dmf_brute_force(capsys):
         h = int(rng.integers(2, 17))
         w = int(rng.integers(2, 17))
         img = random_image(rng, h, w)
-        col_ok = column_dmf(img, w - 1).values.tolist() == naive_column_dmf(img, w - 1)
-        row_ok = row_dmf(img, h - 1).values.tolist() == naive_row_dmf(img, h - 1)
+        col_ok = column_dmf(img, w - 1).values.tolist() == dmf(img.pixels, w - 1)
+        row_ok = row_dmf(img, h - 1).values.tolist() == dmf(img.pixels.T, h - 1)
         if not (col_ok and row_ok):
             failures += 1
     announce(

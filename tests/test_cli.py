@@ -33,6 +33,7 @@ from texelkit import (
 )
 
 from conftest import cli_env, peak_bytes
+from reference import Grid, per_block_classify, report, report_text, result_report
 
 
 def run_cli(*args, cwd):
@@ -141,22 +142,6 @@ class TestAnalyze:
             for d, value in zip(curve.displacements.tolist(), curve.values.tolist())
         ]
         assert dumped == expected
-
-    def test_csv_dmf_bytes_equal_csv_writer(self, tmp_path):
-        img = write_tiling(tmp_path / "in.pgm", 5, 7, 6, seed=4)
-        proc = run_cli("analyze", "in.pgm", "--csv-dmf", "dmf.csv", cwd=tmp_path)
-        assert proc.returncode == 0
-        expected = io.StringIO(newline="")
-        writer = csv.writer(expected)
-        writer.writerow(["axis", "d", "dmf", "forward_difference"])
-        # 30x42 image at fraction 0.5; the last row of each axis has an empty field
-        for curve in (row_dmf(img, 15), column_dmf(img, 21)):
-            values = curve.values.tolist()
-            for k, value in enumerate(values):
-                fd = repr(values[k + 1] - value) if k + 1 < len(values) else ""
-                writer.writerow([curve.axis, k + 1, repr(value), fd])
-        assert expected.getvalue().endswith("21,%r,\r\n" % values[-1])
-        assert (tmp_path / "dmf.csv").read_bytes() == expected.getvalue().encode()
 
     def test_csv_dmf_failing_part_way_leaves_no_file(self, tmp_path, monkeypatch):
         write_tiling(tmp_path / "in.pgm", 5, 5, 6, seed=4)
@@ -445,8 +430,15 @@ class TestFlagValidation:
             cli._emit_json(dataclasses.replace(res, threshold=float("nan")))
         assert out.getvalue() == ""
 
-    @pytest.mark.parametrize("flag", ["--width", "--height", "--reps-r", "--reps-c"])
-    def test_size_past_c_long_exits_2(self, tmp_path, flag):
+    @pytest.mark.parametrize("flag, value", [
+        *(pytest.param(flag, 10**29, id=flag) for flag in (
+            "--width", "--height", "--texel-h", "--texel-w", "--reps-r", "--reps-c",
+            "--noise-amplitude",
+        )),
+        # within range, but 2**62 * 4 * 2 * 2 pixels are not
+        pytest.param("--texel-h", 2**62, id="--texel-h-pixel-count"),
+    ])
+    def test_size_past_c_long_exits_2(self, tmp_path, flag, value):
         write_tiling(tmp_path / "in.pgm", 4, 5, 6, seed=4)
         if flag in ("--width", "--height"):
             argv = ["synthesize", "in.pgm", "o.pgm", "--period-rows", "4", "--period-cols", "5"]
@@ -454,9 +446,7 @@ class TestFlagValidation:
             argv = ["generate", "o.pgm", "--texel-h", "4", "--texel-w", "4",
                     "--reps-r", "2", "--reps-c", "2"]
         # the last value of a repeated flag wins
-        proc = run_cli(*argv, flag, str(10**29), cwd=tmp_path)
-        assert (proc.returncode, proc.stdout) == (2, "")
-        assert proc.stderr.startswith("error:") and len(proc.stderr.splitlines()) == 1
+        assert_flag_error(run_cli(*argv, flag, str(value), cwd=tmp_path), flag)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["in.pgm"]
 
     def test_out_of_memory_exits_2(self, tmp_path):
@@ -565,11 +555,9 @@ def results(draw):
 
 
 def reference_text(res, periods):
-    """The report as json.dumps writes the dict form."""
-    report = res.to_dict()
-    if periods is not None:
-        report = {"periods": periods, "analysis": report}
-    return json.dumps(report, indent=2, allow_nan=False) + "\n"
+    """The report as json.dumps writes the reference's dict form."""
+    analysis = result_report(res)
+    return report_text(analysis if periods is None else {"periods": periods, "analysis": analysis})
 
 
 class TestReportText:
@@ -601,7 +589,8 @@ class TestReportText:
 
     def test_cli_builds_no_block_dicts(self, tmp_path, monkeypatch):
         img = write_tiling(tmp_path / "in.pgm", 6, 5, 4, seed=2)
-        want = classify_blocks(img, partition(img, 6, 5), threshold=0.1).to_dict()
+        grid = Grid(6, 5, 4, 4)
+        want = report(grid, 0.1, 1e-6, per_block_classify(img, grid, 0.1, 1e-6))
 
         def refuse(self):
             raise AssertionError("the CLI report must not call to_dict()")

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from texelkit import GrayImage, PgmError, Rect, crop, draw_rect_outline, image, load_pgm, save_pgm
 from texelkit.image import pgm_header
 
-from conftest import make_image, p2_reference, p2_text_reference, peak_bytes, random_image
+from conftest import make_image, peak_bytes, random_image
+from reference import p2_reference, p2_text_reference
 
 
 _SEP = st.sampled_from([b" ", b"\n", b"\t", b"\r\n", b"#c\n", b" # x\n", b""])

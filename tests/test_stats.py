@@ -17,15 +17,8 @@ from texelkit import (
     features_of_region,
 )
 
-from conftest import (
-    direct_feature_matrix,
-    features_close,
-    make_image,
-    one_bincount_features,
-    peak_bytes,
-    pixel_loop_features,
-    random_image,
-)
+from conftest import features_close, make_image, peak_bytes, random_image
+from reference import direct_feature_matrix, one_bincount_features, pixel_loop_features
 
 
 class TestClosedForms:
