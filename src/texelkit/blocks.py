@@ -77,7 +77,6 @@ class AnalysisResult:
     threshold: float
     epsilon: float
     representative: tuple[int, int] | None
-    anomalies: list[tuple[int, int]]
 
     def __post_init__(self):
         # the report is strict JSON, so a result holds no inf or nan to write
@@ -86,6 +85,13 @@ class AnalysisResult:
             raise ValueError(
                 f"a relative deviation overflowed: epsilon {self.epsilon!r} is too small"
             )
+
+    @property
+    def anomalies(self) -> list[tuple[int, int]]:
+        """The non-conforming blocks' (i, j) indices in row-major order,
+        derived from `conforming` when read."""
+        n_cols = self.grid.n_cols
+        return [divmod(k, n_cols) for k in np.flatnonzero(~self.conforming).tolist()]
 
     def head(self) -> dict:
         """to_dict() without its "blocks" list; key order is part of the output contract."""
@@ -112,12 +118,12 @@ class AnalysisResult:
         finite, since the result could not be made otherwise.
 
         The blocks come in runs of block rows holding about
-        _REPORT_CHUNK_BYTES of floats, each formatted when it is asked for:
-        "[\n" comes before the first run, ",\n" before each later one, and
-        the last piece is the closing "\n{pad}]". Within a run, repr is
-        called once per distinct float64 bit pattern (so -0.0 and 0.0 stay
-        apart) and the strings are gathered back into the run's repeated
-        template.
+        _REPORT_CHUNK_BYTES of floats, each formatted when it is asked for.
+        Within a run, repr is called once per distinct float64 bit pattern
+        (so -0.0 and 0.0 stay apart), and each block row is one piece: the
+        strings are gathered back into the row's repeated template. "[\n"
+        comes before the first row, ",\n" before each later one, and the
+        last piece is the closing "\n{pad}]".
         """
         floats = (self.features, self.deviations, self.max_deviation)
         p = pad + "  "  # the blocks sit one level inside the list
@@ -134,6 +140,7 @@ class AnalysisResult:
         n_cols, n = self.grid.n_cols, self.conforming.size
         words = np.array(["false", "true"], dtype=object)
         step = n_cols * max(1, _REPORT_CHUNK_BYTES // (n_cols * 13 * 8))
+        row = ",\n".join([template] * n_cols)
         for k0 in range(0, n, step):
             k1 = min(k0 + step, n)
             run = np.column_stack([a[k0:k1] for a in floats])  # the 13 floats in template order
@@ -143,8 +150,9 @@ class AnalysisResult:
             args[:, 0], args[:, 1] = np.divmod(np.arange(k0, k1), n_cols)
             args[:, 2:15] = texts[at.reshape(run.shape)]
             args[:, 15] = words[self.conforming[k0:k1].view(np.uint8)]
-            yield "[\n" if k0 == 0 else ",\n"
-            yield ",\n".join([template] * (k1 - k0)) % tuple(args.ravel().tolist())
+            for r0 in range(0, k1 - k0, n_cols):
+                yield "[\n" if k0 + r0 == 0 else ",\n"
+                yield row % tuple(args[r0 : r0 + n_cols].ravel().tolist())
         yield f"\n{pad}]"
 
 
@@ -175,8 +183,12 @@ def deviation_matrix(
     """
     if not 0 < epsilon < math.inf:
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
+    # one float64 buffer takes the difference, its magnitude and the ratio
+    out = np.subtract(local, reference, dtype=np.float64)
+    np.abs(out, out=out)
     with np.errstate(over="ignore"):
-        return np.abs(local - reference) / np.maximum(np.abs(reference), epsilon)
+        out /= np.maximum(np.abs(reference), epsilon)
+    return out
 
 
 def classify_blocks(
@@ -216,7 +228,6 @@ def classify_blocks(
         # argmin keeps the first minimum: the earliest block in row-major order
         best = int(candidates[np.argmin(max_dev[candidates])])
         representative = divmod(best, grid.n_cols)
-    anomalies = [divmod(k, grid.n_cols) for k in np.flatnonzero(~conforming).tolist()]
 
     return AnalysisResult(
         grid=grid,
@@ -228,5 +239,4 @@ def classify_blocks(
         threshold=threshold,
         epsilon=epsilon,
         representative=representative,
-        anomalies=anomalies,
     )

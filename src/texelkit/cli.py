@@ -23,7 +23,7 @@ from pathlib import Path
 from .blocks import DEFAULT_EPSILON, AnalysisResult, BlockGrid, classify_blocks, partition
 from .image import GrayImage, load_pgm, pgm_header, pgm_parts
 from .periodicity import PeriodEstimate, estimate_periods, forward_difference
-from .synthesis import extract_texel, highlight_anomalies, tiling_parts
+from .synthesis import extract_texel, outline_parts, tiling_parts
 from .testgen import GroundTruth, generate, random_texel
 
 EXIT_OK = 0
@@ -66,7 +66,7 @@ def _emit_json(result: AnalysisResult, periods: dict | None = None,
 
     The rest of the report is dumped once with a marker string where the
     blocks go, before the output is opened, and result.blocks_json()
-    streams them in between, so no piece holds more than one run of blocks.
+    streams them in between, so no piece holds more than one block row.
     """
     report, pad = {**result.head(), "blocks": "\0"}, "  "
     if periods is not None:
@@ -144,24 +144,31 @@ def cmd_synthesize(args) -> int:
         )
         return EXIT_NO_REPRESENTATIVE
     texel = extract_texel(img, grid, result.representative)
-    if args.texel_out:
-        _write(args.texel_out, pgm_parts(texel))
     out_w = img.width if args.width is None else args.width
     out_h = img.height if args.height is None else args.height
-    # the strip is built before the output is opened: a tiling too large fails first
+    # numpy sizes the strip of whole texels that tiling_parts builds in a C ssize_t
+    strip = texel.height * -(-out_w // texel.width) * texel.width
+    if strip > sys.maxsize:
+        raise ValueError(f"--width {out_w} makes a tiling strip of {strip} bytes "
+                         f"from a {texel.width}x{texel.height} texel, more than {sys.maxsize}")
+    # the strip is built before any output is opened: a tiling too large fails first
     raster = tiling_parts(texel, out_w, out_h)
+    if args.texel_out:
+        _write(args.texel_out, pgm_parts(texel))
     _write(args.output, itertools.chain((pgm_header(out_w, out_h),), raster))
     return EXIT_OK
 
 
 def cmd_detect(args) -> int:
     img, _, grid, result = _classify(args)
-    # the outlined image is only written, so it is gone before the report
-    _write(args.output, pgm_parts(highlight_anomalies(
-        img, grid, result.anomalies, args.highlight_value, args.thickness
-    )))
+    flagged = ~result.conforming.reshape(grid.n_rows, grid.n_cols)
+    # outlines are painted one block row at a time as the image is written,
+    # and the report needs no pixels, so the image is dropped before it
+    raster = outline_parts(img, grid, flagged, args.highlight_value, args.thickness)
+    _write(args.output, itertools.chain((pgm_header(img.width, img.height),), raster))
+    del img
     _emit_json(result, json_out=args.json_out)
-    return EXIT_ANOMALIES if result.anomalies else EXIT_OK
+    return EXIT_OK if result.conforming.all() else EXIT_ANOMALIES
 
 
 def cmd_generate(args) -> int:

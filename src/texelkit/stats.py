@@ -31,9 +31,9 @@ _LEVELS = np.arange(GRAY_LEVELS, dtype=np.float64)
 
 # budget for the working set of one run of blocks in block_features
 _CHUNK_BYTES = 1 << 19
-# arrays of 256 levels per block alive at once: the counts and the six
-# float64 temporaries of feature_matrix
-_LEVEL_ARRAYS = 7
+# arrays of 256 levels per block alive at once: the counts and the four
+# float64 arrays of feature_matrix (p, a scratch array, centered and c2)
+_LEVEL_ARRAYS = 5
 
 
 @dataclass(frozen=True)
@@ -69,24 +69,32 @@ def feature_matrix(counts: np.ndarray, n: int) -> np.ndarray:
     p * log2(p) are looked up per count from t = arange(n + 1) / n: each
     entry is the same float operation on the same operands as the direct
     formula, so the features are bit-identical.
+
+    Beside the counts, four float64 arrays of the counts' shape are alive at
+    once (_LEVEL_ARRAYS counts them): p, one scratch array that each product
+    is written into before its sum, and the centred levels and their squares.
     """
+    # +0.0 normalizes the -0.0 entropy of single-level regions
     if n + 1 <= counts.size:
         t = np.arange(n + 1) / n
         t_log_t = t * np.log2(t, out=np.zeros_like(t), where=t > 0)
-        p, p_sq, p_log_p = t[counts], (t * t)[counts], t_log_t[counts]
+        energy = (t * t)[counts].sum(axis=-1)
+        entropy = -t_log_t[counts].sum(axis=-1) + 0.0
+        p = t[counts]
+        tmp = np.empty_like(p)
     else:
         p = counts / n
-        p_sq = p * p
-        p_log_p = p * np.log2(p, out=np.zeros_like(p), where=p > 0)
-    mean = (p * _LEVELS).sum(axis=-1, keepdims=True)
+        tmp = np.log2(p, out=np.zeros_like(p), where=p > 0)
+        entropy = -np.multiply(p, tmp, out=tmp).sum(axis=-1) + 0.0
+        energy = np.multiply(p, p, out=tmp).sum(axis=-1)
+    mean = np.multiply(p, _LEVELS, out=tmp).sum(axis=-1, keepdims=True)
     centered = _LEVELS - mean
     c2 = centered * centered
-    variance = (c2 * p).sum(axis=-1)
-    skewness = (c2 * centered * p).sum(axis=-1)
-    kurtosis = (c2 * c2 * p).sum(axis=-1)
-    energy = p_sq.sum(axis=-1)
-    # +0.0 normalizes the -0.0 produced by single-level regions
-    entropy = -p_log_p.sum(axis=-1) + 0.0
+    variance = np.multiply(c2, p, out=tmp).sum(axis=-1)
+    np.multiply(c2, centered, out=tmp)
+    skewness = np.multiply(tmp, p, out=tmp).sum(axis=-1)
+    np.multiply(c2, c2, out=tmp)
+    kurtosis = np.multiply(tmp, p, out=tmp).sum(axis=-1)
     return np.stack([mean[:, 0], variance, skewness, kurtosis, energy, entropy], axis=-1)
 
 

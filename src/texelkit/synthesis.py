@@ -52,6 +52,53 @@ def synthesize(texel: GrayImage, out_w: int, out_h: int) -> GrayImage:
     return GrayImage(np.frombuffer(raster, dtype=np.uint8).reshape(out_h, out_w))
 
 
+def outline_parts(
+    img: GrayImage,
+    grid: BlockGrid,
+    flagged: np.ndarray,
+    value: int = 255,
+    thickness: int = 1,
+) -> Iterator[memoryview]:
+    """The row-major raster of `img` with the border band of each block that
+    the (grid.n_rows, grid.n_cols) mask `flagged` marks set to `value`, in
+    pieces.
+
+    The value, the thickness, the mask's shape and the fit of every flagged
+    block inside the image are checked before this returns. The pieces are
+    one per block row of block_h pixel rows, then the rows below the grid. A
+    block row that holds a flagged block is a copy of its band, painted by
+    image._paint_outlines with that row of the mask; every other piece is a
+    view of the source, so a writer that takes them in turn holds one band.
+    """
+    _check_band(value, thickness)
+    flagged = np.asarray(flagged, dtype=bool)
+    if flagged.shape != (grid.n_rows, grid.n_cols):
+        raise ValueError(
+            f"mask of shape {flagged.shape} does not match the {grid.n_rows}x{grid.n_cols} grid"
+        )
+    bh, bw = grid.block_h, grid.block_w
+    # the blocks of the grid that lie inside the image
+    n_rows, n_cols = min(grid.n_rows, img.height // bh), min(grid.n_cols, img.width // bw)
+    if flagged[n_rows:].any() or flagged[:, n_cols:].any():
+        # the first flagged block outside, in row-major order, names the error
+        outside = flagged.copy()
+        outside[:n_rows, :n_cols] = False
+        grid.rect(*divmod(int(outside.argmax()), grid.n_cols)).check_inside(img)
+    return _outlined_bands(img.pixels, flagged[:n_rows, :n_cols], bh, bw, value, thickness)
+
+
+def _outlined_bands(pixels, flagged, bh, bw, value, thickness) -> Iterator[memoryview]:
+    n_rows, n_cols = flagged.shape
+    for i, row in enumerate(flagged):
+        band = pixels[i * bh : (i + 1) * bh]
+        if row.any():
+            band = band.copy()
+            view = band[:, : n_cols * bw].reshape(1, bh, n_cols, bw)
+            _paint_outlines(view, row.reshape(1, 1, n_cols, 1), value, thickness)
+        yield band.data
+    yield pixels[n_rows * bh :].data
+
+
 def highlight_anomalies(
     img: GrayImage,
     grid: BlockGrid,
@@ -62,25 +109,27 @@ def highlight_anomalies(
     """Copy of `img` with each anomalous block's border band set to `value`.
 
     A band at least half as wide as a block's shorter side covers the whole
-    block. All outlines are painted at once by image._paint_outlines, over
-    the (rows, block_h, cols, block_w) view of the grid up to the last
-    flagged row and column.
+    block. The anomalies become a mask of the grid, and the pieces of
+    outline_parts are copied in turn into one buffer, which the image keeps,
+    so one band copy is alive at a time.
     """
     _check_band(value, thickness)
-    out = img.pixels.copy()
+    flagged = np.zeros((grid.n_rows, grid.n_cols), dtype=bool)
     if len(anomalies):
         at = np.array(anomalies, dtype=np.intp).reshape(-1, 2)
         bh, bw = grid.block_h, grid.block_w
         fits = (
-            (at >= 0) & (at < (grid.n_rows, grid.n_cols)) & ((at + 1) * (bh, bw) <= out.shape)
+            (at >= 0) & (at < (grid.n_rows, grid.n_cols))
+            & ((at + 1) * (bh, bw) <= img.pixels.shape)
         ).all(axis=1)
         if not fits.all():
             # the first bad index raises the same error a per-block check would
             i, j = anomalies[int(np.argmin(fits))]
             grid.rect(i, j).check_inside(img)
-        n_rows, n_cols = (at.max(axis=0) + 1).tolist()
-        flagged = np.zeros((n_rows, 1, n_cols, 1), dtype=bool)
-        flagged[at[:, 0], 0, at[:, 1], 0] = True
-        view = out[: n_rows * bh, : n_cols * bw].reshape(n_rows, bh, n_cols, bw)
-        _paint_outlines(view, flagged, value, thickness)
+        flagged[at[:, 0], at[:, 1]] = True
+    out = np.empty_like(img.pixels)
+    flat, pos = out.reshape(-1), 0
+    for piece in outline_parts(img, grid, flagged, value, thickness):
+        flat[pos : pos + piece.nbytes] = np.asarray(piece).reshape(-1)
+        pos += piece.nbytes
     return GrayImage(_sealed(out))

@@ -379,7 +379,6 @@ def result_of(n_rows, n_cols, values, conforming):
         threshold=0.1,
         epsilon=1e-6,
         representative=None,
-        anomalies=[],
     )
 
 
@@ -390,6 +389,17 @@ def report_runs(res, rows_per_run):
 
 
 _SIGNED_ZEROS = np.array([[0.0, -0.0] * 6 + [-0.0]] * 4)
+
+
+class TestAnomalies:
+    @settings(max_examples=100, deadline=None)
+    @given(block_values())
+    def test_row_major_indices_of_non_conforming(self, case):
+        res, _ = case
+        mask = ~res.conforming.reshape(res.grid.n_rows, res.grid.n_cols)
+        want = [(int(i), int(j)) for i, j in np.argwhere(mask)]
+        assert res.anomalies == want
+        assert all(type(k) is int for ij in res.anomalies for k in ij)
 
 
 class TestBlocksJson:

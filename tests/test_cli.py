@@ -430,18 +430,23 @@ class TestFlagValidation:
             cli._emit_json(dataclasses.replace(res, threshold=float("nan")))
         assert out.getvalue() == ""
 
-    @pytest.mark.parametrize("flag, value", [
-        *(pytest.param(flag, 10**29, id=flag) for flag in (
+    @pytest.mark.parametrize("flag, value, extra", [
+        *(pytest.param(flag, 10**29, (), id=flag) for flag in (
             "--width", "--height", "--texel-h", "--texel-w", "--reps-r", "--reps-c",
             "--noise-amplitude",
         )),
         # within range, but 2**62 * 4 * 2 * 2 pixels are not
-        pytest.param("--texel-h", 2**62, id="--texel-h-pixel-count"),
+        pytest.param("--texel-h", 2**62, (), id="--texel-h-pixel-count"),
+        # within range, but the strip of 4x5 texels tiling_parts builds is not:
+        # 4 rows of 2**62 + 4, or of 2**61 + 3, columns
+        pytest.param("--width", 2**62, (), id="--width-strip"),
+        pytest.param("--width", 2**61, ("--height", "1"), id="--width-strip-height-1"),
     ])
-    def test_size_past_c_long_exits_2(self, tmp_path, flag, value):
+    def test_size_past_c_long_exits_2(self, tmp_path, flag, value, extra):
         write_tiling(tmp_path / "in.pgm", 4, 5, 6, seed=4)
         if flag in ("--width", "--height"):
-            argv = ["synthesize", "in.pgm", "o.pgm", "--period-rows", "4", "--period-cols", "5"]
+            argv = ["synthesize", "in.pgm", "o.pgm", "--period-rows", "4", "--period-cols", "5",
+                    "--threshold", "0.5", "--texel-out", "t.pgm", *extra]
         else:
             argv = ["generate", "o.pgm", "--texel-h", "4", "--texel-w", "4",
                     "--reps-r", "2", "--reps-c", "2"]
@@ -692,7 +697,19 @@ class TestStreamedOutputs:
                 "--json-out", str(tmp_path / "r.json")]
         code, peak = peak_bytes(cli.main, argv)
         assert code == 1
-        assert peak < (tmp_path / "r.json").stat().st_size
+        assert peak < (tmp_path / "r.json").stat().st_size / 3
+
+    def test_detect_peak_below_input_and_block_values_plus_1_mb(self, tmp_path):
+        # every 8x8 block of noise is flagged, so every block row is outlined
+        write_noise(tmp_path / "in.pgm", 512, seed=10)
+        argv = ["detect", str(tmp_path / "in.pgm"), str(tmp_path / "o.pgm"),
+                "--period-rows", "8", "--period-cols", "8",
+                "--json-out", str(tmp_path / "r.json")]
+        code, peak = peak_bytes(cli.main, argv)
+        assert code == 1
+        assert '"conforming": true' not in (tmp_path / "r.json").read_text()
+        # the features, deviations and maximum deviation of each block
+        assert peak < 512 * 512 + 13 * 8 * 64 * 64 + 10**6
 
     def test_synthesize_peak_below_1_mb(self, tmp_path):
         # a 4 MB output from a 64x64 input: the tiling is written from one strip

@@ -155,6 +155,16 @@ class TestPerCountTables:
         counts = one_hot(1, 256, 3)
         assert log2_argument_shape(counts, 256) == counts.shape
 
+    @pytest.mark.parametrize("n", [64, 10**6], ids=["table", "direct"])
+    def test_peak_within_five_level_arrays(self, n):
+        # four float64 arrays the size of the counts, which block_features
+        # budgets as _LEVEL_ARRAYS with the counts themselves
+        counts = np.random.default_rng(5).multinomial(n, [1 / 256] * 256, size=128)
+        assert (n + 1 <= counts.size) == (n == 64)
+        out, peak = peak_bytes(stats.feature_matrix, counts, n)
+        assert stats._LEVEL_ARRAYS == 5
+        assert peak < 5 * counts.nbytes + out.nbytes
+
 
 _NOISE_1024 = GrayImage(np.random.default_rng(3).integers(0, 256, (1024, 1024), dtype=np.uint8))
 

@@ -1,5 +1,7 @@
 """Texel extraction, tiling synthesis, and anomaly highlighting."""
 
+import collections
+
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
@@ -17,9 +19,9 @@ from texelkit import (
     random_texel,
     synthesize,
 )
-from texelkit.synthesis import tiling_parts
+from texelkit.synthesis import outline_parts, tiling_parts
 
-from conftest import make_image, random_image
+from conftest import make_image, peak_bytes, random_image
 
 
 class TestExtractTexel:
@@ -201,3 +203,58 @@ class TestHighlightAnomalies:
         )
         with pytest.raises(ValueError, match="does not fit"):
             highlight_anomalies(small, grid, [(0, 0), (2, 1)])
+
+
+@st.composite
+def outline_cases(draw):
+    """Image (often with edge strips below and right of its grid), grid,
+    mask of flagged blocks, value and thickness."""
+    img, grid, _, value, thickness = draw(highlight_cases())
+    return img, grid, draw(hnp.arrays(np.bool_, (grid.n_rows, grid.n_cols))), value, thickness
+
+
+def flagged_list(mask):
+    return [(int(i), int(j)) for i, j in np.argwhere(mask)]
+
+
+class TestOutlineParts:
+    @settings(max_examples=300, deadline=None)
+    @given(outline_cases())
+    @example((_ZEROS_9, partition(_ZEROS_9, 3, 3), np.eye(3, dtype=bool), 200, 5))
+    def test_joined_pieces_equal_per_anomaly_reference(self, case):
+        img, grid, mask, value, thickness = case
+        want = per_anomaly_highlight(img, grid, flagged_list(mask), value, thickness)
+        assert b"".join(outline_parts(*case)) == want.pixels.tobytes()
+
+    def test_unflagged_bands_are_views_of_the_source(self, rng):
+        img = random_image(rng, 26, 20)  # two rows of edge strip below the grid
+        grid = partition(img, 4, 5)
+        mask = np.zeros((grid.n_rows, grid.n_cols), dtype=bool)
+        mask[[1, 4], [0, 3]] = True
+        pieces = list(outline_parts(img, grid, mask, 255, 1))
+        assert len(pieces) == grid.n_rows + 1
+        shared = [np.shares_memory(np.asarray(p), img.pixels) for p in pieces]
+        assert shared == [True, False, True, True, False, True, True]
+        assert np.array_equal(np.asarray(pieces[-1]), img.pixels[24:])
+
+    def test_bad_mask_rejected(self, rng):
+        img = random_image(rng, 8, 8)
+        with pytest.raises(ValueError, match="does not match the 2x2 grid"):
+            outline_parts(img, partition(img, 4, 4), np.ones((2, 3), dtype=bool))
+        small = random_image(rng, 8, 8)
+        grid = partition(random_image(rng, 12, 12), 4, 4)
+        mask = np.zeros((3, 3), dtype=bool)
+        # checked before any piece is made
+        assert b"".join(outline_parts(small, grid, mask)) == small.pixels.tobytes()
+        mask[1, 2] = mask[2, 0] = True
+        with pytest.raises(ValueError, match=r"rect Rect\(x0=8, y0=4, .* does not fit"):
+            outline_parts(small, grid, mask)
+
+    def test_peak_about_two_bands_on_1024_squared(self):
+        img = GrayImage(np.random.default_rng(4).integers(0, 256, (1024, 1024), dtype=np.uint8))
+        grid = partition(img, 8, 8)
+        mask = np.ones((grid.n_rows, grid.n_cols), dtype=bool)
+        band = grid.block_h * img.width
+        # a writer that takes the pieces in turn, as the CLI's does
+        _, peak = peak_bytes(lambda: collections.deque(outline_parts(img, grid, mask), maxlen=0))
+        assert peak < 3 * band
