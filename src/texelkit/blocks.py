@@ -15,7 +15,7 @@ import itertools
 import json
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -96,7 +96,7 @@ class AnalysisResult:
     def head(self) -> dict:
         """to_dict() without its "blocks" list; key order is part of the output contract."""
         return {
-            "grid": {k: getattr(self.grid, k) for k in ("block_h", "block_w", "n_rows", "n_cols")},
+            "grid": asdict(self.grid),
             "threshold": self.threshold,
             "epsilon": self.epsilon,
             "global": self.global_features.to_dict(),

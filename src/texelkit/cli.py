@@ -15,6 +15,7 @@ import itertools
 import json
 import math
 import os
+import shutil
 import stat
 import sys
 from collections.abc import Iterable, Iterator
@@ -153,9 +154,19 @@ def cmd_synthesize(args) -> int:
                          f"from a {texel.width}x{texel.height} texel, more than {sys.maxsize}")
     # the strip is built before any output is opened: a tiling too large fails first
     raster = tiling_parts(texel, out_w, out_h)
+    header = pgm_header(out_w, out_h)
+    out, need, free = Path(args.output), len(header) + out_w * out_h, math.inf
+    # a file output its disk cannot hold is refused before anything is
+    # written, the file it replaces counted as free; a device or pipe is not
+    if out.is_file():
+        free = shutil.disk_usage(out).free + out.stat().st_size
+    elif not out.exists() and out.parent.is_dir():
+        free = shutil.disk_usage(out.parent).free
+    if need > free:
+        raise OSError(f"output {out} needs {need} bytes, but only {free} bytes are free")
     if args.texel_out:
         _write(args.texel_out, pgm_parts(texel))
-    _write(args.output, itertools.chain((pgm_header(out_w, out_h),), raster))
+    _write(args.output, itertools.chain((header,), raster))
     return EXIT_OK
 
 

@@ -15,6 +15,9 @@ import numpy as np
 _INK = np.ones(256, dtype=bool)
 _INK[list(b" \t\n\r\x0b\x0c")] = False
 _COMMENT = re.compile(rb"#[^\r\n]*")
+# the six whitespace bytes (\s in a bytes pattern) and whole '#' comments,
+# each up to its line end, then one token
+_HEADER_TOKEN = re.compile(rb"(?:\s|#[^\r\n]*(?![^\r\n]))*([^\s#]+)")
 # bytes of P2 text per decoded run; its masks take about eight bytes per byte
 _P2_RUN_BYTES = 1 << 16
 
@@ -104,23 +107,11 @@ class Rect:
 
 
 def _read_header_token(data: bytes, pos: int) -> tuple[bytes, int]:
-    # Skip whitespace and '#' comments (comment runs to end of line).
-    n = len(data)
-    while pos < n:
-        c = data[pos : pos + 1]
-        if c.isspace():
-            pos += 1
-        elif c == b"#":
-            while pos < n and data[pos : pos + 1] not in (b"\n", b"\r"):
-                pos += 1
-        else:
-            break
-    if pos >= n:
+    """The header token at or after data[pos] and the position just past it."""
+    match = _HEADER_TOKEN.match(data, pos)
+    if match is None:
         raise PgmError("unexpected end of file while reading PGM header")
-    start = pos
-    while pos < n and not data[pos : pos + 1].isspace() and data[pos : pos + 1] != b"#":
-        pos += 1
-    return data[start:pos], pos
+    return match[1], match.end()
 
 
 def _read_header_int(data: bytes, pos: int, what: str) -> tuple[int, int]:

@@ -14,9 +14,9 @@ per-pair normalization is floating point.
 
 from __future__ import annotations
 
+import copy
 import math
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -82,7 +82,8 @@ class PeriodEstimate:
     A degenerate axis had no usable minima (constant image, or no dip inside
     the probed range); its period comes from the curve's global minimum and
     should be treated as a guess. row_curve and col_curve are the DMF curves
-    the periods came from; they stay out of to_dict().
+    the periods came from; they are not compared and stay out of to_dict(),
+    which copies the candidate lists.
     """
 
     row_period: int
@@ -95,14 +96,7 @@ class PeriodEstimate:
     col_curve: DmfCurve | None = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
-        return {
-            "row_period": self.row_period,
-            "col_period": self.col_period,
-            "row_candidates": list(self.row_candidates),
-            "col_candidates": list(self.col_candidates),
-            "row_degenerate": self.row_degenerate,
-            "col_degenerate": self.col_degenerate,
-        }
+        return {f.name: copy.copy(getattr(self, f.name)) for f in fields(self) if f.compare}
 
 
 def _d_max(length: int, fraction: float) -> int:
@@ -219,22 +213,17 @@ def find_minima(curve: DmfCurve) -> list[int]:
     """
     if curve.d_max < 3:
         raise ValueError("curve needs at least 3 values to locate minima")
-    minima = []
-    pending = None  # first displacement of the current candidate trough
     diffs = np.diff(curve.values)
-    for i, dv in enumerate(diffs):  # dv = value(d+1) - value(d) with d = i+1
-        if dv < 0:
-            pending = i + 2
-        elif dv > 0 and pending is not None:
-            minima.append(pending)
-            pending = None
-    return minima
+    # the nonzero steps in order (a NaN step counts as zero): a fall from d =
+    # i + 1 followed next by a rise makes a minimum at d = i + 2
+    steps = np.flatnonzero((diffs < 0) | (diffs > 0))
+    fall = diffs[steps] < 0
+    return (steps[:-1][fall[:-1] & ~fall[1:]] + 2).tolist()
 
 
 def _mode_smallest(candidates: list[int]) -> int:
-    counts = Counter(candidates)
-    top = max(counts.values())
-    return min(v for v, c in counts.items() if c == top)
+    values, counts = np.unique(candidates, return_counts=True)
+    return int(values[counts.argmax()])  # the first top count is the smallest value
 
 
 def _select_period(curve: DmfCurve) -> tuple[int, list[int], bool]:
@@ -247,7 +236,7 @@ def _select_period(curve: DmfCurve) -> tuple[int, list[int], bool]:
     smallest value. A curve without minima falls back to the displacement of
     its global minimum.
     """
-    minima = find_minima(curve) if curve.d_max >= 3 else []
+    minima = find_minima(curve)
     if not minima:
         return int(np.argmin(curve.values)) + 1, [], True
     gmin = float(curve.values.min())

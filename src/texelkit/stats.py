@@ -17,7 +17,7 @@ standard deviation; downstream conformance checks compare them as-is.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass
 
 import numpy as np
 
@@ -48,11 +48,10 @@ class FeatureVector:
     entropy: float
 
     def as_tuple(self) -> tuple[float, ...]:
-        return (self.mean, self.variance, self.skewness, self.kurtosis,
-                self.energy, self.entropy)
+        return astuple(self)
 
     def to_dict(self) -> dict[str, float]:
-        return dict(zip(FEATURE_NAMES, self.as_tuple()))
+        return asdict(self)
 
 
 def feature_matrix(counts: np.ndarray, n: int) -> np.ndarray:

@@ -109,23 +109,21 @@ def highlight_anomalies(
     """Copy of `img` with each anomalous block's border band set to `value`.
 
     A band at least half as wide as a block's shorter side covers the whole
-    block. The anomalies become a mask of the grid, and the pieces of
-    outline_parts are copied in turn into one buffer, which the image keeps,
-    so one band copy is alive at a time.
+    block. Each anomaly must index the grid; the anomalies become a mask of
+    it, and outline_parts checks that each flagged block fits the image (the
+    first that does not, in row-major order, names the error). Its pieces
+    are copied in turn into one buffer, which the image keeps, so one band
+    copy is alive at a time.
     """
     _check_band(value, thickness)
     flagged = np.zeros((grid.n_rows, grid.n_cols), dtype=bool)
     if len(anomalies):
         at = np.array(anomalies, dtype=np.intp).reshape(-1, 2)
-        bh, bw = grid.block_h, grid.block_w
-        fits = (
-            (at >= 0) & (at < (grid.n_rows, grid.n_cols))
-            & ((at + 1) * (bh, bw) <= img.pixels.shape)
-        ).all(axis=1)
-        if not fits.all():
-            # the first bad index raises the same error a per-block check would
-            i, j = anomalies[int(np.argmin(fits))]
-            grid.rect(i, j).check_inside(img)
+        inside = ((at >= 0) & (at < (grid.n_rows, grid.n_cols))).all(axis=1)
+        if not inside.all():
+            # before the mask write, where numpy would wrap a negative index:
+            # the first index outside the grid names the error
+            grid.rect(*anomalies[int(np.argmin(inside))])
         flagged[at[:, 0], at[:, 1]] = True
     out = np.empty_like(img.pixels)
     flat, pos = out.reshape(-1), 0

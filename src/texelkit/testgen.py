@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -59,18 +59,7 @@ class GroundTruth:
                 )
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "texel_h": self.texel_h,
-                "texel_w": self.texel_w,
-                "reps_r": self.reps_r,
-                "reps_c": self.reps_c,
-                "defect_blocks": [list(b) for b in self.defect_blocks],
-                "noise_amplitude": self.noise_amplitude,
-                "seed": self.seed,
-            },
-            indent=2,
-        )
+        return json.dumps(asdict(self), indent=2)
 
 
 def has_subperiod(texel: GrayImage) -> bool:

@@ -258,30 +258,36 @@ def dmf(pixels: np.ndarray, d_max: int) -> list[float]:
     return [int(((pix[:, d:] - pix[:, :-d]) ** 2).sum()) / (h * (w - d)) for d in range(1, d_max + 1)]
 
 
-def select_period(values: list[float]) -> tuple[int, list[int], bool]:
-    """Period, minima used and degenerate flag of one DMF curve (values[d - 1]
-    at displacement d), as the README states the selection.
-
-    Minima are where the forward difference turns from negative to
-    positive, a plateau counting at its first displacement. Only minima
-    within 25% of the way from the curve's minimum to its mean take part,
-    or all minima when none is that deep. The period is the mode of the
-    first used minimum pooled with the spacings between used minima, ties
-    to the smallest; with no minima, the global minimum's displacement.
-    """
-    minima, pending = [], None
+def minima(values: list[float]) -> list[int]:
+    """Displacements where the forward difference of values (values[d - 1]
+    at displacement d) turns from negative to positive, a plateau counting
+    at its first displacement; a NaN difference is neither."""
+    found, pending = [], None
     for d in range(1, len(values)):
         step = values[d] - values[d - 1]
         if step < 0:
             pending = d + 1
         elif step > 0 and pending is not None:
-            minima.append(pending)
+            found.append(pending)
             pending = None
-    if not minima:
+    return found
+
+
+def select_period(values: list[float]) -> tuple[int, list[int], bool]:
+    """Period, minima used and degenerate flag of one DMF curve (values[d - 1]
+    at displacement d), as the README states the selection.
+
+    Only minima within 25% of the way from the curve's minimum to its mean
+    take part, or all minima when none is that deep. The period is the mode
+    of the first used minimum pooled with the spacings between used minima,
+    ties to the smallest; with no minima, the global minimum's displacement.
+    """
+    found = minima(values)
+    if not found:
         return values.index(min(values)) + 1, [], True
     low = min(values)
     tau = low + 0.25 * (float(np.mean(values)) - low)
-    used = [d for d in minima if values[d - 1] <= tau] or minima
+    used = [d for d in found if values[d - 1] <= tau] or found
     counts = Counter([used[0]] + [b - a for a, b in zip(used, used[1:])])
     return min(v for v, n in counts.items() if n == max(counts.values())), used, False
 

@@ -7,8 +7,10 @@ import errno
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
+import types
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -249,6 +251,31 @@ class TestSynthesize:
         assert cli.main(argv) == 0
         reference = np.tile(texel, (-(-out_h // th), -(-out_w // tw)))[:out_h, :out_w]
         assert (tmp / "o.pgm").read_bytes() == save_pgm(GrayImage(reference))
+
+    @pytest.mark.parametrize("free, replaced, code", [
+        (732, 0, 2), (733, 0, 0), (692, 40, 2), (693, 40, 0),
+    ])
+    def test_output_past_free_space_refused(self, tmp_path, monkeypatch, capsys,
+                                            free, replaced, code):
+        # a 30x24 output takes a 13-byte header and 720 pixel bytes; the
+        # file it replaces counts as free
+        write_tiling(tmp_path / "in.pgm", 4, 5, 6, seed=4)
+        out = tmp_path / "o.pgm"
+        if replaced:
+            out.write_bytes(b"x" * replaced)
+        monkeypatch.setattr(shutil, "disk_usage", lambda path: types.SimpleNamespace(free=free))
+        argv = ["synthesize", str(tmp_path / "in.pgm"), str(out), "--period-rows", "4",
+                "--period-cols", "5", "--texel-out", str(tmp_path / "t.pgm")]
+        assert cli.main(argv) == code
+        if code == 2:
+            assert capsys.readouterr().err == (
+                f"error: output {out} needs 733 bytes, but only {free + replaced} bytes are free\n"
+            )
+            # nothing is written, and the file to be replaced is left as it was
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["in.pgm"] + ["o.pgm"] * bool(replaced)
+            assert not replaced or out.read_bytes() == b"x" * replaced
+        else:
+            assert len(out.read_bytes()) == 733
 
     def test_no_conforming_block_exits_3(self, tmp_path):
         top = np.full((8, 16), 10, dtype=np.uint8)

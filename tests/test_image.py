@@ -21,8 +21,12 @@ _TOKEN = st.one_of(
 )
 
 _RUN = image._P2_RUN_BYTES
-# the errors of the raster, whose messages p2_reference gives as load_pgm does
-_RASTER_ERRORS = ("malformed P2 sample", "truncated P2 pixel data", "sample value")
+# the errors whose messages p2_reference gives as load_pgm does: those of the
+# raster, and those of the header tokens (but for the magic)
+_SHARED_ERRORS = (
+    "malformed P2 sample", "truncated P2 pixel data", "sample value",
+    "unexpected end of file while reading PGM header", "malformed PGM header", "invalid PGM ",
+)
 
 # P2 body pieces: samples (with leading zeros and past int64), all six
 # whitespace bytes, comment starts and bytes no sample may hold
@@ -196,7 +200,20 @@ class TestPgmParsing:
             load_pgm(data)
 
     @settings(max_examples=500, deadline=None)
-    @given(p2_files(), st.one_of(st.integers(1, 12), st.just(_RUN)))
+    @given(
+        # a P5 file is no P2 file to the reference, but load_pgm decodes it
+        st.one_of(p2_files(), mutated_pgm().filter(lambda data: not data.startswith(b"P5"))),
+        st.one_of(st.integers(1, 12), st.just(_RUN)),
+    )
+    # header tokens between comments and each of the six whitespace bytes
+    @example(b"P2\x0b2\x0c1\r255\r7 8", _RUN)
+    @example(b"P2#c\r2 #x\n1\r\n255#\x0b\n7 8", _RUN)
+    @example(b"P2 2 1 2#55\n 7 8", _RUN)  # a comment ends the maxval
+    @example(b"P2\r2\r1", _RUN)  # end of file before the maxval
+    @example(b"P2 2 1#c", _RUN)  # the same, inside a comment
+    @example(b"P2\x0c2\x0bx 255 7", _RUN)  # a malformed height
+    @example(b"P2 2 1 255#c\r\x0b", _RUN)  # a header and no samples
+    @example(b"P2 " + b"1" * 5000 + b" 1 255 7", _RUN)  # more digits than int() converts
     @example(b"P2 2 1 255 12#x\n3", _RUN)  # a comment ends a token
     @example(b"P2 2 1 255 1#c\r2", _RUN)  # a comment ended by a carriage return
     @example(b"P2 3 1 255\x0b1\x0c2\x0b3", _RUN)  # vertical tab and form feed separate
@@ -222,7 +239,7 @@ class TestPgmParsing:
             except PgmError as exc:
                 with pytest.raises(PgmError) as got:
                     load_pgm(data)
-                if str(exc).startswith(_RASTER_ERRORS):
+                if str(exc).startswith(_SHARED_ERRORS):
                     assert str(got.value) == str(exc)
                 return
             assert load_pgm(data) == want

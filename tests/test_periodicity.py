@@ -24,7 +24,7 @@ from texelkit import (
 )
 
 from conftest import make_image, peak_bytes, random_image
-from reference import dmf
+from reference import dmf, minima, select_period
 
 
 def curve_of(values, axis="columns"):
@@ -184,6 +184,12 @@ class TestFindMinima:
     def test_strictly_monotone_noise_free(self):
         assert find_minima(curve_of([3, 5, 2, 6, 1, 7])) == [3, 5]
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from([0.0, 1.0, 2.5, 3.0, np.nan]), min_size=3, max_size=40))
+    @example([3.0, 1.0, np.nan, 0.0, 2.0])  # NaN steps count as none: a minimum at 2
+    def test_matches_reference_loop(self, values):
+        assert find_minima(curve_of(values)) == minima(values)
+
 
 class TestPeriodSelection:
     def test_single_minimum(self):
@@ -221,6 +227,15 @@ class TestPeriodSelection:
         curve = curve_of([9, 5, 0, 5, 9, 9, 9, 0.5, 5, 9])
         assert find_minima(curve) == [3, 8]
         assert _select_period(curve)[0] == 3
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 3), min_size=3, max_size=40))
+    @example([2, 1, 1, 2, 0, 0, 3, 1, 1, 3])  # plateaus at the troughs
+    @example([3, 0, 3, 1, 3, 0, 3, 1, 3])  # the deep minima alone take part
+    def test_matches_reference(self, values):
+        # few levels give plateaus and ties in the spacing mode, which
+        # real DMF curves rarely show
+        assert _select_period(curve_of(values)) == select_period(values)
 
     def test_d_max_fraction_and_small_images(self, rng):
         img = random_image(rng, 64, 64)

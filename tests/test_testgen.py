@@ -100,6 +100,14 @@ class TestGroundTruth:
             "defect_blocks", "noise_amplitude", "seed",
         }
 
+    def test_json_layout(self):
+        # the sidecar's key order and layout, byte for byte
+        assert GroundTruth(3, 4, 5, 6, [(1, 2)], 7, 9).to_json() == (
+            '{\n  "texel_h": 3,\n  "texel_w": 4,\n  "reps_r": 5,\n  "reps_c": 6,\n'
+            '  "defect_blocks": [\n    [\n      1,\n      2\n    ]\n  ],\n'
+            '  "noise_amplitude": 7,\n  "seed": 9\n}'
+        )
+
     def test_defect_block_outside_grid_rejected(self):
         with pytest.raises(ValueError):
             gt_of(defect_blocks=[(5, 0)])
