@@ -25,12 +25,10 @@ from .image import (
 )
 from .periodicity import (
     MINIMA_DEPTH_FRACTION,
-    DmfCurve,
     PeriodEstimate,
     column_dmf,
     estimate_periods,
     find_minima,
-    forward_difference,
     row_dmf,
 )
 from .stats import (
@@ -55,7 +53,6 @@ __all__ = [
     "BlockGrid",
     "DEFAULT_EPSILON",
     "DEFECT_SHIFT",
-    "DmfCurve",
     "FEATURE_NAMES",
     "FeatureVector",
     "GRAY_LEVELS",
@@ -73,7 +70,6 @@ __all__ = [
     "extract_texel",
     "features_of_region",
     "find_minima",
-    "forward_difference",
     "generate",
     "has_subperiod",
     "highlight_anomalies",

@@ -11,7 +11,6 @@ representative texel; non-conforming blocks are reported as anomalies
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from collections.abc import Iterator
@@ -53,10 +52,6 @@ class BlockGrid:
                 f"block ({i}, {j}) outside {self.n_rows}x{self.n_cols} grid"
             )
         return Rect(j * self.block_w, i * self.block_h, self.block_w, self.block_h)
-
-    def indices(self):
-        """All (row, col) block indices in row-major order."""
-        return itertools.product(range(self.n_rows), range(self.n_cols))
 
 
 @dataclass(frozen=True, eq=False)

@@ -23,7 +23,7 @@ from pathlib import Path
 
 from .blocks import DEFAULT_EPSILON, AnalysisResult, BlockGrid, classify_blocks, partition
 from .image import GrayImage, load_pgm, pgm_header, pgm_parts
-from .periodicity import PeriodEstimate, estimate_periods, forward_difference
+from .periodicity import PeriodEstimate, estimate_periods
 from .synthesis import extract_texel, outline_parts, tiling_parts
 from .testgen import GroundTruth, generate, random_texel
 
@@ -111,14 +111,15 @@ def _classify(args) -> tuple[GrayImage, PeriodEstimate, BlockGrid, AnalysisResul
 
 
 def _dmf_csv(curves) -> Iterator[str]:
-    """Both DMF curves as the CSV lines csv.writer writes for them: their
-    fields hold no comma, quote or line break, so none is quoted."""
+    """The (axis, values) DMF curves as the CSV lines csv.writer writes for
+    them: their fields hold no comma, quote or line break, so none is quoted.
+    Each forward difference is one float64 subtraction, as np.diff makes it."""
     yield "axis,d,dmf,forward_difference\r\n"
-    for curve in curves:
-        diffs = forward_difference(curve)
-        for d in range(1, curve.d_max + 1):
-            fd = repr(float(diffs[d - 1])) if d < curve.d_max else ""
-            yield f"{curve.axis},{d},{curve.value_at(d)!r},{fd}\r\n"
+    for axis, values in curves:
+        values = values.tolist()
+        for d, value in enumerate(values, 1):
+            fd = repr(values[d] - value) if d < len(values) else ""
+            yield f"{axis},{d},{value!r},{fd}\r\n"
 
 
 def cmd_analyze(args) -> int:
@@ -129,7 +130,7 @@ def cmd_analyze(args) -> int:
         if manual:
             _warn("--csv-dmf ignored: DMF estimation was skipped (manual periods)")
         else:
-            _write(args.csv_dmf, _dmf_csv((est.row_curve, est.col_curve)), "w")
+            _write(args.csv_dmf, _dmf_csv((("rows", est.row_curve), ("columns", est.col_curve))), "w")
     if result.representative is None:
         _warn("no block conforms at this threshold; no representative texel")
     _emit_json(result, periods, args.json_out)

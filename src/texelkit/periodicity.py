@@ -3,9 +3,10 @@
 A distance matching function (DMF) measures how much an image disagrees with
 a copy of itself shifted by d pixels along one axis: the mean squared
 gray-level difference over all overlapping pixel pairs. Per-row (or
-per-column) contributions are superposed into a single curve; displacements
-where the curve dips to a local minimum are candidate periods, located by
-sign changes of the curve's forward differences.
+per-column) contributions are superposed into a single curve, a read-only
+1-D float64 array whose [d - 1] holds displacement d; displacements where
+the curve dips to a local minimum are candidate periods, located by sign
+changes of the curve's forward differences.
 
 Curve values at exact multiples of a true period are exactly zero: the
 squared-difference sums are exact integers (see _dmf) and only the final
@@ -21,9 +22,6 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .image import GrayImage
-
-ROWS = "rows"
-COLUMNS = "columns"
 
 # A local minimum only counts toward period selection when its value is within
 # this fraction of the way from the curve's global minimum up to the curve
@@ -41,49 +39,15 @@ _MAX_ROUNDING_ERROR = 0.5
 
 
 @dataclass(frozen=True)
-class DmfCurve:
-    """DMF values for displacements 1..d_max along one axis.
-
-    values[i] holds displacement i+1; use value_at(d) for 1-based access.
-    """
-
-    axis: str
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        if self.axis not in (ROWS, COLUMNS):
-            raise ValueError(f"axis must be {ROWS!r} or {COLUMNS!r}, got {self.axis!r}")
-        arr = np.asarray(self.values, dtype=np.float64)
-        if arr.ndim != 1 or arr.size < 1:
-            raise ValueError("curve needs at least one value")
-        if arr.min() < 0:
-            raise ValueError("DMF values cannot be negative")
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
-
-    @property
-    def d_max(self) -> int:
-        return self.values.size
-
-    @property
-    def displacements(self) -> np.ndarray:
-        return np.arange(1, self.d_max + 1)
-
-    def value_at(self, d: int) -> float:
-        if not 1 <= d <= self.d_max:
-            raise ValueError(f"displacement {d} outside 1..{self.d_max}")
-        return float(self.values[d - 1])
-
-
-@dataclass(frozen=True)
 class PeriodEstimate:
     """Estimated row/column periods with the candidate minima behind them.
 
     A degenerate axis had no usable minima (constant image, or no dip inside
     the probed range); its period comes from the curve's global minimum and
     should be treated as a guess. row_curve and col_curve are the DMF curves
-    the periods came from; they are not compared and stay out of to_dict(),
-    which copies the candidate lists.
+    the periods came from (read-only arrays, None for manual periods); they
+    are not compared and stay out of to_dict(), which copies the candidate
+    lists.
     """
 
     row_period: int
@@ -92,8 +56,8 @@ class PeriodEstimate:
     col_candidates: list[int]
     row_degenerate: bool = False
     col_degenerate: bool = False
-    row_curve: DmfCurve | None = field(default=None, repr=False, compare=False)
-    col_curve: DmfCurve | None = field(default=None, repr=False, compare=False)
+    row_curve: np.ndarray | None = field(default=None, repr=False, compare=False)
+    col_curve: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {f.name: copy.copy(getattr(self, f.name)) for f in fields(self) if f.compare}
@@ -143,7 +107,7 @@ def _dmf(pix: np.ndarray, d_max: int) -> np.ndarray:
 
     The chunk and its spectrum are two buffers of _chunk_rows rows, made
     once and reused by every chunk; the power is formed in the spectrum's
-    own memory.
+    own memory. The values come back read-only.
     """
     h, w = pix.shape
     n = 1 << (w + d_max - 1).bit_length()
@@ -178,42 +142,40 @@ def _dmf(pix: np.ndarray, d_max: int) -> np.ndarray:
         corr += np.rint(np.fft.irfft(power.sum(axis=0), n)[1 : d_max + 1]).astype(np.int64)
     prefix = np.concatenate(([0], np.cumsum(col_sq)))
     d = np.arange(1, d_max + 1)
-    return ((prefix[w] - prefix[d]) + prefix[w - d] - 2 * corr) / (h * (w - d))
+    values = ((prefix[w] - prefix[d]) + prefix[w - d] - 2 * corr) / (h * (w - d))
+    values.setflags(write=False)
+    return values
 
 
-def column_dmf(img: GrayImage, d_max: int) -> DmfCurve:
-    """DMF over column displacements: value_at(d) is the mean squared
+def column_dmf(img: GrayImage, d_max: int) -> np.ndarray:
+    """DMF over column displacements: [d - 1] is the mean squared
     difference between pixels d columns apart, over all rows.
     """
     if not 1 <= d_max <= img.width - 1:
         raise ValueError(f"d_max must be in 1..{img.width - 1}, got {d_max}")
-    return DmfCurve(COLUMNS, _dmf(img.pixels, d_max))
+    return _dmf(img.pixels, d_max)
 
 
-def row_dmf(img: GrayImage, d_max: int) -> DmfCurve:
-    """DMF over row displacements: value_at(d) compares pixels d rows apart."""
+def row_dmf(img: GrayImage, d_max: int) -> np.ndarray:
+    """DMF over row displacements: [d - 1] compares pixels d rows apart."""
     if not 1 <= d_max <= img.height - 1:
         raise ValueError(f"d_max must be in 1..{img.height - 1}, got {d_max}")
-    return DmfCurve(ROWS, _dmf(img.pixels.T, d_max))
+    return _dmf(img.pixels.T, d_max)
 
 
-def forward_difference(curve: DmfCurve) -> np.ndarray:
-    """Forward differences value_at(d+1) - value_at(d), for d = 1..d_max-1."""
-    if curve.d_max < 2:
-        raise ValueError("curve needs at least 2 values for forward differences")
-    return np.diff(curve.values)
-
-
-def find_minima(curve: DmfCurve) -> list[int]:
-    """All strict local minima of the curve, ascending.
+def find_minima(values: np.ndarray) -> list[int]:
+    """All strict local minima of a curve (values[d - 1] at displacement d),
+    ascending.
 
     A minimum is a displacement where the forward difference turns from
     negative to positive; an exact plateau at the trough is reported at the
-    plateau's first displacement. Endpoints (d=1 and d=d_max) never qualify.
+    plateau's first displacement. Endpoints (the first and last
+    displacements) never qualify.
     """
-    if curve.d_max < 3:
-        raise ValueError("curve needs at least 3 values to locate minima")
-    diffs = np.diff(curve.values)
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 1 or values.size < 3:
+        raise ValueError("curve needs at least 3 values in one dimension to locate minima")
+    diffs = np.diff(values)
     # the nonzero steps in order (a NaN step counts as zero): a fall from d =
     # i + 1 followed next by a rise makes a minimum at d = i + 2
     steps = np.flatnonzero((diffs < 0) | (diffs > 0))
@@ -221,12 +183,7 @@ def find_minima(curve: DmfCurve) -> list[int]:
     return (steps[:-1][fall[:-1] & ~fall[1:]] + 2).tolist()
 
 
-def _mode_smallest(candidates: list[int]) -> int:
-    values, counts = np.unique(candidates, return_counts=True)
-    return int(values[counts.argmax()])  # the first top count is the smallest value
-
-
-def _select_period(curve: DmfCurve) -> tuple[int, list[int], bool]:
+def _select_period(values: np.ndarray) -> tuple[int, list[int], bool]:
     """Most plausible period of one curve, the minima actually used, and
     whether the fallback fired.
 
@@ -236,15 +193,14 @@ def _select_period(curve: DmfCurve) -> tuple[int, list[int], bool]:
     smallest value. A curve without minima falls back to the displacement of
     its global minimum.
     """
-    minima = find_minima(curve)
+    minima = find_minima(values)
     if not minima:
-        return int(np.argmin(curve.values)) + 1, [], True
-    gmin = float(curve.values.min())
-    tau = gmin + MINIMA_DEPTH_FRACTION * (float(curve.values.mean()) - gmin)
-    significant = [d for d in minima if curve.values[d - 1] <= tau]
-    used = significant if significant else minima
-    spacings = [b - a for a, b in zip(used, used[1:])]
-    return _mode_smallest([used[0]] + spacings), used, False
+        return int(np.argmin(values)) + 1, [], True
+    gmin = float(values.min())
+    tau = gmin + MINIMA_DEPTH_FRACTION * (float(values.mean()) - gmin)
+    used = [d for d in minima if values[d - 1] <= tau] or minima
+    pool, counts = np.unique([used[0]] + np.diff(used).tolist(), return_counts=True)
+    return int(pool[counts.argmax()]), used, False  # the first top count is the smallest
 
 
 def estimate_periods(img: GrayImage, d_max_fraction: float = 0.5) -> PeriodEstimate:

@@ -44,7 +44,7 @@ class TestPartition:
         img = random_image(rng, 12, 15)
         grid = partition(img, 4, 5)
         covered = np.zeros((12, 15), dtype=int)
-        for i, j in grid.indices():
+        for i, j in np.ndindex(grid.n_rows, grid.n_cols):
             r = grid.rect(i, j)
             covered[r.y0 : r.y0 + r.h, r.x0 : r.x0 + r.w] += 1
         assert covered.max() == 1 and covered.sum() == 12 * 15
@@ -55,10 +55,6 @@ class TestPartition:
         assert (grid.n_rows, grid.n_cols) == (3, 2)
         last = grid.rect(2, 1)
         assert last.y0 + last.h == 9 and last.x0 + last.w == 8
-
-    def test_indices_row_major(self, rng):
-        grid = partition(random_image(rng, 8, 8), 4, 4)
-        assert list(grid.indices()) == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
     def test_block_larger_than_image_rejected(self, rng):
         img = random_image(rng, 8, 8)
@@ -136,7 +132,7 @@ class TestClassifyBlocks:
         res = classify_blocks(img, grid, threshold=0.05)
         conforming = {divmod(k, grid.n_cols) for k in np.flatnonzero(res.conforming).tolist()}
         anomalous = set(res.anomalies)
-        assert conforming | anomalous == set(grid.indices())
+        assert conforming | anomalous == set(np.ndindex(grid.n_rows, grid.n_cols))
         assert conforming & anomalous == set()
         assert res.conforming.tolist() == (res.max_deviation <= res.threshold).tolist()
 
@@ -257,9 +253,9 @@ def chunked(budget):
 _NOISE = GrayImage(np.random.default_rng(7).integers(0, 256, (12, 10), dtype=np.uint8))
 
 
-def _case(block_h, block_w, budget_of, rows):
-    grid = partition(_NOISE, block_h, block_w)
-    return _NOISE, grid, budget_of(grid, rows)
+def _case(block_h, block_w, budget_of, rows, img=_NOISE):
+    grid = partition(img, block_h, block_w)
+    return img, grid, budget_of(grid, rows)
 
 
 _CASES = {
@@ -284,7 +280,8 @@ class TestWholeGrid:
         with chunked(budget):
             feats = stats.block_features(img.pixels, grid.block_h, grid.block_w)
         assert feats.shape == (grid.n_rows * grid.n_cols, 6)
-        expected = np.array([one_bincount_features(img, grid.rect(i, j)) for i, j in grid.indices()])
+        expected = np.array([one_bincount_features(img, grid.rect(i, j))
+                             for i, j in np.ndindex(grid.n_rows, grid.n_cols)])
         assert np.array_equal(feats.view(np.uint64), expected.view(np.uint64))
 
     @pytest.mark.parametrize("name, calls", [
@@ -313,11 +310,19 @@ class TestWholeGrid:
     )
     @example(_CASES["1x1 blocks, runs of 5 block rows"], 0.5, 1e-6)
     @example(_CASES["one block"], 0.0, 1e-6)
+    # half 0s and half 1s: the global skewness is exactly 0.0, so the 1x3
+    # block's skewness deviation overflows at epsilon 1e-320
+    @example(_case(1, 3, block_rows_budget, 1, GrayImage([[0, 1, 0, 1]])), 0.0, 1e-320)
     def test_classification_equals_per_block_loop(self, case, threshold, epsilon):
         img, grid, budget = case
+        want = per_block_classify(img, grid, threshold, epsilon)
+        if not np.isfinite(want.max_deviation).all():
+            with chunked(budget), pytest.raises(ValueError, match="^a relative deviation "
+                                                f"overflowed: epsilon {epsilon!r} is too small$"):
+                classify_blocks(img, grid, threshold, epsilon)
+            return
         with chunked(budget):
             res = classify_blocks(img, grid, threshold, epsilon)
-        want = per_block_classify(img, grid, threshold, epsilon)
         assert res.anomalies == want.anomalies
         assert res.representative == want.representative
         assert res.max_deviation.tolist() == want.max_deviation

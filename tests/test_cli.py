@@ -139,28 +139,30 @@ class TestAnalyze:
         with open(tmp_path / "dmf.csv", newline="") as fh:
             dumped = [(r[0], int(r[1]), float(r[2])) for r in list(csv.reader(fh))[1:]]
         expected = [
-            (curve.axis, d, value)
-            for curve in (row_dmf(img, 15), column_dmf(img, 21))
-            for d, value in zip(curve.displacements.tolist(), curve.values.tolist())
+            (axis, d, value)
+            for axis, curve in (("rows", row_dmf(img, 15)), ("columns", column_dmf(img, 21)))
+            for d, value in enumerate(curve.tolist(), 1)
         ]
         assert dumped == expected
 
     def test_csv_dmf_failing_part_way_leaves_no_file(self, tmp_path, monkeypatch):
         write_tiling(tmp_path / "in.pgm", 5, 5, 6, seed=4)
-        real = cli.forward_difference
-        calls = []
+        real = cli._dmf_csv
+        written = []
 
-        def rows_curve_then_out_of_memory(curve):
-            calls.append(curve.axis)
-            if len(calls) == 2:
-                raise MemoryError
-            return real(curve)
+        def rows_curve_then_out_of_memory(curves):
+            for line in real(curves):
+                if line.startswith("columns,"):
+                    raise MemoryError
+                written.append(line)
+                yield line
 
-        monkeypatch.setattr(cli, "forward_difference", rows_curve_then_out_of_memory)
+        monkeypatch.setattr(cli, "_dmf_csv", rows_curve_then_out_of_memory)
         argv = ["analyze", str(tmp_path / "in.pgm"), "--csv-dmf", str(tmp_path / "dmf.csv"),
                 "--json-out", str(tmp_path / "r.json")]
         assert cli.main(argv) == 2
-        assert calls == ["rows", "columns"]
+        # the header and the rows curve's 15 lines went out before the failure
+        assert [line.split(",")[0] for line in written] == ["axis"] + ["rows"] * 15
         assert not (tmp_path / "dmf.csv").exists()
         assert not (tmp_path / "r.json").exists()
 

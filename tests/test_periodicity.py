@@ -1,4 +1,4 @@
-"""DMF curves, forward differences, minima, and period selection."""
+"""DMF curves, minima, and period selection."""
 
 from unittest import mock
 
@@ -11,12 +11,10 @@ from hypothesis import strategies as st
 from texelkit import cli, periodicity
 from texelkit.periodicity import _select_period
 from texelkit import (
-    DmfCurve,
     GrayImage,
     column_dmf,
     estimate_periods,
     find_minima,
-    forward_difference,
     random_texel,
     row_dmf,
     save_pgm,
@@ -27,8 +25,7 @@ from conftest import make_image, peak_bytes, random_image
 from reference import dmf, minima, select_period
 
 
-def curve_of(values, axis="columns"):
-    return DmfCurve(axis=axis, values=np.asarray(values, dtype=np.float64))
+curve_of = np.asarray
 
 
 class TestDmfValues:
@@ -36,28 +33,27 @@ class TestDmfValues:
         # [0,255,0,255]: d=1 pairs all differ by 255, d=2 pairs all match
         img = make_image([[0, 255, 0, 255]])
         curve = column_dmf(img, 2)
-        assert curve.values.tolist() == [255.0**2, 0.0]
-        assert curve.value_at(1) == 65025.0 and curve.value_at(2) == 0.0
+        assert curve.tolist() == [255.0**2, 0.0]
+        assert curve[0] == 65025.0 and curve[1] == 0.0
 
     def test_two_row_column_shift_hand_computed(self):
         img = make_image([[10, 20, 30], [40, 50, 60]])
         curve = column_dmf(img, 2)
         # d=1: four pairs each differing by 10 -> 400/4; d=2: two pairs by 20
-        assert curve.values.tolist() == [100.0, 400.0]
+        assert curve.tolist() == [100.0, 400.0]
         rcurve = row_dmf(img, 1)
         # d=1: three pairs each differing by 30
-        assert rcurve.values.tolist() == [900.0]
+        assert rcurve.tolist() == [900.0]
 
     def test_transpose_exchanges_axes(self, rng):
         img = random_image(rng, 10, 14)
         t = GrayImage(img.pixels.T)
-        assert np.array_equal(column_dmf(img, 9).values, row_dmf(t, 9).values)
-        assert np.array_equal(row_dmf(img, 7).values, column_dmf(t, 7).values)
-
-    def test_axis_labels(self, rng):
-        img = random_image(rng, 6, 6)
-        assert column_dmf(img, 3).axis == "columns"
-        assert row_dmf(img, 3).axis == "rows"
+        curves = [column_dmf(img, 9), row_dmf(t, 9), row_dmf(img, 7), column_dmf(t, 7)]
+        assert np.array_equal(curves[0], curves[1])
+        assert np.array_equal(curves[2], curves[3])
+        for curve in curves:
+            assert curve.ndim == 1 and curve.dtype == np.float64
+            assert not curve.flags.writeable
 
     def test_exact_tiling_zeroes_at_period_multiples(self, rng):
         texel = random_texel(5, 7, seed=3)
@@ -66,12 +62,12 @@ class TestDmfValues:
         rcurve = row_dmf(img, img.height - 1)
         for d in range(1, img.width):
             if d % 7 == 0:
-                assert ccurve.value_at(d) == 0.0
+                assert ccurve[d - 1] == 0.0
             else:
-                assert ccurve.value_at(d) > 0.0
+                assert ccurve[d - 1] > 0.0
         for d in range(1, img.height):
             if d % 5 == 0:
-                assert rcurve.value_at(d) == 0.0
+                assert rcurve[d - 1] == 0.0
 
     def test_d_max_bounds_enforced(self, rng):
         img = random_image(rng, 4, 4)
@@ -99,9 +95,9 @@ def assert_dmf_matches_naive(img):
     col_ref = dmf(img.pixels, img.width - 1)
     row_ref = dmf(img.pixels.T, img.height - 1)
     for d_max in range(1, img.width):
-        assert column_dmf(img, d_max).values.tolist() == col_ref[:d_max]
+        assert column_dmf(img, d_max).tolist() == col_ref[:d_max]
     for d_max in range(1, img.height):
-        assert row_dmf(img, d_max).values.tolist() == row_ref[:d_max]
+        assert row_dmf(img, d_max).tolist() == row_ref[:d_max]
 
 
 class TestFftDmf:
@@ -150,16 +146,6 @@ class TestFftDmf:
         assert peak < 1.2 * periodicity._FFT_CHUNK_BYTES
 
 
-class TestForwardDifference:
-    def test_hand_computed(self):
-        curve = curve_of([4.0, 1.0, 0.0, 1.0, 4.0])
-        assert forward_difference(curve).tolist() == [-3.0, -1.0, 1.0, 3.0]
-
-    def test_needs_two_values(self):
-        with pytest.raises(ValueError):
-            forward_difference(curve_of([1.0]))
-
-
 class TestFindMinima:
     def test_v_shape(self):
         assert find_minima(curve_of([4, 1, 0, 1, 4, 1, 0, 1])) == [3, 7]
@@ -180,6 +166,8 @@ class TestFindMinima:
     def test_needs_three_values(self):
         with pytest.raises(ValueError):
             find_minima(curve_of([1.0, 2.0]))
+        with pytest.raises(ValueError):
+            find_minima(curve_of([[4, 1, 0, 1, 4]]))
 
     def test_strictly_monotone_noise_free(self):
         assert find_minima(curve_of([3, 5, 2, 6, 1, 7])) == [3, 5]
@@ -188,7 +176,7 @@ class TestFindMinima:
     @given(st.lists(st.sampled_from([0.0, 1.0, 2.5, 3.0, np.nan]), min_size=3, max_size=40))
     @example([3.0, 1.0, np.nan, 0.0, 2.0])  # NaN steps count as none: a minimum at 2
     def test_matches_reference_loop(self, values):
-        assert find_minima(curve_of(values)) == minima(values)
+        assert find_minima(values) == minima(values)
 
 
 class TestPeriodSelection:
