@@ -34,7 +34,6 @@ from .periodicity import (
 from .stats import (
     FEATURE_NAMES,
     GRAY_LEVELS,
-    FeatureVector,
     features_of_region,
 )
 from .synthesis import extract_texel, highlight_anomalies, synthesize
@@ -54,7 +53,6 @@ __all__ = [
     "DEFAULT_EPSILON",
     "DEFECT_SHIFT",
     "FEATURE_NAMES",
-    "FeatureVector",
     "GRAY_LEVELS",
     "GrayImage",
     "GroundTruth",

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .image import GrayImage, Rect
-from .stats import FEATURE_NAMES, FeatureVector, block_features, features_of_region
+from .stats import FEATURE_NAMES, block_features, features_of_region
 
 DEFAULT_EPSILON = 1e-6
 
@@ -60,11 +60,12 @@ class AnalysisResult:
 
     Per-block values are row-major arrays: block (i, j) is row i * n_cols + j
     of `features` and `deviations` (columns in FEATURE_NAMES order) and entry
-    i * n_cols + j of `max_deviation` and `conforming`.
+    i * n_cols + j of `max_deviation` and `conforming`. `global_features` is
+    the whole image's row of six, in the same column order.
     """
 
     grid: BlockGrid
-    global_features: FeatureVector
+    global_features: np.ndarray
     features: np.ndarray = field(repr=False)
     deviations: np.ndarray = field(repr=False)
     max_deviation: np.ndarray = field(repr=False)
@@ -94,7 +95,7 @@ class AnalysisResult:
             "grid": asdict(self.grid),
             "threshold": self.threshold,
             "epsilon": self.epsilon,
-            "global": self.global_features.to_dict(),
+            "global": dict(zip(FEATURE_NAMES, self.global_features.tolist())),
             "representative": None if self.representative is None else list(self.representative),
         }
 
@@ -211,7 +212,7 @@ def classify_blocks(
         raise ValueError("grid does not fit inside the image")
     global_features = features_of_region(img)
     feats = block_features(img.pixels[: grid.n_rows * bh, : grid.n_cols * bw], bh, bw)
-    devs = deviation_matrix(feats, np.array(global_features.as_tuple()), epsilon)
+    devs = deviation_matrix(feats, global_features, epsilon)
     max_dev = devs.max(axis=1)
     conforming = max_dev <= threshold
     for arr in (feats, devs, max_dev, conforming):

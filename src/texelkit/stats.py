@@ -11,17 +11,17 @@ p_k = counts[k] / n alone, ignoring pixel arrangement:
     entropy   = -sum p_k * log2(p_k)        (bits; 0*log2(0) taken as 0)
 
 Skewness and kurtosis are deliberately not standardized by powers of the
-standard deviation; downstream conformance checks compare them as-is.
+standard deviation; downstream conformance checks compare them as-is. A
+region's features are one float64 row, its columns in FEATURE_NAMES order.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import asdict, astuple, dataclass
 
 import numpy as np
 
-from .image import GrayImage, Rect
+from .image import GrayImage
 
 GRAY_LEVELS = 256
 
@@ -34,24 +34,6 @@ _CHUNK_BYTES = 1 << 19
 # arrays of 256 levels per block alive at once: the counts and the four
 # float64 arrays of feature_matrix (p, a scratch array, centered and c2)
 _LEVEL_ARRAYS = 5
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    """The six first-order statistics of one region."""
-
-    mean: float
-    variance: float
-    skewness: float
-    kurtosis: float
-    energy: float
-    entropy: float
-
-    def as_tuple(self) -> tuple[float, ...]:
-        return astuple(self)
-
-    def to_dict(self) -> dict[str, float]:
-        return asdict(self)
 
 
 def feature_matrix(counts: np.ndarray, n: int) -> np.ndarray:
@@ -129,11 +111,9 @@ def block_features(pixels: np.ndarray, block_h: int, block_w: int) -> np.ndarray
     return out
 
 
-def features_of_region(img: GrayImage, region: Rect | None = None) -> FeatureVector:
-    """Feature vector of the pixels inside `region` (whole image when
-    omitted): block_features of the region taken as one block."""
-    block = img.pixels
-    if region is not None:
-        region.check_inside(img)
-        block = block[region.y0 : region.y0 + region.h, region.x0 : region.x0 + region.w]
-    return FeatureVector(*block_features(block, *block.shape)[0].tolist())
+def features_of_region(img: GrayImage) -> np.ndarray:
+    """The whole image's six features: block_features of the image taken
+    as one block, a read-only 1-D float64 row in FEATURE_NAMES order."""
+    row = block_features(img.pixels, img.height, img.width)[0]
+    row.setflags(write=False)
+    return row

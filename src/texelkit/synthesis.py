@@ -109,13 +109,12 @@ def highlight_anomalies(
     """Copy of `img` with each anomalous block's border band set to `value`.
 
     A band at least half as wide as a block's shorter side covers the whole
-    block. Each anomaly must index the grid; the anomalies become a mask of
-    it, and outline_parts checks that each flagged block fits the image (the
-    first that does not, in row-major order, names the error). Its pieces
-    are copied in turn into one buffer, which the image keeps, so one band
-    copy is alive at a time.
+    block. Each anomaly must index the grid, checked first; the anomalies
+    become a mask of it, and outline_parts checks the value, the thickness
+    and that each flagged block fits the image (the first that does not, in
+    row-major order, names the error). Its pieces are copied in turn into
+    one buffer, which the image keeps, so one band copy is alive at a time.
     """
-    _check_band(value, thickness)
     flagged = np.zeros((grid.n_rows, grid.n_cols), dtype=bool)
     if len(anomalies):
         at = np.array(anomalies, dtype=np.intp).reshape(-1, 2)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import texelkit
-from texelkit import GrayImage
+from texelkit import FEATURE_NAMES, GrayImage
 
 
 def cli_env() -> dict[str, str]:
@@ -45,9 +45,15 @@ def peak_bytes(fn, *args, **kwargs) -> tuple[object, int]:
         tracemalloc.stop()
 
 
-def features_close(actual, expected: dict[str, float], rel=1e-9, abs_=1e-9) -> bool:
-    """Per-feature closeness: relative 1e-9, absolute escape hatch at zero."""
-    got = actual.to_dict() if hasattr(actual, "to_dict") else actual
+def named(row: np.ndarray) -> dict[str, float]:
+    """A row of six features keyed by FEATURE_NAMES."""
+    return dict(zip(FEATURE_NAMES, row.tolist()))
+
+
+def features_close(actual: np.ndarray, expected: dict[str, float], rel=1e-9, abs_=1e-9) -> bool:
+    """Per-feature closeness of a feature row to named expected values:
+    relative 1e-9, absolute escape hatch at zero."""
+    got = named(actual)
     return all(
         math.isclose(got[name], expected[name], rel_tol=rel, abs_tol=abs_)
         for name in expected

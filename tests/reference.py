@@ -174,7 +174,7 @@ class Grid(NamedTuple):
 
 
 class Classification(NamedTuple):
-    global_features: tuple[float, ...]
+    global_features: np.ndarray  # (6,)
     features: np.ndarray  # (blocks, 6), row-major
     deviations: np.ndarray  # (blocks, 6)
     max_deviation: list[float]
@@ -211,7 +211,7 @@ def per_block_classify(img: GrayImage, grid, threshold: float, epsilon: float) -
                 anomalies.append((i, j))
             elif best is None or max_dev < best:
                 best, representative = max_dev, (i, j)
-    return Classification(tuple(reference.tolist()), np.array(features), np.array(deviations),
+    return Classification(reference, np.array(features), np.array(deviations),
                           max_devs, conforming, representative, anomalies)
 
 
@@ -221,7 +221,7 @@ def report(grid: Grid, threshold: float, epsilon: float, c: Classification) -> d
         "grid": dict(zip(Grid._fields, grid)),
         "threshold": threshold,
         "epsilon": epsilon,
-        "global": dict(zip(FEATURE_NAMES, c.global_features)),
+        "global": dict(zip(FEATURE_NAMES, c.global_features.tolist())),
         "representative": None if c.representative is None else list(c.representative),
         "blocks": [
             {
@@ -239,7 +239,7 @@ def report(grid: Grid, threshold: float, epsilon: float, c: Classification) -> d
 def result_report(res) -> dict:
     """The report of an AnalysisResult, read from its fields."""
     g = res.grid
-    c = Classification(res.global_features.as_tuple(), res.features, res.deviations,
+    c = Classification(res.global_features, res.features, res.deviations,
                        res.max_deviation, res.conforming, res.representative, res.anomalies)
     return report(Grid(g.block_h, g.block_w, g.n_rows, g.n_cols), res.threshold, res.epsilon, c)
 
@@ -326,24 +326,26 @@ def tiling(texel: np.ndarray, width: int, height: int) -> np.ndarray:
     return np.tile(texel, (-(-height // th), -(-width // tw)))[:height, :width]
 
 
-def run_cli(command: str, data: bytes, periods=None, threshold="0.1", thickness=1,
-            width=None, height=None, csv_dmf=False, texel_out=False, json_out=False):
+def run_cli(command: str, data: bytes, periods=None, threshold="0.1", epsilon="1e-6",
+            dmax_fraction="0.5", highlight_value=255, thickness=1, width=None, height=None,
+            csv_dmf=False, texel_out=False, json_out=False):
     """Exit code, stdout, stderr and written files of a texelkit run of
     `command` (analyze, synthesize or detect) on the PGM `data`, with
     default flags but for those given: `periods` (rows, cols) for manual
-    periods, `threshold` as its flag text, `thickness` for detect,
-    `width`/`height` for synthesize, and whether --csv-dmf, --texel-out or
-    --json-out are given. Files are keyed "output" for the output image
-    and by option name ("csv_dmf", "texel_out", "json_out") otherwise.
+    periods, `threshold`, `epsilon` and `dmax_fraction` as their flag text,
+    `highlight_value` and `thickness` for detect, `width`/`height` for
+    synthesize, and whether --csv-dmf, --texel-out or --json-out are given.
+    Files are keyed "output" for the output image and by option name
+    ("csv_dmf", "texel_out", "json_out") otherwise.
     """
     img = load(data)
-    pixels = img.pixels
+    pixels, fraction = img.pixels, float(dmax_fraction)
     stderr, files = [], {}
     if periods is None:
         curves, estimate = {}, {}
         for axis, pix, flag in (("rows", pixels.T, "--period-rows"),
                                 ("columns", pixels, "--period-cols")):
-            curves[axis] = dmf(pix, min(int(0.5 * pix.shape[1]), pix.shape[1] - 1))
+            curves[axis] = dmf(pix, min(int(fraction * pix.shape[1]), pix.shape[1] - 1))
             estimate[axis] = select_period(curves[axis])
             if estimate[axis][2]:
                 kind = "row" if axis == "rows" else "column"
@@ -353,8 +355,8 @@ def run_cli(command: str, data: bytes, periods=None, threshold="0.1", thickness=
     else:
         (row_period, col_period), row_used, col_used, row_degen, col_degen = periods, [], [], False, False
     grid = Grid(row_period, col_period, img.height // row_period, img.width // col_period)
-    c = per_block_classify(img, grid, float(threshold), 1e-6)
-    analysis = report(grid, float(threshold), 1e-6, c)
+    c = per_block_classify(img, grid, float(threshold), float(epsilon))
+    analysis = report(grid, float(threshold), float(epsilon), c)
     stdout = ""
     code = 0
 
@@ -382,7 +384,7 @@ def run_cli(command: str, data: bytes, periods=None, threshold="0.1", thickness=
         files["output"] = pgm_bytes(tiling(texel, width or img.width, height or img.height))
         return 0, "", "".join(stderr), files
     else:
-        files["output"] = pgm_bytes(outlines(pixels, grid, c.anomalies, 255, thickness))
+        files["output"] = pgm_bytes(outlines(pixels, grid, c.anomalies, highlight_value, thickness))
         text = report_text(analysis)
         code = 1 if c.anomalies else 0
     if json_out:

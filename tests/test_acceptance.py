@@ -29,7 +29,7 @@ from texelkit import (
     synthesize,
 )
 
-from conftest import cli_env, features_close, random_image
+from conftest import cli_env, features_close, named, random_image
 from reference import dmf, pixel_loop_features
 
 
@@ -55,19 +55,19 @@ def test_criterion_1_statistics_oracle(capsys):
 
     # closed forms, exact
     uniform = GrayImage(np.arange(256, dtype=np.uint8).reshape(16, 16))
-    fu = features_of_region(uniform)
+    fu = named(features_of_region(uniform))
     exact = (
-        fu.entropy == 8.0
-        and math.isclose(fu.energy, 1 / 256, rel_tol=1e-15)
+        fu["entropy"] == 8.0
+        and math.isclose(fu["energy"], 1 / 256, rel_tol=1e-15)
     )
     flat = GrayImage(np.full((9, 9), 42, dtype=np.uint8))
-    ff = features_of_region(flat)
+    ff = named(features_of_region(flat))
     exact = exact and (
-        ff.variance == 0.0
-        and ff.skewness == 0.0
-        and ff.kurtosis == 0.0
-        and ff.entropy == 0.0
-        and ff.energy == 1.0
+        ff["variance"] == 0.0
+        and ff["skewness"] == 0.0
+        and ff["kurtosis"] == 0.0
+        and ff["entropy"] == 0.0
+        and ff["energy"] == 1.0
     )
 
     ok = failures == 0 and exact
@@ -239,16 +239,15 @@ def test_criterion_6_invariant_suites(capsys):
     for _ in range(6):
         base = rng.integers(0, 200, size=(10, 10), dtype=np.uint8)
         shift = int(rng.integers(1, 56))
-        f0 = features_of_region(GrayImage(base))
-        f1 = features_of_region(GrayImage(base + shift))
-        if not math.isclose(f1.mean, f0.mean + shift, rel_tol=1e-12):
+        f0 = named(features_of_region(GrayImage(base)))
+        f1 = named(features_of_region(GrayImage(base + shift)))
+        if not math.isclose(f1["mean"], f0["mean"] + shift, rel_tol=1e-12):
             problems.append("shift covariance (mean)")
         for name in ("variance", "skewness", "kurtosis", "energy", "entropy"):
-            if not math.isclose(getattr(f0, name), getattr(f1, name),
-                                rel_tol=1e-9, abs_tol=1e-6):
+            if not math.isclose(f0[name], f1[name], rel_tol=1e-9, abs_tol=1e-6):
                 problems.append(f"shift covariance ({name})")
-        fm = features_of_region(GrayImage(255 - base))
-        if not math.isclose(fm.skewness, -f0.skewness, rel_tol=1e-9, abs_tol=1e-6):
+        fm = named(features_of_region(GrayImage(255 - base)))
+        if not math.isclose(fm["skewness"], -f0["skewness"], rel_tol=1e-9, abs_tol=1e-6):
             problems.append("mirror antisymmetry")
 
     # PGM round-trip identity

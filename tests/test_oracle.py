@@ -44,7 +44,8 @@ def cli_runs(draw):
     The image is either a tiling of a random texel (3 to 5 repeats per
     axis) with up to two planted defect blocks and noise of 0 to 3 gray
     levels, or plain noise; both sides are at least 6, so the DMF probes 3
-    displacements or more. A P2 raster may end without a line break.
+    displacements or more at every drawn --dmax-fraction. A P2 raster may
+    end without a line break.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
@@ -69,9 +70,12 @@ def cli_runs(draw):
     options = {}
     if draw(st.booleans()):
         options["periods"] = (draw(st.integers(1, h)), draw(st.integers(1, w)))
-    threshold = draw(st.sampled_from([None, "0", "0.02", "0.1", "0.5", "1e9"]))
-    if threshold is not None:
-        options["threshold"] = threshold
+    for name, values in (("threshold", ["0", "0.02", "0.1", "0.5", "1e9"]),
+                         ("epsilon", ["1e-3", "1", "100"]),
+                         ("dmax_fraction", ["0.5", "0.75", "1.0"])):
+        value = draw(st.sampled_from([None, *values]))
+        if value is not None:
+            options[name] = value
     if command == "analyze":
         options["csv_dmf"] = draw(st.booleans())
     if command == "synthesize":
@@ -82,6 +86,7 @@ def cli_runs(draw):
         options["texel_out"] = draw(st.booleans())
     if command == "detect":
         options["thickness"] = draw(st.integers(1, 6))
+        options["highlight_value"] = draw(st.integers(0, 255))
     if command != "synthesize":
         options["json_out"] = draw(st.booleans())
     return data, command, options
@@ -119,6 +124,8 @@ def _tiling(th, tw, reps, defect=None):
           {"periods": (6, 4), "thickness": 2, "json_out": True}))
 @example((reference.pgm_bytes(_tiling(3, 5, 5, (0, 0)), "P2").rstrip(b"\n"), "synthesize",
           {"threshold": "0.02", "width": 23, "height": 8, "texel_out": True}))
+@example((reference.pgm_bytes(_tiling(4, 3, 4, (2, 1)), "P5"), "detect",
+          {"epsilon": "100", "dmax_fraction": "0.75", "highlight_value": 7, "json_out": True}))
 # the raster's last line is one digit and no line break: at the smallest
 # budget the P2 decoder's last run is one byte
 @example((reference.pgm_bytes(_tiling(2, 3, 3) // 26, "P2")[:-3] + b"\n7", "detect",

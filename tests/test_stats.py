@@ -14,38 +14,41 @@ from texelkit import (
     FEATURE_NAMES,
     GrayImage,
     Rect,
+    classify_blocks,
+    crop,
     features_of_region,
+    partition,
 )
 
-from conftest import features_close, make_image, peak_bytes, random_image
+from conftest import features_close, make_image, named, peak_bytes, random_image
 from reference import direct_feature_matrix, one_bincount_features, pixel_loop_features
 
 
 class TestClosedForms:
     def test_single_level_region(self):
         img = make_image([[77] * 4] * 3)
-        f = features_of_region(img)
-        assert f.mean == 77.0
-        assert f.variance == 0.0 and f.skewness == 0.0 and f.kurtosis == 0.0
-        assert f.energy == 1.0 and f.entropy == 0.0
+        f = named(features_of_region(img))
+        assert f["mean"] == 77.0
+        assert f["variance"] == 0.0 and f["skewness"] == 0.0 and f["kurtosis"] == 0.0
+        assert f["energy"] == 1.0 and f["entropy"] == 0.0
         # entropy must be a clean zero, not -0.0
-        assert math.copysign(1.0, f.entropy) == 1.0
+        assert math.copysign(1.0, f["entropy"]) == 1.0
 
     def test_uniform_histogram(self):
         img = GrayImage(np.arange(256, dtype=np.uint8).reshape(16, 16))
-        f = features_of_region(img)
-        assert f.entropy == 8.0
-        assert f.energy == pytest.approx(1 / 256, rel=1e-15)
-        assert f.mean == 127.5
+        f = named(features_of_region(img))
+        assert f["entropy"] == 8.0
+        assert f["energy"] == pytest.approx(1 / 256, rel=1e-15)
+        assert f["mean"] == 127.5
 
     def test_two_level_extremes(self):
         img = make_image([[0, 255], [255, 0]])
-        f = features_of_region(img)
-        assert f.mean == 127.5
-        assert f.variance == 127.5**2
-        assert f.skewness == 0.0
-        assert f.kurtosis == 127.5**4
-        assert f.energy == 0.5 and f.entropy == 1.0
+        f = named(features_of_region(img))
+        assert f["mean"] == 127.5
+        assert f["variance"] == 127.5**2
+        assert f["skewness"] == 0.0
+        assert f["kurtosis"] == 127.5**4
+        assert f["energy"] == 0.5 and f["entropy"] == 1.0
 
 
 class TestAgainstPixelLoop:
@@ -65,7 +68,7 @@ class TestAgainstPixelLoop:
             y0 = int(rng.integers(0, 32 - h + 1))
             r = Rect(x0, y0, w, h)
             assert features_close(
-                features_of_region(img, r), pixel_loop_features(img, r)
+                features_of_region(crop(img, r)), pixel_loop_features(img, r)
             )
 
 
@@ -76,11 +79,11 @@ class TestInvariants:
         for _ in range(10):
             base = rng.integers(0, 200, size=(9, 7), dtype=np.uint8)
             shift = int(rng.integers(1, 56))
-            f0 = features_of_region(GrayImage(base))
-            f1 = features_of_region(GrayImage(base + shift))
-            assert math.isclose(f1.mean, f0.mean + shift, rel_tol=1e-12)
+            f0 = named(features_of_region(GrayImage(base)))
+            f1 = named(features_of_region(GrayImage(base + shift)))
+            assert math.isclose(f1["mean"], f0["mean"] + shift, rel_tol=1e-12)
             for name in ("variance", "skewness", "kurtosis", "energy", "entropy"):
-                a, b = getattr(f0, name), getattr(f1, name)
+                a, b = f0[name], f1[name]
                 assert math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-6)
 
     def test_mirror_antisymmetry(self, rng):
@@ -88,27 +91,34 @@ class TestInvariants:
         # the even moments, energy, and entropy
         for _ in range(10):
             base = rng.integers(0, 256, size=(8, 8), dtype=np.uint8)
-            f0 = features_of_region(GrayImage(base))
-            f1 = features_of_region(GrayImage(255 - base))
-            assert math.isclose(f1.mean, 255 - f0.mean, rel_tol=1e-12)
-            assert math.isclose(f1.skewness, -f0.skewness, rel_tol=1e-9, abs_tol=1e-6)
+            f0 = named(features_of_region(GrayImage(base)))
+            f1 = named(features_of_region(GrayImage(255 - base)))
+            assert math.isclose(f1["mean"], 255 - f0["mean"], rel_tol=1e-12)
+            assert math.isclose(f1["skewness"], -f0["skewness"], rel_tol=1e-9, abs_tol=1e-6)
             for name in ("variance", "kurtosis", "energy", "entropy"):
-                a, b = getattr(f0, name), getattr(f1, name)
+                a, b = f0[name], f1[name]
                 assert math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-9)
 
     def test_entropy_bounds(self, rng):
         for _ in range(20):
             img = random_image(rng, int(rng.integers(1, 20)), int(rng.integers(1, 20)))
-            f = features_of_region(img)
-            assert 0.0 <= f.entropy <= 8.0
-            assert 0.0 < f.energy <= 1.0
+            f = named(features_of_region(img))
+            assert 0.0 <= f["entropy"] <= 8.0
+            assert 0.0 < f["energy"] <= 1.0
 
 
-class TestFeatureVector:
-    def test_to_dict_order_and_names(self, rng):
+class TestFeatureRow:
+    def test_read_only_row_of_six(self, rng):
         f = features_of_region(random_image(rng, 4, 4))
-        assert tuple(f.to_dict()) == FEATURE_NAMES
-        assert f.as_tuple() == tuple(f.to_dict().values())
+        assert (f.ndim, f.shape, f.dtype) == (1, (len(FEATURE_NAMES),), np.float64)
+        with pytest.raises(ValueError):
+            f[0] = 0.0
+
+    def test_report_names_the_row_in_order(self, rng):
+        img = random_image(rng, 4, 4)
+        res = classify_blocks(img, partition(img, 2, 2), threshold=0.1)
+        assert list(res.head()["global"]) == list(FEATURE_NAMES)
+        assert list(res.head()["global"].values()) == res.global_features.tolist()
 
 
 @st.composite
@@ -185,13 +195,13 @@ class TestChunkedCounts:
     def test_equals_one_bincount(self, case):
         img, region, rows_per_chunk = case
         with mock.patch.object(stats, "_CHUNK_BYTES", rows_per_chunk * 8 * region.w):
-            got = np.array(features_of_region(img, region).as_tuple())
+            got = features_of_region(crop(img, region))
         assert np.array_equal(got.view(np.uint64), one_bincount_features(img, region).view(np.uint64))
 
     def test_default_budget_spans_several_chunks(self):
         img = _NOISE_1024
         assert 1024 * 1024 * 8 > 4 * stats._CHUNK_BYTES
-        got = np.array(features_of_region(img).as_tuple())
+        got = features_of_region(img)
         whole = Rect(0, 0, img.width, img.height)
         assert np.array_equal(got.view(np.uint64), one_bincount_features(img, whole).view(np.uint64))
 

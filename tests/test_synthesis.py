@@ -194,6 +194,11 @@ class TestHighlightAnomalies:
         with pytest.raises(ValueError, match="outside 2x2 grid"):
             highlight_anomalies(img, partition(img, 4, 4), anomalies)
 
+    def test_out_of_grid_index_named_before_bad_value(self, rng):
+        img = random_image(rng, 8, 8)
+        with pytest.raises(ValueError, match=r"^block \(2, 0\) outside 2x2 grid$"):
+            highlight_anomalies(img, partition(img, 4, 4), [(2, 0)], value=300, thickness=0)
+
     def test_grid_larger_than_image_rejected(self, rng):
         small = random_image(rng, 8, 8)
         grid = partition(random_image(rng, 12, 12), 4, 4)
