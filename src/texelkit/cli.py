@@ -84,10 +84,11 @@ def _parse_defects(text: str) -> list[tuple[int, int]]:
         part = part.strip()
         if not part:
             continue
-        pieces = part.split(",")
-        if len(pieces) != 2:
-            raise ValueError(f"bad defect block {part!r}: expected 'row,col'")
-        blocks.append((int(pieces[0]), int(pieces[1])))
+        try:
+            i, j = map(int, part.split(","))
+        except ValueError:
+            raise ValueError(f"bad defect block {part!r}: expected 'row,col'") from None
+        blocks.append((i, j))
     return blocks
 
 

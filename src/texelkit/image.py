@@ -11,15 +11,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# True for every byte but the six that bytes.isspace() accepts
-_INK = np.ones(256, dtype=bool)
-_INK[list(b" \t\n\r\x0b\x0c")] = False
 _COMMENT = re.compile(rb"#[^\r\n]*")
 # the six whitespace bytes (\s in a bytes pattern) and whole '#' comments,
 # each up to its line end, then one token
 _HEADER_TOKEN = re.compile(rb"(?:\s|#[^\r\n]*(?![^\r\n]))*([^\s#]+)")
-# bytes of P2 text per decoded run; its masks take about eight bytes per byte
+# bytes of P2 text per decoded run; its int64 samples take at most four bytes per byte
 _P2_RUN_BYTES = 1 << 16
+# the bytes a well-formed P2 run holds once its comments are blanked, and its
+# first malformed token, from that token's leading digits
+_DIGITS_AND_BLANKS = b"0123456789 \t\n\r\x0b\x0c"
+_MALFORMED = re.compile(rb"(?<!\d)\d*[^\d\s]\S*")
 
 # P2 text of each gray level: its digits and one separator, left-aligned
 _P2_TEXT = np.frombuffer(b"".join(b"%-4d" % v for v in range(256)), np.uint8).reshape(256, 4)
@@ -124,13 +125,6 @@ def _read_header_int(data: bytes, pos: int, what: str) -> tuple[int, int]:
         raise PgmError(f"invalid PGM {what} of {len(token)} digits") from None
 
 
-def _token(raw: np.ndarray, inside: np.ndarray, k: int) -> bytes:
-    """The token of `raw` that holds byte k, where inside[k + 3] marks the
-    bytes of tokens."""
-    start = k + 1 - int(np.argmin(inside[k + 3 :: -1]))
-    return raw[start : start + int(np.argmin(inside[start + 3 :]))].tobytes()
-
-
 def _p2_run_end(data: bytes, start: int) -> int:
     """End of the P2 run that starts at data[start], outside any comment.
 
@@ -145,9 +139,8 @@ def _p2_run_end(data: bytes, start: int) -> int:
     cut = max(data.rfind(b"\n", start, stop), data.rfind(b"\r", start, stop))
     if cut < 0:
         comment = data.find(b"#", start, stop)
-        head = np.frombuffer(data, np.uint8, (stop if comment < 0 else comment) - start, start)
-        blank = np.flatnonzero(~_INK[head])
-        cut = start + int(blank[-1]) if blank.size else -1
+        end = stop if comment < 0 else comment
+        cut = max(data.rfind(c, start, end) for c in b" \t\x0b\x0c")
     if cut < 0:
         ends = [k for k in (data.find(b"\n", stop), data.find(b"\r", stop)) if k >= 0]
         cut = min(ends, default=len(data) - 1)
@@ -158,59 +151,39 @@ def _p2_samples(data: bytes, pos: int, count: int, maxval: int) -> tuple[np.ndar
     """The first `count` samples of the P2 raster at data[pos:], tokenized as
     the header is, as uint8, and the largest of them.
 
-    The raster is decoded in runs of whole lines (_p2_run_end) of about
-    _P2_RUN_BYTES each, so the masks span one run, never the raster, and
-    reading stops at the run that holds the count-th sample; bytes after it
-    are ignored. A '#' comment becomes one space, so it ends a token too.
-    Each sample is rebuilt from its last three digits: a nonzero digit
-    before them makes it 1000 or more, past any maxval, however long the
-    token. The first non-digit token among the first `count` raises before a
-    short raster does, and both before the first sample of 1000 or more,
-    whose error names its value, or its length when it has more digits
-    than Python converts to int. The output holds at most one sample per
-    two bytes of text, so a declared size the raster cannot hold allocates
-    nothing in proportion to it.
+    The raster is read in runs of whole lines (_p2_run_end) of about
+    _P2_RUN_BYTES each, up to the run that holds the count-th sample; bytes
+    after it are ignored. A '#' comment becomes one space, so it ends a
+    token too. numpy's text reader parses a run up to its first malformed
+    token, which is searched for only when bytes.translate finds a byte that
+    no sample may hold. The first malformed token among the first `count`
+    raises before a short raster does, and both before the first sample of
+    1000 or more, named from its text (or its length when it has more digits
+    than Python converts to int), since a parsed sample stops at 2**63 - 1.
+    The output holds at most one sample per two bytes of text, so a declared
+    size the raster cannot hold allocates nothing in proportion to it.
     """
     out = np.empty(min(count, (len(data) - pos + 1) // 2), dtype=np.uint8)
     found, top, big = 0, 0, None
     while pos < len(data) and found < count:
         stop = _p2_run_end(data, pos)
-        if data.find(b"#", pos, stop) >= 0:
-            raw = np.frombuffer(_COMMENT.sub(b" ", data[pos:stop]), dtype=np.uint8)
-        else:
-            raw = np.frombuffer(data, dtype=np.uint8, count=stop - pos, offset=pos)
+        text = data[pos:stop]
         pos = stop
-        # inside[k + 3]: byte k is part of a token; three blanks pad each side
-        inside = np.zeros(raw.size + 6, dtype=bool)
-        inside[3:-3] = _INK[raw]
-        last = inside[3:-3] > inside[4:-2]  # the last byte of each token
-        n = raw.size
-        if found + int(np.count_nonzero(last)) > count:
-            n = int(np.flatnonzero(last)[count - found - 1]) + 1
-            raw, last = raw[:n], last[:n]
-            inside[n + 3 :] = False
-
-        tok = inside[3 : n + 3]
-        # d[k + 2]: byte k minus b"0"; bytes other than digits wrap past 9
-        d = np.zeros(n + 2, dtype=np.uint8)
-        np.subtract(raw, 48, out=d[2:])
-        hit = tok & (d[2:] > 9)
-        if hit.any():
-            raise PgmError(f"malformed P2 sample: {_token(raw, inside, int(hit.argmax()))!r}")
-        if big is None:
-            hit = tok & (d[2:] > 0) & inside[4 : n + 4] & inside[5 : n + 5] & inside[6 : n + 6]
-            if hit.any():
-                big = _token(raw, inside, int(hit.argmax()))
-        d[2:] *= tok
-        samples = d[2:][last].astype(np.uint16)
-        samples += 10 * d[1:-1][last]
-        # a hundreds digit counts only when the tens digit is in the same token
-        samples += 100 * d[:-2][last].astype(np.uint16) * inside[2 : n + 2][last]
-        if samples.size:
-            # a sample past 255 wraps here, but then top > 255 >= maxval raises
-            out[found : found + samples.size] = samples
-            top = max(top, int(samples.max()))
-            found += samples.size
+        if b"#" in text:
+            text = _COMMENT.sub(b" ", text)
+        bad = _MALFORMED.search(text) if text.translate(None, _DIGITS_AND_BLANKS) else None
+        if bad is not None:
+            text = text[: bad.start()]
+        # whitespace alone would read as one 0
+        samples = np.fromstring(b"" if text.isspace() else text, np.int64, sep=" ")[: count - found]
+        if bad is not None and found + samples.size < count:
+            raise PgmError(f"malformed P2 sample: {bad[0]!r}")
+        if big is None and (samples >= 1000).any():
+            big = text.split()[int(np.argmax(samples >= 1000))]
+        # a sample past 255 wraps here, but then top > 255 >= maxval raises
+        out[found : found + samples.size] = samples
+        top = max(top, int(samples.max(initial=0)))
+        found += samples.size
     if found < count:
         raise PgmError(f"truncated P2 pixel data: expected {count} samples, got {found}")
     if big is not None:

@@ -527,6 +527,16 @@ class TestGenerate:
         )
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("defects", ["1,1,1", "1,x"])
+    def test_bad_defect_block_is_named(self, tmp_path, defects):
+        proc = run_cli(
+            "generate", "t.pgm", "--texel-h", "4", "--texel-w", "4",
+            "--reps-r", "3", "--reps-c", "3", "--defects", defects, cwd=tmp_path,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: bad defect block '{defects}': expected 'row,col'\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_output_named_like_its_sidecar_exits_2(self, tmp_path):
         proc = run_cli(
             "generate", "t.json", "--texel-h", "4", "--texel-w", "4",

@@ -231,6 +231,14 @@ class TestPgmParsing:
     @example(b"P2 3 1 255\n1000\n7\n", 6)  # 1000+ in run 1, then truncation
     @example(b"P2 1 1 255 " + b"1" * 5000, _RUN)  # more digits than int() converts
     @example(b"P2 2 1 255 " + b"0" * 5000 + b"1000 7", _RUN)  # the same, with leading zeros
+    # numpy's text reader: whitespace alone reads as one 0, a sign parses,
+    # and a value past 2**63 - 1 saturates there
+    @example(b"P2 2 1 255\n1\n \t \n#c\n2", 3)  # a run of whitespace, then of a comment
+    @example(b"P2 2 1 255\n1\n \t \n#c\n2", 4)
+    @example(b"P2 2 1 255 +5 7", _RUN)
+    @example(b"P2 2 1 255 7 -0", _RUN)
+    @example(b"P2 2 1 255 1 12x", _RUN)  # named as b'12x'
+    @example(b"P2 1 1 255 9223372036854775808", _RUN)  # named by its exact value
     def test_p2_decode_matches_reference_loop(self, data, budget):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(image, "_P2_RUN_BYTES", budget)
@@ -304,6 +312,13 @@ class TestP2DecodeMemory:
         got, peak = decode_peak(data)
         assert got == img
         assert peak < 2**20 + 10**6
+
+    def test_long_token_peak_below_3x_text(self):
+        # one run of a line longer than the budget: its copies, and no masks
+        data = b"P2 1 1 255\n" + b"0" * 2**20 + b"7"
+        got, peak = decode_peak(data)
+        assert got == GrayImage(np.array([[7]], np.uint8))
+        assert peak < 3 * len(data)
 
     def test_declared_size_the_raster_cannot_hold_allocates_little(self):
         got, peak = decode_peak(b"P2 100000 100000 255 1 2 3")
