@@ -285,15 +285,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 # the two outputs of a command that would overwrite each other if they named one file
 _OUTPUT_PAIRS = {
-    "analyze": ("csv_dmf", "json_out"),
-    "synthesize": ("output", "texel_out"),
-    "detect": ("output", "json_out"),
+    "analyze": ("--csv-dmf", "--json-out"),
+    "synthesize": ("output", "--texel-out"),
+    "detect": ("output", "--json-out"),
 }
 
 
 def _check_flags(args) -> None:
-    """Reject numeric flags the library would misread, and two outputs that
-    name one file, before any work."""
+    """Reject numeric flags the library would misread, an output path no file
+    can be written at, and two outputs that name one file, before any work."""
     if not 0 <= getattr(args, "threshold", 0) < math.inf:
         raise ValueError(f"--threshold must be finite and >= 0, got {args.threshold}")
     if not 0 < getattr(args, "epsilon", 1) < math.inf:
@@ -318,13 +318,19 @@ def _check_flags(args) -> None:
     if math.prod(sizes.values()) > sys.maxsize:
         raise ValueError(f"{' * '.join(sizes)} make {math.prod(sizes.values())} pixels, "
                          f"more than {sys.maxsize}")
+    # a device such as /dev/stdout passes: it is no directory, and /dev is one
+    outputs = {flag: Path(path) for flag in ("output", "--csv-dmf", "--texel-out", "--json-out")
+               if (path := vars(args).get(flag.lstrip("-").replace("-", "_")))}
+    for flag, out in outputs.items():
+        if out.is_dir() or not out.parent.is_dir():
+            raise ValueError(f"{flag} {out} is a directory" if out.is_dir() else
+                             f"{flag} {out}: {out.parent} is not a directory")
     pair = _OUTPUT_PAIRS.get(args.command, ())
-    paths = [Path(getattr(args, dest)) for dest in pair if getattr(args, dest)]
+    paths = [outputs[flag] for flag in pair if flag in outputs]
     # a device such as /dev/stdout may take both outputs in turn
     files = len(paths) == 2 and all(p.is_file() or not p.exists() for p in paths)
     if files and paths[0].resolve() == paths[1].resolve():
-        a, b = (dest if dest == "output" else "--" + dest.replace("_", "-") for dest in pair)
-        raise ValueError(f"{a} and {b} name the same file {paths[1]}")
+        raise ValueError(f"{pair[0]} and {pair[1]} name the same file {paths[1]}")
 
 
 def main(argv=None) -> int:

@@ -22,9 +22,13 @@ _P2_RUN_BYTES = 1 << 16
 _DIGITS_AND_BLANKS = b"0123456789 \t\n\r\x0b\x0c"
 _MALFORMED = re.compile(rb"(?<!\d)\d*[^\d\s]\S*")
 
-# P2 text of each gray level: its digits and one separator, left-aligned
-_P2_TEXT = np.frombuffer(b"".join(b"%-4d" % v for v in range(256)), np.uint8).reshape(256, 4)
-_P2_WIDTH = np.array([len(b"%d " % v) for v in range(256)])
+# P2 text of each gray level: its digits and one space, padded with NUL
+_P2_CELL = np.array([list((b"%d " % v).ljust(4, b"\0")) for v in range(256)], np.uint8)
+# the longest run of whole samples within 70 characters; '.' stops at a row's '\n'
+_P2_LINE = re.compile(rb"\S.{0,69}(?= |\n)")
+# a window's last line end or, tried only when it holds none, its last blank before any '#'
+_RUN_END = re.compile(rb"(?s:.*)[\r\n]|[^#]*[ \t\x0b\x0c]")
+_LINE_END = re.compile(rb"[\r\n]")
 
 
 class PgmError(ValueError):
@@ -130,21 +134,15 @@ def _p2_run_end(data: bytes, start: int) -> int:
 
     The run ends just after the last line end in its window of _P2_RUN_BYTES
     bytes; with none, just after the last whitespace before the window's
-    first '#'; with neither, just after the next line end, or at the end of
-    the data. So a run holds whole tokens and whole comments.
+    first '#' (these two are _RUN_END); with neither, just after the next
+    line end (_LINE_END), or at the end of the data. So a run holds whole
+    tokens and whole comments.
     """
     stop = start + _P2_RUN_BYTES
     if stop >= len(data):
         return len(data)
-    cut = max(data.rfind(b"\n", start, stop), data.rfind(b"\r", start, stop))
-    if cut < 0:
-        comment = data.find(b"#", start, stop)
-        end = stop if comment < 0 else comment
-        cut = max(data.rfind(c, start, end) for c in b" \t\x0b\x0c")
-    if cut < 0:
-        ends = [k for k in (data.find(b"\n", stop), data.find(b"\r", stop)) if k >= 0]
-        cut = min(ends, default=len(data) - 1)
-    return cut + 1
+    cut = _RUN_END.match(data, start, stop) or _LINE_END.search(data, stop)
+    return cut.end() if cut else len(data)
 
 
 def _p2_samples(data: bytes, pos: int, count: int, maxval: int) -> tuple[np.ndarray, int]:
@@ -250,23 +248,17 @@ def pgm_parts(img: GrayImage, mode: str = "P5") -> tuple[bytes, memoryview | byt
     writer can write them in turn, and a P5 raster is the pixel buffer
     itself, not a copy.
 
-    mode "P5" gives the binary raster, "P2" the ASCII one (rows wrapped to
-    keep lines at 70 characters or less).
+    mode "P5" gives the binary raster, "P2" the ASCII one: each row's _P2_CELL
+    text, cut by _P2_LINE into greedy lines of at most 70 characters.
     """
     header = pgm_header(img.width, img.height, mode)
     if mode == "P5":
         return header, img.pixels.data
-    flat = img.pixels.ravel()
-    text, width = _P2_TEXT[flat], _P2_WIDTH[flat]
-    end = np.cumsum(width)  # offset just past each sample's separator
-    row_end = np.arange(img.width, flat.size + 1, img.width)
-    line = row_end - img.width  # first sample of each row's open line
-    while (todo := line < row_end).any():
-        # greedy wrap: a line takes every next sample that keeps it within 70 characters
-        limit = end[line[todo]] - width[line[todo]] + 71
-        line[todo] = np.minimum(np.searchsorted(end, limit, "right"), row_end[todo])
-        text[line[todo] - 1, width[line[todo] - 1] - 1] = ord("\n")
-    return header, text[np.arange(4) < width[:, None]].tobytes()
+    cells = _P2_CELL[img.pixels]
+    cells[:, -1][cells[:, -1] == ord(" ")] = ord("\n")  # a row's last sample ends its line
+    lines = _P2_LINE.findall(cells.tobytes().replace(b"\0", b""))
+    del cells  # bytes.join holds an 80-byte buffer struct per line on top of its output
+    return header, b"\n".join(lines) + b"\n"
 
 
 def save_pgm(img: GrayImage, mode: str = "P5") -> bytes:

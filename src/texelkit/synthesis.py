@@ -109,21 +109,17 @@ def highlight_anomalies(
     """Copy of `img` with each anomalous block's border band set to `value`.
 
     A band at least half as wide as a block's shorter side covers the whole
-    block. Each anomaly must index the grid, checked first; the anomalies
-    become a mask of it, and outline_parts checks the value, the thickness
-    and that each flagged block fits the image (the first that does not, in
-    row-major order, names the error). Its pieces are copied in turn into
+    block. Each anomaly is checked to index the grid as it is marked in a
+    mask of it, so the first outside names the error before anything is
+    painted; outline_parts checks the value, the thickness and that each
+    flagged block fits the image (the first that does not, in row-major
+    order, names the error). Its pieces are copied in turn into
     one buffer, which the image keeps, so one band copy is alive at a time.
     """
     flagged = np.zeros((grid.n_rows, grid.n_cols), dtype=bool)
-    if len(anomalies):
-        at = np.array(anomalies, dtype=np.intp).reshape(-1, 2)
-        inside = ((at >= 0) & (at < (grid.n_rows, grid.n_cols))).all(axis=1)
-        if not inside.all():
-            # before the mask write, where numpy would wrap a negative index:
-            # the first index outside the grid names the error
-            grid.rect(*anomalies[int(np.argmin(inside))])
-        flagged[at[:, 0], at[:, 1]] = True
+    for i, j in np.asarray(anomalies, dtype=np.intp).reshape(-1, 2).tolist():
+        grid.rect(i, j)  # before the mask write, where numpy would wrap a negative index
+        flagged[i, j] = True
     out = np.empty_like(img.pixels)
     flat, pos = out.reshape(-1), 0
     for piece in outline_parts(img, grid, flagged, value, thickness):

@@ -67,14 +67,8 @@ def has_subperiod(texel: GrayImage) -> bool:
     cyclic period, i.e. tiling the texel would repeat at a smaller interval.
     """
     pix = texel.pixels
-    h, w = pix.shape
-    for p in range(1, h):
-        if h % p == 0 and np.array_equal(pix, np.roll(pix, p, axis=0)):
-            return True
-    for p in range(1, w):
-        if w % p == 0 and np.array_equal(pix, np.roll(pix, p, axis=1)):
-            return True
-    return False
+    return any(size % p == 0 and np.array_equal(pix, np.roll(pix, p, axis=axis))
+               for axis, size in enumerate(pix.shape) for p in range(1, size))
 
 
 def random_texel(

@@ -451,6 +451,26 @@ class TestFlagValidation:
         assert_flag_error(run_cli(*argv, *manual, cwd=tmp_path), named)
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["in.pgm", "sub"]
 
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["detect", "in.pgm", "out.pgm", "--json-out", "nodir/r.json"],
+             "--json-out nodir/r.json"),
+            (["analyze", "in.pgm", "--csv-dmf", "d.csv", "--json-out", "nodir/r.json"],
+             "--json-out nodir/r.json"),
+            (["detect", "in.pgm", "sub", "--json-out", "r.json"], "output sub is a directory"),
+            (["synthesize", "in.pgm", "o.pgm", "--texel-out", "in.pgm/t.pgm"],
+             "--texel-out in.pgm/t.pgm"),
+        ],
+        ids=["detect-json-out-no-dir", "analyze-json-out-no-dir", "detect-output-dir",
+             "synthesize-texel-out-in-file"],
+    )
+    def test_unwritable_output_exits_2_writing_nothing(self, tmp_path, argv, named):
+        write_tiling(tmp_path / "in.pgm", 4, 5, 6, seed=4)
+        (tmp_path / "sub").mkdir()
+        assert_flag_error(run_cli(*argv, cwd=tmp_path), named)
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["in.pgm", "sub"]
+
     def test_report_json_is_strict(self):
         img = GrayImage(np.arange(16, dtype=np.uint8).reshape(4, 4))
         res = classify_blocks(img, partition(img, 2, 2), threshold=0.1)

@@ -149,6 +149,10 @@ class TestPgmRoundTrip:
             top = int(rng.choice([2, 10, 100, 256]))
             img = GrayImage(rng.integers(0, top, size=(h, w), dtype=np.uint8))
             assert save_pgm(img, "P2") == p2_text_reference(img)
+        # a line of exactly 70 characters, and one of 71 that must wrap
+        for row in ([255] * 17 + [10, 5], [255] * 17 + [100]):
+            img = GrayImage(np.array([row, row], dtype=np.uint8))
+            assert save_pgm(img, "P2") == p2_text_reference(img)
 
     def test_p2_lines_within_70_chars(self, rng):
         img = random_image(rng, 9, 50)
@@ -229,6 +233,10 @@ class TestPgmParsing:
     @example(b"P2 2 1 255\n00000000000000000255\n7", 4)  # inside a 20-digit token
     @example(b"P2 3 1 255\n1000\n7\nx\n", 6)  # 1000+ in run 1, malformed in run 2
     @example(b"P2 3 1 255\n1000\n7\n", 6)  # 1000+ in run 1, then truncation
+    @example(b"P2 3 1 255 1 2 #c\n3", 6)  # a blank before a '#'
+    @example(b"P2 1 1 255 #long comment\n7", 4)  # the next line end
+    @example(b"P2 1 1 255 #long comment\n12", 4)  # the same, a token just after it
+    @example(b"P2 1 1 255 00000000000000000007", 4)  # the end of the data
     @example(b"P2 1 1 255 " + b"1" * 5000, _RUN)  # more digits than int() converts
     @example(b"P2 2 1 255 " + b"0" * 5000 + b"1000 7", _RUN)  # the same, with leading zeros
     # numpy's text reader: whitespace alone reads as one 0, a sign parses,
