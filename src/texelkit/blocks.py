@@ -5,8 +5,8 @@ block's feature vector is compared against the whole-image features (both
 come from stats.block_features, the image as one block); a block conforms
 when every per-feature relative deviation stays within the threshold. The
 most typical conforming block (smallest worst-case deviation) becomes the
-representative texel; non-conforming blocks are reported as anomalies
-(defects or camouflaged regions).
+representative texel; the blocks the `conforming` mask leaves False are the
+anomalies (defects or camouflaged regions).
 """
 
 from __future__ import annotations
@@ -53,6 +53,10 @@ class BlockGrid:
             )
         return Rect(j * self.block_w, i * self.block_h, self.block_w, self.block_h)
 
+    def check_inside(self, img: GrayImage) -> None:
+        if self.n_rows * self.block_h > img.height or self.n_cols * self.block_w > img.width:
+            raise ValueError("grid does not fit inside the image")
+
 
 @dataclass(frozen=True, eq=False)
 class AnalysisResult:
@@ -81,13 +85,6 @@ class AnalysisResult:
             raise ValueError(
                 f"a relative deviation overflowed: epsilon {self.epsilon!r} is too small"
             )
-
-    @property
-    def anomalies(self) -> list[tuple[int, int]]:
-        """The non-conforming blocks' (i, j) indices in row-major order,
-        derived from `conforming` when read."""
-        n_cols = self.grid.n_cols
-        return [divmod(k, n_cols) for k in np.flatnonzero(~self.conforming).tolist()]
 
     def head(self) -> dict:
         """to_dict() without its "blocks" list; key order is part of the output contract."""
@@ -207,9 +204,8 @@ def classify_blocks(
     # exactly zero deviation (e.g. on perfect tilings) conform
     if not 0 <= threshold < math.inf:
         raise ValueError(f"threshold must be finite and >= 0, got {threshold}")
+    grid.check_inside(img)
     bh, bw = grid.block_h, grid.block_w
-    if grid.n_rows * bh > img.height or grid.n_cols * bw > img.width:
-        raise ValueError("grid does not fit inside the image")
     global_features = features_of_region(img)
     feats = block_features(img.pixels[: grid.n_rows * bh, : grid.n_cols * bw], bh, bw)
     devs = deviation_matrix(feats, global_features, epsilon)

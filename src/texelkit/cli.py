@@ -97,14 +97,12 @@ def _classify(args) -> tuple[GrayImage, PeriodEstimate, BlockGrid, AnalysisResul
     otherwise), and classify its blocks. A manual estimate carries no curves.
     """
     img = load_pgm(Path(args.input).read_bytes())
-    if args.period_rows is None and args.period_cols is None:
+    if args.period_rows is None:  # _check_flags saw both periods or neither
         est = estimate_periods(img, args.dmax_fraction)
         if est.row_degenerate:
             _warn("row periodicity is degenerate (no usable minima); consider --period-rows")
         if est.col_degenerate:
             _warn("column periodicity is degenerate (no usable minima); consider --period-cols")
-    elif args.period_rows is None or args.period_cols is None:
-        raise ValueError("--period-rows and --period-cols must be given together")
     else:
         est = PeriodEstimate(args.period_rows, args.period_cols, [], [])
     grid = partition(img, est.row_period, est.col_period)
@@ -185,10 +183,6 @@ def cmd_detect(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    out = Path(args.output)
-    sidecar = out.with_suffix(".json")
-    if sidecar == out:
-        raise ValueError(f"output {out} would be overwritten by its ground-truth sidecar")
     gt = GroundTruth(
         texel_h=args.texel_h,
         texel_w=args.texel_w,
@@ -200,8 +194,8 @@ def cmd_generate(args) -> int:
     )
     texel = random_texel(gt.texel_h, gt.texel_w, gt.seed)
     img = generate(gt, texel)
-    _write(out, pgm_parts(img))
-    _write(sidecar, (gt.to_json() + "\n",), "w")
+    _write(args.output, pgm_parts(img))
+    _write(Path(args.output).with_suffix(".json"), (gt.to_json() + "\n",), "w")
     return EXIT_OK
 
 
@@ -292,7 +286,8 @@ _OUTPUT_PAIRS = {
 
 
 def _check_flags(args) -> None:
-    """Reject numeric flags the library would misread, an output path no file
+    """Reject numeric flags the library would misread, one manual period
+    without the other, an output path (generate's sidecar included) no file
     can be written at, and two outputs that name one file, before any work."""
     if not 0 <= getattr(args, "threshold", 0) < math.inf:
         raise ValueError(f"--threshold must be finite and >= 0, got {args.threshold}")
@@ -300,6 +295,8 @@ def _check_flags(args) -> None:
         raise ValueError(f"--epsilon must be finite and > 0, got {args.epsilon}")
     if not 0 < getattr(args, "dmax_fraction", 1) <= 1:
         raise ValueError(f"--dmax-fraction must be in (0, 1], got {args.dmax_fraction}")
+    if (getattr(args, "period_rows", None) is None) != (getattr(args, "period_cols", None) is None):
+        raise ValueError("--period-rows and --period-cols must be given together")
     if getattr(args, "thickness", 1) < 1:
         raise ValueError(f"--thickness must be >= 1, got {args.thickness}")
     if not 0 <= getattr(args, "highlight_value", 0) <= 255:
@@ -321,6 +318,11 @@ def _check_flags(args) -> None:
     # a device such as /dev/stdout passes: it is no directory, and /dev is one
     outputs = {flag: Path(path) for flag in ("output", "--csv-dmf", "--texel-out", "--json-out")
                if (path := vars(args).get(flag.lstrip("-").replace("-", "_")))}
+    if args.command == "generate":  # the ground-truth sidecar is an output too
+        outputs["sidecar"] = Path(args.output).with_suffix(".json")
+        if outputs["sidecar"] == Path(args.output):
+            raise ValueError(f"output {Path(args.output)} would be overwritten by its "
+                             "ground-truth sidecar")
     for flag, out in outputs.items():
         if out.is_dir() or not out.parent.is_dir():
             raise ValueError(f"{flag} {out} is a directory" if out.is_dir() else

@@ -294,14 +294,12 @@ def _paint_outlines(view: np.ndarray, flagged, value: int, thickness: int) -> No
 
 def draw_rect_outline(img: GrayImage, r: Rect, value: int, thickness: int = 1) -> GrayImage:
     """Copy of `img` with the border band of width `thickness` just inside `r`
-    set to `value`; all other pixels unchanged.
+    set to `value`, clipped to `r` as _paint_outlines clips a block's (so a
+    band at least half as wide as r's shorter side fills r); all other
+    pixels unchanged.
     """
     r.check_inside(img)
     _check_band(value, thickness)
-    if 2 * thickness > min(r.w, r.h):
-        raise ValueError(
-            f"thickness {thickness} too large for a {r.w}x{r.h} rect"
-        )
     out = img.pixels.copy()
     _paint_outlines(out[r.y0 : r.y0 + r.h, r.x0 : r.x0 + r.w].reshape(1, r.h, 1, r.w),
                     True, value, thickness)

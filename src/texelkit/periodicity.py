@@ -94,7 +94,7 @@ def _chunk_rows(h: int, w: int, n: int) -> int:
 
 
 def _dmf(pix: np.ndarray, d_max: int) -> np.ndarray:
-    """DMF values for displacements 1..d_max along the last axis.
+    """DMF values for displacements 1..d_max (at most w - 1) along the last axis.
 
     The squared-difference sum at d is (S[w] - S[d]) + S[w - d] - 2 C[d]:
     S is the exact prefix sum of per-column sums of squares, C[d] the lag-d
@@ -110,6 +110,8 @@ def _dmf(pix: np.ndarray, d_max: int) -> np.ndarray:
     own memory. The values come back read-only.
     """
     h, w = pix.shape
+    if not 1 <= d_max <= w - 1:
+        raise ValueError(f"d_max must be in 1..{w - 1}, got {d_max}")
     n = 1 << (w + d_max - 1).bit_length()
     rows = _chunk_rows(h, w, n)
     # no centred pixel is more than 128 from mid-gray
@@ -151,15 +153,11 @@ def column_dmf(img: GrayImage, d_max: int) -> np.ndarray:
     """DMF over column displacements: [d - 1] is the mean squared
     difference between pixels d columns apart, over all rows.
     """
-    if not 1 <= d_max <= img.width - 1:
-        raise ValueError(f"d_max must be in 1..{img.width - 1}, got {d_max}")
     return _dmf(img.pixels, d_max)
 
 
 def row_dmf(img: GrayImage, d_max: int) -> np.ndarray:
     """DMF over row displacements: [d - 1] compares pixels d rows apart."""
-    if not 1 <= d_max <= img.height - 1:
-        raise ValueError(f"d_max must be in 1..{img.height - 1}, got {d_max}")
     return _dmf(img.pixels.T, d_max)
 
 

@@ -63,9 +63,9 @@ def outline_parts(
     the (grid.n_rows, grid.n_cols) mask `flagged` marks set to `value`, in
     pieces.
 
-    The value, the thickness, the mask's shape and the fit of every flagged
-    block inside the image are checked before this returns. The pieces are
-    one per block row of block_h pixel rows, then the rows below the grid. A
+    The value, the thickness, the mask's shape and the fit of the grid
+    inside the image are checked before this returns. The pieces are one
+    per block row of block_h pixel rows, then the rows below the grid. A
     block row that holds a flagged block is a copy of its band, painted by
     image._paint_outlines with that row of the mask; every other piece is a
     view of the source, so a writer that takes them in turn holds one band.
@@ -76,15 +76,8 @@ def outline_parts(
         raise ValueError(
             f"mask of shape {flagged.shape} does not match the {grid.n_rows}x{grid.n_cols} grid"
         )
-    bh, bw = grid.block_h, grid.block_w
-    # the blocks of the grid that lie inside the image
-    n_rows, n_cols = min(grid.n_rows, img.height // bh), min(grid.n_cols, img.width // bw)
-    if flagged[n_rows:].any() or flagged[:, n_cols:].any():
-        # the first flagged block outside, in row-major order, names the error
-        outside = flagged.copy()
-        outside[:n_rows, :n_cols] = False
-        grid.rect(*divmod(int(outside.argmax()), grid.n_cols)).check_inside(img)
-    return _outlined_bands(img.pixels, flagged[:n_rows, :n_cols], bh, bw, value, thickness)
+    grid.check_inside(img)
+    return _outlined_bands(img.pixels, flagged, grid.block_h, grid.block_w, value, thickness)
 
 
 def _outlined_bands(pixels, flagged, bh, bw, value, thickness) -> Iterator[memoryview]:
@@ -99,30 +92,12 @@ def _outlined_bands(pixels, flagged, bh, bw, value, thickness) -> Iterator[memor
     yield pixels[n_rows * bh :].data
 
 
-def highlight_anomalies(
-    img: GrayImage,
-    grid: BlockGrid,
-    anomalies: list[tuple[int, int]],
-    value: int = 255,
-    thickness: int = 1,
-) -> GrayImage:
-    """Copy of `img` with each anomalous block's border band set to `value`.
-
-    A band at least half as wide as a block's shorter side covers the whole
-    block. Each anomaly is checked to index the grid as it is marked in a
-    mask of it, so the first outside names the error before anything is
-    painted; outline_parts checks the value, the thickness and that each
-    flagged block fits the image (the first that does not, in row-major
-    order, names the error). Its pieces are copied in turn into
-    one buffer, which the image keeps, so one band copy is alive at a time.
+def highlight_anomalies(img: GrayImage, grid: BlockGrid, flagged: np.ndarray,
+                        value: int = 255, thickness: int = 1) -> GrayImage:
+    """Copy of `img` with the border band of each block that the
+    (grid.n_rows, grid.n_cols) mask `flagged` marks set to `value`: the
+    pieces of outline_parts, which checks the arguments, joined into one
+    buffer, which the image keeps.
     """
-    flagged = np.zeros((grid.n_rows, grid.n_cols), dtype=bool)
-    for i, j in np.asarray(anomalies, dtype=np.intp).reshape(-1, 2).tolist():
-        grid.rect(i, j)  # before the mask write, where numpy would wrap a negative index
-        flagged[i, j] = True
-    out = np.empty_like(img.pixels)
-    flat, pos = out.reshape(-1), 0
-    for piece in outline_parts(img, grid, flagged, value, thickness):
-        flat[pos : pos + piece.nbytes] = np.asarray(piece).reshape(-1)
-        pos += piece.nbytes
-    return GrayImage(_sealed(out))
+    raster = b"".join(outline_parts(img, grid, flagged, value, thickness))
+    return GrayImage(np.frombuffer(raster, dtype=np.uint8).reshape(img.height, img.width))

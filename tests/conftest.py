@@ -36,6 +36,12 @@ def random_image(rng: np.random.Generator, h: int, w: int) -> GrayImage:
     return GrayImage(rng.integers(0, 256, size=(h, w), dtype=np.uint8))
 
 
+def anomalies_of(res) -> list[tuple[int, int]]:
+    """The (i, j) indices of the blocks a result does not find conforming,
+    in row-major order."""
+    return [divmod(k, res.grid.n_cols) for k in np.flatnonzero(~res.conforming).tolist()]
+
+
 def peak_bytes(fn, *args, **kwargs) -> tuple[object, int]:
     """fn(*args, **kwargs) and the tracemalloc peak of the call, in bytes."""
     tracemalloc.start()

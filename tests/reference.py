@@ -239,8 +239,9 @@ def report(grid: Grid, threshold: float, epsilon: float, c: Classification) -> d
 def result_report(res) -> dict:
     """The report of an AnalysisResult, read from its fields."""
     g = res.grid
+    anomalies = [divmod(k, g.n_cols) for k in np.flatnonzero(~res.conforming).tolist()]
     c = Classification(res.global_features, res.features, res.deviations,
-                       res.max_deviation, res.conforming, res.representative, res.anomalies)
+                       res.max_deviation, res.conforming, res.representative, anomalies)
     return report(Grid(g.block_h, g.block_w, g.n_rows, g.n_cols), res.threshold, res.epsilon, c)
 
 

@@ -29,7 +29,7 @@ from texelkit import (
     synthesize,
 )
 
-from conftest import cli_env, features_close, named, random_image
+from conftest import anomalies_of, cli_env, features_close, named, random_image
 from reference import dmf, pixel_loop_features
 
 
@@ -152,7 +152,7 @@ def test_criterion_4_detection_at_2_percent(capsys):
         img = generate(gt, texel)
         grid = partition(img, th, tw)
         res = classify_blocks(img, grid, threshold=0.02)
-        if set(res.anomalies) != set(cells):
+        if set(anomalies_of(res)) != set(cells):
             failures += 1
     announce(
         capsys, "4 detection-2-percent", failures == 0,
@@ -221,7 +221,7 @@ def test_criterion_6_invariant_suites(capsys):
             problems.append("threshold monotonicity")
         for res in (loose, tight):
             conf = {divmod(k, grid.n_cols) for k in np.flatnonzero(res.conforming).tolist()}
-            anom = set(res.anomalies)
+            anom = set(anomalies_of(res))
             if conf | anom != set(np.ndindex(grid.n_rows, grid.n_cols)) or conf & anom:
                 problems.append("conforming/anomaly partition")
 

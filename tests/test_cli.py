@@ -409,6 +409,12 @@ class TestFlagValidation:
         assert_flag_error(proc, flag)
         assert not (tmp_path / "hi.pgm").exists()
 
+    @pytest.mark.parametrize("period", ["--period-rows", "--period-cols"])
+    def test_half_manual_periods_exit_2_before_reading(self, tmp_path, period):
+        proc = run_cli("analyze", "nosuch.pgm", period, "4", cwd=tmp_path)
+        assert proc.returncode == 2
+        assert proc.stderr == "error: --period-rows and --period-cols must be given together\n"
+
     @pytest.mark.parametrize(
         "argv, named",
         [
@@ -566,6 +572,16 @@ class TestGenerate:
         assert proc.stderr.startswith("error:") and len(proc.stderr.splitlines()) == 1
         assert "sidecar" in proc.stderr
         assert list(tmp_path.iterdir()) == []
+
+    def test_sidecar_at_a_directory_exits_2_writing_nothing(self, tmp_path):
+        (tmp_path / "t.json").mkdir()
+        proc = run_cli(
+            "generate", "t.pgm", "--texel-h", "4", "--texel-w", "4",
+            "--reps-r", "2", "--reps-c", "2", cwd=tmp_path,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == "error: sidecar t.json is a directory\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["t.json"]
 
     def test_defect_outside_grid_exits_2(self, tmp_path):
         proc = run_cli(

@@ -386,10 +386,13 @@ class TestDrawRectOutline:
         out = draw_rect_outline(img, Rect(0, 0, 4, 4), 255, 2)
         assert int((out.pixels == 255).sum()) == 16
 
-    def test_too_thick_outline_rejected(self):
+    def test_too_thick_outline_fills_rect(self):
+        # each side's band is clipped to the rect, as a block's is
         img = GrayImage(np.zeros((10, 10), dtype=np.uint8))
-        with pytest.raises(ValueError):
-            draw_rect_outline(img, Rect(0, 0, 4, 4), 255, 3)
+        out = draw_rect_outline(img, Rect(1, 2, 4, 5), 255, 3)
+        want = np.zeros((10, 10), dtype=np.uint8)
+        want[2:7, 1:5] = 255
+        assert np.array_equal(out.pixels, want)
 
     def test_bad_value_or_thickness(self):
         img = GrayImage(np.zeros((10, 10), dtype=np.uint8))

@@ -70,11 +70,12 @@ class TestDmfValues:
                 assert rcurve[d - 1] == 0.0
 
     def test_d_max_bounds_enforced(self, rng):
-        img = random_image(rng, 4, 4)
-        with pytest.raises(ValueError):
-            column_dmf(img, 4)
-        with pytest.raises(ValueError):
-            column_dmf(img, 0)
+        img = random_image(rng, 4, 6)  # d_max runs to w - 1 along each curve's axis
+        for dmf, top in ((column_dmf, 5), (row_dmf, 3)):
+            assert dmf(img, top).shape == (top,)
+            for d_max in (top + 1, 0):
+                with pytest.raises(ValueError, match=rf"^d_max must be in 1\.\.{top}, got {d_max}$"):
+                    dmf(img, d_max)
 
 
 SHAPES = st.tuples(st.integers(2, 40), st.integers(2, 40))

@@ -26,3 +26,5 @@ def test_library_example_writes_the_tiling(tmp_path, monkeypatch):
     big = load_pgm((tmp_path / "big.pgm").read_bytes())
     assert (big.width, big.height) == (1024, 768)
     assert np.array_equal(big.pixels, np.tile(texel.pixels, (128, 128))[:768, :1024])
+    # an exact tiling has no anomalies, so its outlined copy is the input
+    assert (tmp_path / "marked.pgm").read_bytes() == (tmp_path / "fabric.pgm").read_bytes()
