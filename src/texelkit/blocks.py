@@ -63,15 +63,16 @@ class AnalysisResult:
     """Full block classification outcome for one image.
 
     Per-block values are row-major arrays: block (i, j) is row i * n_cols + j
-    of `features` and `deviations` (columns in FEATURE_NAMES order) and entry
-    i * n_cols + j of `max_deviation` and `conforming`. `global_features` is
-    the whole image's row of six, in the same column order.
+    of `features` (columns in FEATURE_NAMES order) and entry i * n_cols + j
+    of `max_deviation` and `conforming`. `global_features` is the whole
+    image's row of six, in the same column order. A block's six deviations
+    are not stored: they are deviation_matrix of its features, derived
+    where they are needed, one feature column or one report run at a time.
     """
 
     grid: BlockGrid
     global_features: np.ndarray
     features: np.ndarray = field(repr=False)
-    deviations: np.ndarray = field(repr=False)
     max_deviation: np.ndarray = field(repr=False)
     conforming: np.ndarray = field(repr=False)
     threshold: float
@@ -79,9 +80,10 @@ class AnalysisResult:
     representative: tuple[int, int] | None
 
     def __post_init__(self):
-        # the report is strict JSON, so a result holds no inf or nan to write
-        floats = (self.features, self.deviations, self.max_deviation)
-        if not all(np.isfinite(a).all() for a in floats):
+        # the report is strict JSON, so a result holds no inf or nan to write;
+        # a non-finite feature makes its derived deviation inf or nan too
+        derived = _max_deviation(self.features, self.global_features, self.epsilon)
+        if not all(np.isfinite(a).all() for a in (derived, self.max_deviation)):
             raise ValueError(
                 f"a relative deviation overflowed: epsilon {self.epsilon!r} is too small"
             )
@@ -111,14 +113,14 @@ class AnalysisResult:
         finite, since the result could not be made otherwise.
 
         The blocks come in runs of block rows holding about
-        _REPORT_CHUNK_BYTES of floats, each formatted when it is asked for.
+        _REPORT_CHUNK_BYTES of floats, each formatted when it is asked for;
+        a run's deviations are derived from its features then.
         Within a run, repr is called once per distinct float64 bit pattern
         (so -0.0 and 0.0 stay apart), and each block row is one piece: the
         strings are gathered back into the row's repeated template. "[\n"
         comes before the first row, ",\n" before each later one, and the
         last piece is the closing "\n{pad}]".
         """
-        floats = (self.features, self.deviations, self.max_deviation)
         p = pad + "  "  # the blocks sit one level inside the list
         members = ",\n".join(f'{p}    "{name}": %s' for name in FEATURE_NAMES)
         template = (
@@ -136,7 +138,9 @@ class AnalysisResult:
         row = ",\n".join([template] * n_cols)
         for k0 in range(0, n, step):
             k1 = min(k0 + step, n)
-            run = np.column_stack([a[k0:k1] for a in floats])  # the 13 floats in template order
+            feats = self.features[k0:k1]
+            devs = deviation_matrix(feats, self.global_features, self.epsilon)
+            run = np.column_stack([feats, devs, self.max_deviation[k0:k1]])  # template order
             bits, at = np.unique(run.view(np.uint64), return_inverse=True)
             texts = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
             args = np.empty((k1 - k0, 16), dtype=object)  # i, j, 13 floats, true/false
@@ -167,7 +171,8 @@ def deviation_matrix(
     local: np.ndarray, reference: np.ndarray, epsilon: float = DEFAULT_EPSILON
 ) -> np.ndarray:
     """Relative deviations |local - reference| / max(|reference|, epsilon) of
-    (m, 6) feature rows from one reference row.
+    (m, 6) feature rows from one reference row, or of one feature column
+    from that feature's reference value.
 
     The epsilon guard keeps ratios finite when a reference feature sits at
     zero (e.g. the skewness of a perfectly symmetric texture) but such ratios
@@ -181,6 +186,16 @@ def deviation_matrix(
     np.abs(out, out=out)
     with np.errstate(over="ignore"):
         out /= np.maximum(np.abs(reference), epsilon)
+    return out
+
+
+def _max_deviation(features: np.ndarray, reference: np.ndarray, epsilon: float) -> np.ndarray:
+    """Each row's largest deviation_matrix entry, from one feature column at
+    a time: the same subtract, abs and divide per entry, with no (m, 6) array.
+    Any nan among a row's deviations makes its maximum nan."""
+    out = deviation_matrix(features[:, 0], reference[0], epsilon)
+    for j in range(1, features.shape[1]):
+        np.maximum(out, deviation_matrix(features[:, j], reference[j], epsilon), out=out)
     return out
 
 
@@ -208,10 +223,9 @@ def classify_blocks(
     bh, bw = grid.block_h, grid.block_w
     global_features = features_of_region(img)
     feats = block_features(img.pixels[: grid.n_rows * bh, : grid.n_cols * bw], bh, bw)
-    devs = deviation_matrix(feats, global_features, epsilon)
-    max_dev = devs.max(axis=1)
+    max_dev = _max_deviation(feats, global_features, epsilon)
     conforming = max_dev <= threshold
-    for arr in (feats, devs, max_dev, conforming):
+    for arr in (feats, max_dev, conforming):
         arr.setflags(write=False)
 
     candidates = np.flatnonzero(conforming)
@@ -225,7 +239,6 @@ def classify_blocks(
         grid=grid,
         global_features=global_features,
         features=feats,
-        deviations=devs,
         max_deviation=max_dev,
         conforming=conforming,
         threshold=threshold,

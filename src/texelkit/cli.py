@@ -288,7 +288,8 @@ _OUTPUT_PAIRS = {
 def _check_flags(args) -> None:
     """Reject numeric flags the library would misread, one manual period
     without the other, an output path (generate's sidecar included) no file
-    can be written at, and two outputs that name one file, before any work."""
+    can be written at, an empty one among them (an empty --json-out means
+    stdout), and two outputs that name one file, before any work."""
     if not 0 <= getattr(args, "threshold", 0) < math.inf:
         raise ValueError(f"--threshold must be finite and >= 0, got {args.threshold}")
     if not 0 < getattr(args, "epsilon", 1) < math.inf:
@@ -315,9 +316,13 @@ def _check_flags(args) -> None:
     if math.prod(sizes.values()) > sys.maxsize:
         raise ValueError(f"{' * '.join(sizes)} make {math.prod(sizes.values())} pixels, "
                          f"more than {sys.maxsize}")
+    paths = {flag: vars(args).get(flag.lstrip("-").replace("-", "_"))
+             for flag in ("output", "--csv-dmf", "--texel-out", "--json-out")}
+    for flag, path in paths.items():
+        if path == "" and flag != "--json-out":
+            raise ValueError(f"{flag} is an empty path")
     # a device such as /dev/stdout passes: it is no directory, and /dev is one
-    outputs = {flag: Path(path) for flag in ("output", "--csv-dmf", "--texel-out", "--json-out")
-               if (path := vars(args).get(flag.lstrip("-").replace("-", "_")))}
+    outputs = {flag: Path(path) for flag, path in paths.items() if path}
     if args.command == "generate":  # the ground-truth sidecar is an output too
         outputs["sidecar"] = Path(args.output).with_suffix(".json")
         if outputs["sidecar"] == Path(args.output):

@@ -18,6 +18,7 @@ region's features are one float64 row, its columns in FEATURE_NAMES order.
 from __future__ import annotations
 
 import functools
+import itertools
 
 import numpy as np
 
@@ -31,12 +32,12 @@ _LEVELS = np.arange(GRAY_LEVELS, dtype=np.float64)
 
 # budget for the working set of one run of blocks in block_features
 _CHUNK_BYTES = 1 << 19
-# arrays of 256 levels per block alive at once: the counts and the four
-# float64 arrays of feature_matrix (p, a scratch array, centered and c2)
-_LEVEL_ARRAYS = 5
+# arrays of 256 levels per block alive at once: the counts and the three
+# float64 arrays feature_matrix computes in (p and two scratch arrays)
+_LEVEL_ARRAYS = 4
 
 
-def feature_matrix(counts: np.ndarray, n: int) -> np.ndarray:
+def feature_matrix(counts: np.ndarray, n: int, work: np.ndarray | None = None) -> np.ndarray:
     """(m, 6) features of an (m, 256) matrix of gray-level counts, one region
     of n >= 1 pixels per row.
 
@@ -51,32 +52,45 @@ def feature_matrix(counts: np.ndarray, n: int) -> np.ndarray:
     entry is the same float operation on the same operands as the direct
     formula, so the features are bit-identical.
 
-    Beside the counts, four float64 arrays of the counts' shape are alive at
-    once (_LEVEL_ARRAYS counts them): p, one scratch array that each product
-    is written into before its sum, and the centred levels and their squares.
+    Beside the counts, three float64 arrays of the counts' shape are alive
+    (_LEVEL_ARRAYS counts them): p and two scratch arrays that hold the
+    centred levels, their powers and each product before its row sum. They
+    are the first counts.size entries of each row of `work`, a (3, >=
+    counts.size) float64 array, so that runs of blocks reuse one buffer;
+    without it they are made here.
     """
+    if work is None:
+        work = np.empty((3, counts.size))
+    p, a, b = (w[: counts.size].reshape(counts.shape) for w in work)
+    out = np.empty((len(counts), len(FEATURE_NAMES)))
     # +0.0 normalizes the -0.0 entropy of single-level regions
     if n + 1 <= counts.size:
         t = np.arange(n + 1) / n
         t_log_t = t * np.log2(t, out=np.zeros_like(t), where=t > 0)
-        energy = (t * t)[counts].sum(axis=-1)
-        entropy = -t_log_t[counts].sum(axis=-1) + 0.0
-        p = t[counts]
-        tmp = np.empty_like(p)
+        out[:, 4] = np.take(t * t, counts, out=a, mode="clip").sum(axis=-1)
+        out[:, 5] = -np.take(t_log_t, counts, out=a, mode="clip").sum(axis=-1) + 0.0
+        np.take(t, counts, out=p, mode="clip")
     else:
-        p = counts / n
-        tmp = np.log2(p, out=np.zeros_like(p), where=p > 0)
-        entropy = -np.multiply(p, tmp, out=tmp).sum(axis=-1) + 0.0
-        energy = np.multiply(p, p, out=tmp).sum(axis=-1)
-    mean = np.multiply(p, _LEVELS, out=tmp).sum(axis=-1, keepdims=True)
-    centered = _LEVELS - mean
-    c2 = centered * centered
-    variance = np.multiply(c2, p, out=tmp).sum(axis=-1)
-    np.multiply(c2, centered, out=tmp)
-    skewness = np.multiply(tmp, p, out=tmp).sum(axis=-1)
-    np.multiply(c2, c2, out=tmp)
-    kurtosis = np.multiply(tmp, p, out=tmp).sum(axis=-1)
-    return np.stack([mean[:, 0], variance, skewness, kurtosis, energy, entropy], axis=-1)
+        np.divide(counts, n, out=p)
+        a.fill(0.0)
+        np.log2(p, out=a, where=p > 0)
+        out[:, 5] = -np.multiply(p, a, out=a).sum(axis=-1) + 0.0
+        out[:, 4] = np.multiply(p, p, out=a).sum(axis=-1)
+    # a ufunc that broadcasts an operand allocates numpy's iteration buffers,
+    # so the levels and the means are first spread over whole arrays; the
+    # products and differences keep their operands and so their bits
+    np.copyto(a, _LEVELS)
+    mean = np.multiply(a, p, out=a).sum(axis=-1, keepdims=True)
+    out[:, 0] = mean[:, 0]
+    np.copyto(a, _LEVELS)
+    np.copyto(b, mean)
+    centred = np.subtract(a, b, out=a)
+    c2 = np.multiply(centred, centred, out=b)
+    # (c2 * centred) * p, c2 * p and (c2 * c2) * p, as products of the same operands
+    out[:, 2] = np.multiply(np.multiply(c2, centred, out=a), p, out=a).sum(axis=-1)
+    out[:, 1] = np.multiply(c2, p, out=a).sum(axis=-1)
+    out[:, 3] = np.multiply(np.multiply(c2, c2, out=b), p, out=b).sum(axis=-1)
+    return out
 
 
 def block_features(pixels: np.ndarray, block_h: int, block_w: int) -> np.ndarray:
@@ -86,28 +100,34 @@ def block_features(pixels: np.ndarray, block_h: int, block_w: int) -> np.ndarray
     A run of blocks is one bincount of block_id * 256 + level over the
     (n_rows, block_h, n_cols, block_w) view. Runs take whole block rows
     while their int64 bin ids and counts, then counts and feature_matrix's
-    temporaries, fit _CHUNK_BYTES (one block row at the least). A block row
-    whose bin ids alone do not fit (one block over a whole image) is counted
-    in runs of pixel rows that do, and their integer counts are added exactly.
+    arrays, fit _CHUNK_BYTES; when one block row does not fit, it is cut
+    into runs of whole blocks that do (one block at the least). Every run
+    reuses one feature_matrix buffer. A block whose bin ids alone do not fit
+    (one block over a whole image) is counted in runs of pixel rows that do,
+    and their integer counts are added exactly.
     """
     n_rows, n_cols = pixels.shape[0] // block_h, pixels.shape[1] // block_w
     blocks = pixels[: n_rows * block_h, : n_cols * block_w].reshape(n_rows, block_h, n_cols, block_w)
     n = block_h * block_w
     per_block = 8 * max(n + GRAY_LEVELS, _LEVEL_ARRAYS * GRAY_LEVELS)
-    step = max(1, _CHUNK_BYTES // (n_cols * per_block))
-    # pixel rows per bincount: block_h or more unless one block row does not fit
-    pixel_rows = max(1, _CHUNK_BYTES // (8 * n_cols * block_w))
+    fit = max(1, _CHUNK_BYTES // per_block)
+    # a run is `rows` whole block rows, or `cols` whole blocks of one block row
+    rows, cols = (max(1, min(n_rows, fit // n_cols)), n_cols) if fit >= n_cols else (1, fit)
+    # pixel rows per bincount: block_h or more unless one block does not fit
+    pixel_rows = max(1, _CHUNK_BYTES // (8 * cols * block_w))
+    first_bin = np.arange(0, rows * cols * GRAY_LEVELS, GRAY_LEVELS).reshape(rows, 1, cols, 1)
+    work = np.empty((3, rows * cols * GRAY_LEVELS))
     out = np.empty((n_rows * n_cols, len(FEATURE_NAMES)))
-    for r0 in range(0, n_rows, step):
-        chunk = blocks[r0 : r0 + step]
-        m = chunk.shape[0] * n_cols
-        first_bin = np.arange(0, m * GRAY_LEVELS, GRAY_LEVELS).reshape(-1, 1, n_cols, 1)
-        # the bin ids are temporaries, freed before feature_matrix runs
-        counts = functools.reduce(np.add, (
-            np.bincount((first_bin + chunk[:, y0 : y0 + pixel_rows]).ravel(), minlength=m * GRAY_LEVELS)
+    for r0, c0 in itertools.product(range(0, n_rows, rows), range(0, n_cols, cols)):
+        run = blocks[r0 : r0 + rows, :, c0 : c0 + cols]
+        bins = first_bin[: run.shape[0], :, : run.shape[2]]
+        m, k = bins.size, r0 * n_cols + c0  # k: the run's first block, row-major
+        # the bin ids are temporaries, freed before feature_matrix runs, and
+        # the counts are freed with it, before the next run is counted
+        out[k : k + m] = feature_matrix(functools.reduce(np.add, (
+            np.bincount((bins + run[:, y0 : y0 + pixel_rows]).ravel(), minlength=m * GRAY_LEVELS)
             for y0 in range(0, block_h, pixel_rows)
-        ))
-        out[r0 * n_cols : r0 * n_cols + m] = feature_matrix(counts.reshape(m, GRAY_LEVELS), n)
+        )).reshape(m, GRAY_LEVELS), n, work)
     return out
 
 

@@ -237,10 +237,14 @@ def report(grid: Grid, threshold: float, epsilon: float, c: Classification) -> d
 
 
 def result_report(res) -> dict:
-    """The report of an AnalysisResult, read from its fields."""
+    """The report of an AnalysisResult, read from its fields; the
+    deviations are derived from its features as per_block_classify does."""
     g = res.grid
     anomalies = [divmod(k, g.n_cols) for k in np.flatnonzero(~res.conforming).tolist()]
-    c = Classification(res.global_features, res.features, res.deviations,
+    reference = res.global_features
+    with np.errstate(over="ignore"):
+        deviations = np.abs(res.features - reference) / np.maximum(np.abs(reference), res.epsilon)
+    c = Classification(res.global_features, res.features, deviations,
                        res.max_deviation, res.conforming, res.representative, anomalies)
     return report(Grid(g.block_h, g.block_w, g.n_rows, g.n_cols), res.threshold, res.epsilon, c)
 

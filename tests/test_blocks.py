@@ -1,5 +1,6 @@
 """Block partitioning, relative deviations, and conformance classification."""
 
+import dataclasses
 import json
 from unittest import mock
 
@@ -227,20 +228,29 @@ def grid_cases(draw):
     grid = partition(img, draw(st.integers(1, h)), draw(st.integers(1, w)))
     if grid.block_h > 1 and draw(st.booleans()):
         return img, grid, pixel_rows_budget(grid, draw(st.integers(1, grid.block_h - 1)))
+    if grid.n_cols > 1 and draw(st.booleans()):
+        return img, grid, blocks_budget(grid, draw(st.integers(1, grid.n_cols - 1)))
     return img, grid, block_rows_budget(grid, draw(st.integers(1, grid.n_rows)))
+
+
+def blocks_budget(grid, blocks):
+    """stats._CHUNK_BYTES at which stats.block_features counts this many
+    whole blocks per bincount: whole block rows when it is a multiple of
+    n_cols, else runs of whole blocks within one block row."""
+    per_block = 8 * max(grid.block_h * grid.block_w + 256, stats._LEVEL_ARRAYS * 256)
+    return blocks * per_block
 
 
 def block_rows_budget(grid, rows):
     """stats._CHUNK_BYTES at which stats.block_features counts this many
     block rows per bincount."""
-    per_block = 8 * max(grid.block_h * grid.block_w + 256, stats._LEVEL_ARRAYS * 256)
-    return rows * grid.n_cols * per_block
+    return blocks_budget(grid, rows * grid.n_cols)
 
 
 def pixel_rows_budget(grid, rows):
-    """stats._CHUNK_BYTES at which stats.block_features splits each block
-    row into runs of this many pixel rows (fewer than block_h)."""
-    return rows * 8 * grid.n_cols * grid.block_w
+    """stats._CHUNK_BYTES at which stats.block_features counts each block
+    on its own, in runs of this many pixel rows (fewer than block_h)."""
+    return rows * 8 * grid.block_w
 
 
 def chunked(budget):
@@ -260,6 +270,7 @@ _CASES = {
     "1x1 blocks, runs of 5 block rows": _case(1, 1, block_rows_budget, 5),
     "one block": _case(12, 10, block_rows_budget, 1),
     "6 block rows: runs of 4 and 2": _case(2, 3, block_rows_budget, 4),
+    "3 rows of 5 blocks: runs of 2, 2 and 1 blocks": _case(4, 2, blocks_budget, 2),
     "one block: runs of 5, 5 and 2 pixel rows": _case(12, 10, pixel_rows_budget, 5),
     "2x2 blocks of 6x5: runs of 4 and 2 pixel rows": _case(6, 5, pixel_rows_budget, 4),
 }
@@ -271,6 +282,7 @@ class TestWholeGrid:
     @example(_CASES["1x1 blocks, runs of 5 block rows"])
     @example(_CASES["one block"])
     @example(_CASES["6 block rows: runs of 4 and 2"])
+    @example(_CASES["3 rows of 5 blocks: runs of 2, 2 and 1 blocks"])
     @example(_CASES["one block: runs of 5, 5 and 2 pixel rows"])
     @example(_CASES["2x2 blocks of 6x5: runs of 4 and 2 pixel rows"])
     def test_block_features_equal_single_region(self, case):
@@ -284,9 +296,11 @@ class TestWholeGrid:
 
     @pytest.mark.parametrize("name, calls", [
         ("6 block rows: runs of 4 and 2", [(4 * 3 * 6, 4 * 3 * 256), (2 * 3 * 6, 2 * 3 * 256)]),
+        ("3 rows of 5 blocks: runs of 2, 2 and 1 blocks",
+         [(2 * 8, 2 * 256), (2 * 8, 2 * 256), (8, 256)] * 3),
         ("one block: runs of 5, 5 and 2 pixel rows", [(50, 256), (50, 256), (20, 256)]),
-        ("2x2 blocks of 6x5: runs of 4 and 2 pixel rows",
-         [(40, 512), (20, 512), (40, 512), (20, 512)]),
+        # each block on its own, in runs of 4 and 2 of its 6 pixel rows
+        ("2x2 blocks of 6x5: runs of 4 and 2 pixel rows", [(20, 256), (10, 256)] * 4),
     ])
     def test_budget_sets_the_runs(self, name, calls):
         img, grid, budget = _CASES[name]
@@ -328,7 +342,7 @@ class TestWholeGrid:
     def test_result_arrays_are_read_only(self, rng):
         img = random_image(rng, 8, 8)
         res = classify_blocks(img, partition(img, 4, 4), threshold=0.1)
-        for arr in (res.features, res.deviations, res.max_deviation, res.conforming):
+        for arr in (res.features, res.max_deviation, res.conforming):
             with pytest.raises(ValueError):
                 arr[0] = 0
 
@@ -345,39 +359,54 @@ class TestWholeGrid:
                                              "epsilon 1e-320 is too small$"):
             classify_blocks(img, partition(img, 1, 4), threshold=0.1, epsilon=1e-320)
 
+    def test_result_whose_derived_deviation_overflows_is_refused(self):
+        # its max_deviation is finite, but the skewness deviation 1e305 / 1e-6 is not
+        values = np.zeros((1, 7))
+        values[0, 2] = 1e305
+        res = result_of(1, 1, values, np.ones(1, bool))
+        with pytest.raises(ValueError, match="^a relative deviation overflowed: "
+                                             "epsilon 1e-06 is too small$"):
+            dataclasses.replace(res, global_features=np.zeros(6))
+
     def test_grid_outside_image_rejected(self, rng):
         small = random_image(rng, 8, 8)
         grid = partition(random_image(rng, 12, 12), 4, 4)
         with pytest.raises(ValueError, match="^grid does not fit inside the image$"):
             classify_blocks(small, grid, threshold=0.1)
 
-    def test_block_features_peak_below_4_mb_on_1024_squared(self):
-        img = GrayImage(np.random.default_rng(3).integers(0, 256, (1024, 1024), dtype=np.uint8))
-        grid = partition(img, 8, 8)
-        _, peak = peak_bytes(stats.block_features, img.pixels, grid.block_h, grid.block_w)
-        assert peak < 4 * 10**6
+    @pytest.mark.parametrize("shape, block", [
+        ((1024, 1024), 8),
+        # one block row of 2048 blocks, about 40 budgets if it were counted in one run
+        ((4, 4096), 2),
+    ], ids=["1024x1024 in 8x8 blocks", "4x4096 in 2x2 blocks"])
+    def test_block_features_peak_within_budget(self, shape, block):
+        pixels = np.random.default_rng(3).integers(0, 256, shape, dtype=np.uint8)
+        feats, peak = peak_bytes(stats.block_features, pixels, block, block)
+        assert peak <= feats.nbytes + 2 * stats._CHUNK_BYTES
 
 
 @st.composite
 def block_values(draw):
-    """Result of an n_rows x n_cols grid whose 13 floats per block come from a
-    small pool (so values repeat) that always holds both 0.0 and -0.0, and
-    block rows per report run."""
+    """Result of an n_rows x n_cols grid whose six features and maximum
+    deviation per block come from a small pool (so values repeat) that always
+    holds both 0.0 and -0.0, and block rows per report run."""
     n_rows, n_cols = draw(st.integers(1, 12)), draw(st.integers(1, 5))
     pool = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=4))
     k = n_rows * n_cols
-    values = draw(hnp.arrays(np.float64, (k, 13), elements=st.sampled_from([0.0, -0.0, *pool])))
+    values = draw(hnp.arrays(np.float64, (k, 7), elements=st.sampled_from([0.0, -0.0, *pool])))
     conforming = draw(hnp.arrays(np.bool_, k))
     return result_of(n_rows, n_cols, values, conforming), draw(st.integers(1, n_rows))
 
 
 def result_of(n_rows, n_cols, values, conforming):
+    """A result whose (blocks, 7) values are each block's six features and
+    its maximum deviation; every global feature is 1.0, so every derived
+    deviation is |feature - 1.0|."""
     return blocks.AnalysisResult(
         grid=BlockGrid(block_h=1, block_w=1, n_rows=n_rows, n_cols=n_cols),
         global_features=np.ones(6),
         features=values[:, :6].copy(),
-        deviations=values[:, 6:12].copy(),
-        max_deviation=values[:, 12].copy(),
+        max_deviation=values[:, 6].copy(),
         conforming=conforming,
         threshold=0.1,
         epsilon=1e-6,
@@ -391,14 +420,14 @@ def report_runs(res, rows_per_run):
     return mock.patch.object(blocks, "_REPORT_CHUNK_BYTES", rows_per_run * res.grid.n_cols * 13 * 8)
 
 
-_SIGNED_ZEROS = np.array([[0.0, -0.0] * 6 + [-0.0]] * 4)
+_SIGNED_ZEROS = np.array([[0.0, -0.0] * 3 + [-0.0]] * 4)
 
 
 class TestBlocksJson:
     @settings(max_examples=200, deadline=None)
     @given(block_values(), st.sampled_from(["", "  ", "    "]))
     @example((result_of(2, 2, _SIGNED_ZEROS, np.array([True, False] * 2)), 2), "  ")
-    @example((result_of(7, 3, np.tile(np.arange(13.0) / 3, (21, 1)), np.ones(21, bool)), 2), "")
+    @example((result_of(7, 3, np.tile(np.arange(7.0) / 3, (21, 1)), np.ones(21, bool)), 2), "")
     def test_equals_json_dumps_of_dict_form(self, case, pad):
         res, rows_per_run = case
         with report_runs(res, rows_per_run):
@@ -408,8 +437,8 @@ class TestBlocksJson:
 
     def test_default_budget_spans_several_runs(self):
         # one column of 700 blocks is more block rows than one run holds
-        values = np.random.default_rng(3).integers(-4, 5, (700, 13)) / 4
-        res = result_of(700, 1, values, values[:, 12] <= 0)
+        values = np.random.default_rng(3).integers(-4, 5, (700, 7)) / 4
+        res = result_of(700, 1, values, values[:, 6] <= 0)
         assert 700 * 13 * 8 > blocks._REPORT_CHUNK_BYTES
         expected = json.dumps(result_report(res)["blocks"], indent=2, allow_nan=False)
         assert "".join(res.blocks_json("")) == expected

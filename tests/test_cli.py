@@ -22,10 +22,12 @@ from texelkit import blocks, cli, image, periodicity
 from texelkit import (
     AnalysisResult,
     GrayImage,
+    GroundTruth,
     PeriodEstimate,
     classify_blocks,
     column_dmf,
     estimate_periods,
+    generate,
     load_pgm,
     random_texel,
     row_dmf,
@@ -477,6 +479,19 @@ class TestFlagValidation:
         assert_flag_error(run_cli(*argv, cwd=tmp_path), named)
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["in.pgm", "sub"]
 
+    @pytest.mark.parametrize("argv, named", [
+        (["synthesize", "in.pgm", "", "--texel-out", "t.pgm"], "output"),
+        (["detect", "in.pgm", "", "--json-out", "r.json"], "output"),
+        (["analyze", "in.pgm", "--csv-dmf", "", "--json-out", "r.json"], "--csv-dmf"),
+    ], ids=["synthesize-output", "detect-output", "analyze-csv-dmf"])
+    def test_empty_output_path_exits_2_writing_nothing(self, tmp_path, argv, named):
+        write_tiling(tmp_path / "in.pgm", 4, 5, 6, seed=4)
+        manual = ["--period-rows", "4", "--period-cols", "5"]
+        proc = run_cli(*argv, *manual, cwd=tmp_path)
+        assert_flag_error(proc, named)
+        assert proc.stderr == f"error: {named} is an empty path\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.pgm"]
+
     def test_report_json_is_strict(self):
         img = GrayImage(np.arange(16, dtype=np.uint8).reshape(4, 4))
         res = classify_blocks(img, partition(img, 2, 2), threshold=0.1)
@@ -615,19 +630,19 @@ class TestGenerate:
 def results(draw):
     """An AnalysisResult of a random image, with the periods of an analyze
     report or None for a detect report. Thresholds include 0, so some
-    results have no representative. Some feature and deviation values are
-    replaced by arbitrary finite floats."""
+    results have no representative. Some feature values are replaced by
+    arbitrary floats of magnitude at most 1e300, whose derived deviations
+    stay finite at the default epsilon (1e300 / 1e-6 = 1e306)."""
     h, w = draw(st.integers(1, 12)), draw(st.integers(1, 12))
     img = GrayImage(draw(hnp.arrays(np.uint8, (h, w))))
     grid = partition(img, draw(st.integers(1, h)), draw(st.integers(1, w)))
     res = classify_blocks(img, grid, draw(st.sampled_from([0.0, 0.05, 1e9])))
-    feats, devs = res.features.copy(), res.deviations.copy()
-    floats = st.floats(allow_nan=False, allow_infinity=False)
-    for arr in (feats, devs):
-        for row in arr:
-            for col in draw(st.sets(st.integers(0, 5), max_size=2)):
-                row[col] = draw(floats)
-    res = dataclasses.replace(res, features=feats, deviations=devs)
+    feats = res.features.copy()
+    floats = st.floats(-1e300, 1e300)
+    for row in feats:
+        for col in draw(st.sets(st.integers(0, 5), max_size=2)):
+            row[col] = draw(floats)
+    res = dataclasses.replace(res, features=feats)
     if draw(st.booleans()):
         return res, None
     est = PeriodEstimate(grid.block_h, grid.block_w, [], [])
@@ -652,7 +667,7 @@ class TestReportText:
 
     @settings(max_examples=50, deadline=None)
     @given(results(), st.sampled_from([float("inf"), float("-inf"), float("nan")]),
-           st.sampled_from(["features", "deviations", "max_deviation"]), st.data())
+           st.sampled_from(["features", "max_deviation"]), st.data())
     def test_non_finite_value_raises_naming_epsilon(self, case, bad, where, data):
         res, _ = case
         arr = getattr(res, where).copy()
@@ -783,8 +798,21 @@ class TestStreamedOutputs:
         code, peak = peak_bytes(cli.main, argv)
         assert code == 1
         assert '"conforming": true' not in (tmp_path / "r.json").read_text()
-        # the features, deviations and maximum deviation of each block
-        assert peak < 512 * 512 + 13 * 8 * 64 * 64 + 10**6
+        # the features and maximum deviation of each block
+        assert peak < 512 * 512 + 7 * 8 * 64 * 64 + 10**6
+
+    def test_dense_detect_peak_below_2_6_mb(self, tmp_path):
+        # a noisy 8x8 texel tiled 128x128: a 1 MB image, 16384 block features
+        # (0.79 MB) and one block-stage budget (0.52 MB) fit; a second (blocks,
+        # 6) array or a block-stage run past the budget would not
+        gt = GroundTruth(texel_h=8, texel_w=8, reps_r=128, reps_c=128, noise_amplitude=5, seed=7)
+        (tmp_path / "in.pgm").write_bytes(save_pgm(generate(gt, random_texel(8, 8, seed=7))))
+        argv = ["detect", str(tmp_path / "in.pgm"), str(tmp_path / "o.pgm"),
+                "--period-rows", "8", "--period-cols", "8",
+                "--json-out", str(tmp_path / "r.json")]
+        code, peak = peak_bytes(cli.main, argv)
+        assert code == 1
+        assert peak < 2.6 * 10**6
 
     def test_synthesize_peak_below_1_mb(self, tmp_path):
         # a 4 MB output from a 64x64 input: the tiling is written from one strip

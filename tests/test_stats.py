@@ -166,14 +166,23 @@ class TestPerCountTables:
         assert log2_argument_shape(counts, 256) == counts.shape
 
     @pytest.mark.parametrize("n", [64, 10**6], ids=["table", "direct"])
-    def test_peak_within_five_level_arrays(self, n):
-        # four float64 arrays the size of the counts, which block_features
+    def test_peak_within_four_level_arrays(self, n):
+        # three float64 arrays the size of the counts, which block_features
         # budgets as _LEVEL_ARRAYS with the counts themselves
         counts = np.random.default_rng(5).multinomial(n, [1 / 256] * 256, size=128)
         assert (n + 1 <= counts.size) == (n == 64)
         out, peak = peak_bytes(stats.feature_matrix, counts, n)
-        assert stats._LEVEL_ARRAYS == 5
-        assert peak < 5 * counts.nbytes + out.nbytes
+        assert stats._LEVEL_ARRAYS == 4
+        assert peak < 4 * counts.nbytes + out.nbytes
+
+    def test_work_buffer_is_used_in_place(self):
+        counts = np.random.default_rng(5).multinomial(64, [1 / 256] * 256, size=128)
+        work = np.empty((3, counts.size + 256))
+        want = stats.feature_matrix(counts, 64)
+        got, peak = peak_bytes(stats.feature_matrix, counts, 64, work)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        # numpy's broadcasting buffers and the small tables, but no level array
+        assert peak < counts.nbytes
 
 
 _NOISE_1024 = GrayImage(np.random.default_rng(3).integers(0, 256, (1024, 1024), dtype=np.uint8))
