@@ -197,10 +197,15 @@ def load_pgm(data: bytes) -> GrayImage:
     """Parse PGM bytes (binary "P5" or ASCII "P2", maxval <= 255) into an image.
 
     Header whitespace and '#' comments are tolerated; samples are used as-is
-    without rescaling, whatever the declared maxval. A P2 raster is decoded
-    in runs of whole lines within a fixed budget (_p2_samples), straight
-    into the image's uint8 buffer; its largest sample, kept as the runs go,
-    is checked against maxval here, as a P5 raster's is.
+    without rescaling, whatever the declared maxval. A P5 image views its
+    raster in `data` when `data` is bytes and the raster fills at least
+    half of it, so loading copies nothing. The raster is copied from any
+    other buffer (a bytearray or an mmap can change later), and when more
+    bytes follow it than it holds, so a small image pins no large buffer.
+    A P2 raster is decoded in runs of whole lines within a fixed budget
+    (_p2_samples), straight into the image's uint8 buffer; its largest
+    sample, kept as the runs go, is checked against maxval here, as a P5
+    raster's is.
     """
     magic, pos = _read_header_token(data, 0)
     if magic not in (b"P5", b"P2"):
@@ -221,11 +226,14 @@ def load_pgm(data: bytes) -> GrayImage:
         if pos >= len(data) or not data[pos : pos + 1].isspace():
             raise PgmError("malformed PGM header: missing whitespace before P5 raster")
         pos += 1
-        raster = data[pos : pos + count]
+        raster = memoryview(data)[pos : pos + count]
         if len(raster) < count:
             raise PgmError(
                 f"truncated P5 pixel data: expected {count} bytes, got {len(raster)}"
             )
+        # only bytes cannot change later, and a small image pins no large buffer
+        if not isinstance(data, bytes) or 2 * count < len(data):
+            raster = raster.tobytes()
         samples = np.frombuffer(raster, dtype=np.uint8)
         top = int(samples.max())
     else:

@@ -32,9 +32,9 @@ MINIMA_DEPTH_FRACTION = 0.25
 
 # _dmf takes row chunks whose float64 pixels and spectra fit this many bytes
 # together, so its working set stays bounded whatever the image size.
-_FFT_CHUNK_BYTES = 1 << 20
+_FFT_CHUNK_BYTES = 1 << 18
 
-# _dmf rounds a chunk's lag sums only while their error bound is below this.
+# _dmf rounds lag sums only while their error bound is below this.
 _MAX_ROUNDING_ERROR = 0.5
 
 
@@ -68,23 +68,44 @@ def _d_max(length: int, fraction: float) -> int:
     return min(int(fraction * length), length - 1)
 
 
-def _corr_error_bound(n: int, depth: int, energy: int) -> float:
-    """Bound on the float error of the lag sums _dmf rounds for one chunk.
+def _corr_error_bound(n: int, rows: int, w: int) -> float:
+    """Bound on the float error of the lag sums of `rows` rows of w pixels,
+    padded to n, that _dmf sums in float64 and then rounds.
 
-    `energy`, the exact sum of squared (centred) pixels, bounds every |C[d]|
-    and, times n, the 1-norm of the power spectrum (Parseval). A length-n
-    FFT is taken to err by eps = 10 u log2(n): forward in the 2-norm of its
-    output, inverse per output against the 1-norm of its input over n (the
-    radix-2 analysis in Higham, Accuracy and Stability of Numerical
-    Algorithms, 2nd ed., section 24.1, gives about 6.7 u per stage). Each
-    power value adds two roundings and the sum over the chunk's `depth` rows
-    a chain of `depth` - 1 additions.
+    No centred pixel is more than 128 from mid-gray, so energy = 128**2 *
+    rows * w bounds every |C[d]| and, times n, the 1-norm of the power
+    spectrum (Parseval). A length-n FFT is taken to err by eps = 10 u
+    log2(n): forward in the 2-norm of its output, inverse per output against
+    the 1-norm of its input over n (the radix-2 analysis in Higham, Accuracy
+    and Stability of Numerical Algorithms, 2nd ed., section 24.1, gives
+    about 6.7 u per stage). n is 5-smooth, so numpy's pocketfft takes
+    radix-3 and radix-5 passes too. Such a pass rounds each output at most 4
+    (radix 3) or 5 (radix 5) times over its r inputs, so it errs by at most
+    4 u sqrt(3) = 6.9 u or 5 u sqrt(5) = 11.2 u in the 2-norm; with about
+    3 u for its twiddle products, that is 6.3 u and 6.1 u per unit of
+    log2 n, under the 10 u taken. Each power value adds two roundings and
+    the sum over the rows a chain of at most `rows` additions, however _dmf
+    groups them into chunks.
     """
     u = np.finfo(np.float64).eps / 2
     eps = 10 * u * math.log2(n)
-    gamma = (depth + 1) * u / (1 - (depth + 1) * u)
+    gamma = (rows + 1) * u / (1 - (rows + 1) * u)
     spectrum = 2 * eps + eps * eps + gamma * (1 + eps) ** 2  # relative to n * energy
-    return energy * (spectrum + eps * (1 + spectrum))
+    return 128 * 128 * rows * w * (spectrum + eps * (1 + spectrum))
+
+
+def _fft_length(m: int) -> int:
+    """The smallest 2**a * 3**b * 5**c >= m (m >= 1): numpy's FFT is fast at
+    these lengths, which lie no farther above m than a power of two."""
+    best = 1 << (m - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p = p5
+        while p < best:
+            best = min(best, p << ((m - 1) // p).bit_length())  # the least p * 2**a >= m
+            p *= 3
+        p5 *= 5
+    return best
 
 
 def _chunk_rows(h: int, w: int, n: int) -> int:
@@ -98,12 +119,17 @@ def _dmf(pix: np.ndarray, d_max: int) -> np.ndarray:
 
     The squared-difference sum at d is (S[w] - S[d]) + S[w - d] - 2 C[d]:
     S is the exact prefix sum of per-column sums of squares, C[d] the lag-d
-    autocorrelation summed over rows. Each row chunk's share of C comes from
-    one real FFT per row, zero-padded to n >= w + d_max (so no lag wraps
-    around), and is an integer: rounding recovers it exactly while
-    _corr_error_bound for the worst-case chunk stays below 0.5, and the
-    int64 sum over chunks is exact. An axis too long for that bound (about
-    3e8 pixels) raises ValueError.
+    autocorrelation summed over rows. C is the inverse real FFT of the
+    row-summed power spectrum, each row zero-padded to the 5-smooth length
+    n >= w + d_max (_fft_length, so no lag wraps around), and is an integer:
+    rounding recovers it exactly while _corr_error_bound for the rows summed
+    stays below 0.5. The spectrum is summed over row chunks and rounded once
+    for the whole axis when the bound for all h rows allows it; otherwise it
+    is rounded after each run of chunks the bound covers (the whole count
+    halved until it does, one chunk at the least), and the runs' shares of C
+    are summed in int64, which is exact. An axis too long for the bound of
+    one chunk (about 3e8 pixels) raises ValueError. The bounds are checked
+    before any FFT.
 
     The chunk and its spectrum are two buffers of _chunk_rows rows, made
     once and reused by every chunk; the power is formed in the spectrum's
@@ -112,20 +138,26 @@ def _dmf(pix: np.ndarray, d_max: int) -> np.ndarray:
     h, w = pix.shape
     if not 1 <= d_max <= w - 1:
         raise ValueError(f"d_max must be in 1..{w - 1}, got {d_max}")
-    n = 1 << (w + d_max - 1).bit_length()
+    n = _fft_length(w + d_max)
     rows = _chunk_rows(h, w, n)
-    # no centred pixel is more than 128 from mid-gray
-    bound = _corr_error_bound(n, rows, 128 * 128 * rows * w)
+    bound = _corr_error_bound(n, rows, w)
     if bound >= _MAX_ROUNDING_ERROR:
         raise ValueError(
             f"DMF along an axis of {w} pixels cannot be summed exactly "
             f"(rounding error bound {bound:.3g})"
         )
+    # chunks summed per rounding
+    per_round = -(-h // rows)
+    while per_round > 1 and (
+        _corr_error_bound(n, min(h, per_round * rows), w) >= _MAX_ROUNDING_ERROR
+    ):
+        per_round //= 2
     chunk = np.empty((rows, w))
     spec = np.empty((rows, n // 2 + 1), dtype=np.complex128)
+    total = np.zeros(n // 2 + 1)
     col_sq = np.zeros(w, dtype=np.int64)
     corr = np.zeros(d_max, dtype=np.int64)
-    for r0 in range(0, h, rows):
+    for i, r0 in enumerate(range(0, h, rows), 1):
         m = min(rows, h - r0)
         c, s = chunk[:m], spec[:m]
         # Centring on mid-gray changes no difference and quarters the
@@ -141,7 +173,10 @@ def _dmf(pix: np.ndarray, d_max: int) -> np.ndarray:
         np.square(parts, out=parts)
         power = parts[:, 0::2]
         power += parts[:, 1::2]
-        corr += np.rint(np.fft.irfft(power.sum(axis=0), n)[1 : d_max + 1]).astype(np.int64)
+        total += power.sum(axis=0)
+        if i % per_round == 0 or r0 + m == h:
+            corr += np.rint(np.fft.irfft(total, n)[1 : d_max + 1]).astype(np.int64)
+            total[...] = 0
     prefix = np.concatenate(([0], np.cumsum(col_sq)))
     d = np.arange(1, d_max + 1)
     values = ((prefix[w] - prefix[d]) + prefix[w - d] - 2 * corr) / (h * (w - d))

@@ -814,6 +814,22 @@ class TestStreamedOutputs:
         assert code == 1
         assert peak < 2.6 * 10**6
 
+    def test_periodic_analyze_peak_below_1_8_mb(self, tmp_path, capsys):
+        # a 960x960 tiling of a 24x20 texel: the 0.92 MB file, which the image
+        # views, and the block stage's budget fit; a copy of the raster or a
+        # DMF working set past its budget would not
+        texel = random_texel(24, 20, seed=8)
+        (tmp_path / "in.pgm").write_bytes(save_pgm(synthesize(texel, 960, 960)))
+        # measured after a warm-up call, as perfbench does: the first call
+        # also imports numpy's fft module (0.13 MB, kept)
+        assert cli.main(["analyze", str(tmp_path / "in.pgm")]) == 0
+        capsys.readouterr()
+        code, peak = peak_bytes(cli.main, ["analyze", str(tmp_path / "in.pgm")])
+        assert code == 0
+        periods = json.loads(capsys.readouterr().out)["periods"]
+        assert (periods["row_period"], periods["col_period"]) == (24, 20)
+        assert peak < 1.8 * 10**6
+
     def test_synthesize_peak_below_1_mb(self, tmp_path):
         # a 4 MB output from a 64x64 input: the tiling is written from one strip
         write_tiling(tmp_path / "in.pgm", 8, 8, 8, seed=6)

@@ -1,5 +1,7 @@
 """PGM I/O, cropping, and outline drawing."""
 
+import mmap
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -332,6 +334,50 @@ class TestP2DecodeMemory:
         got, peak = decode_peak(b"P2 100000 100000 255 1 2 3")
         assert str(got) == "truncated P2 pixel data: expected 10000000000 samples, got 3"
         assert peak < 64_000
+
+
+class TestP5View:
+    """A P5 image views its raster in the file's bytes, and copies it only
+    when the buffer is writable or mostly other bytes."""
+
+    @pytest.fixture(scope="class")
+    def noise(self):
+        img = GrayImage(np.random.default_rng(13).integers(0, 256, (960, 960), np.uint8))
+        return img, save_pgm(img)
+
+    def test_image_shares_the_input_bytes(self, noise):
+        img, data = noise
+        got, peak = peak_bytes(load_pgm, data)
+        assert got == img
+        assert np.shares_memory(got.pixels, np.frombuffer(data, np.uint8))
+        assert peak < 64 * 1024
+
+    def test_bytearray_input_is_copied(self, noise):
+        img, data = noise
+        buf = bytearray(data)
+        got = load_pgm(buf)
+        buf[-1] ^= 0xFF
+        buf += b"\0"  # nothing holds a view of the buffer, so it can grow
+        assert got == img and not got.pixels.flags.writeable
+
+    def test_read_only_mmap_input_is_copied(self, noise, tmp_path):
+        # read-only to this process, yet the file under it can still change
+        img, data = noise
+        path = tmp_path / "in.pgm"
+        path.write_bytes(data)
+        with open(path, "rb") as f, mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ) as m:
+            got = load_pgm(m)
+            with open(path, "r+b") as w:
+                w.seek(-1, 2)
+                w.write(bytes([data[-1] ^ 0xFF]))
+        assert got == img
+
+    def test_raster_followed_by_trailing_bytes_is_copied(self, noise):
+        img, data = noise
+        data += bytes(len(data))
+        got = load_pgm(data)
+        assert got == img
+        assert not np.shares_memory(got.pixels, np.frombuffer(data, np.uint8))
 
 
 class TestCrop:

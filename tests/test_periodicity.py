@@ -133,18 +133,91 @@ class TestFftDmf:
         column_dmf(img, 499)
         row_dmf(img, 299)
         # worst case per chunk (every centred pixel at -128) for 20000x20000
-        # at the default fraction: n = 32768, 2 rows per chunk
-        assert periodicity._chunk_rows(20000, 20000, 32768) == 2
-        assert periodicity._corr_error_bound(32768, 2, 128**2 * 2 * 20000) < 1e-3
-        # rows of 10**8 pixels: n = 2**28, one row per chunk
-        assert periodicity._chunk_rows(2, 10**8, 2**28) == 1
-        assert periodicity._corr_error_bound(2**28, 1, 128**2 * 10**8) < 0.5
+        # at the default fraction: n = 30000, one row per chunk
+        assert periodicity._fft_length(20000 + 10000) == 30000
+        assert periodicity._chunk_rows(20000, 20000, 30000) == 1
+        assert periodicity._corr_error_bound(30000, 1, 20000) < 3e-5
+        # the whole axis is beyond the bound, so chunks are rounded in runs
+        assert periodicity._corr_error_bound(30000, 20000, 20000) > 0.5
+        # rows of 10**8 pixels: n = 1.5e8, one row per chunk
+        assert periodicity._fft_length(10**8 + 5 * 10**7) == 15 * 10**7
+        assert periodicity._chunk_rows(2, 10**8, 15 * 10**7) == 1
+        assert periodicity._corr_error_bound(15 * 10**7, 1, 10**8) < 0.15
 
     def test_peak_within_budget_on_960_squared(self):
         # the float64 chunk and its spectrum are the working set, made once
         img = GrayImage(np.random.default_rng(4).integers(0, 256, (960, 960), dtype=np.uint8))
+        column_dmf(img, 2)  # numpy imports its fft module on first use (0.13 MB, kept)
         _, peak = peak_bytes(lambda: (column_dmf(img, 480), row_dmf(img, 480)))
         assert peak < 1.2 * periodicity._FFT_CHUNK_BYTES
+
+
+def irfft_calls(fn):
+    """How many inverse FFTs fn() takes: one per rounding of the lag sums."""
+    with mock.patch.object(np.fft, "irfft", wraps=np.fft.irfft) as irfft:
+        fn()
+    return irfft.call_count
+
+
+class TestRounding:
+    """The lag sums are rounded once per axis when the bound for all rows
+    allows it, else after each run of chunks it covers; every rule gives
+    the integer reference's curve."""
+
+    # 23 rows of 9 pixels in chunks of 3 rows: 8 chunks, the last of 2 rows
+    H, W, ROWS = 23, 9, 3
+
+    def check(self, monkeypatch, limit, roundings):
+        img = random_image(np.random.default_rng(9), self.H, self.W)
+        monkeypatch.setattr(periodicity, "_chunk_rows", lambda h, w, n: min(self.ROWS, h))
+        monkeypatch.setattr(periodicity, "_MAX_ROUNDING_ERROR", limit)
+        assert irfft_calls(lambda: column_dmf(img, self.W - 1)) == roundings
+        assert column_dmf(img, self.W - 1).tolist() == dmf(img.pixels, self.W - 1)
+
+    def bound(self, rows):
+        n = periodicity._fft_length(self.W + self.W - 1)
+        return periodicity._corr_error_bound(n, rows, self.W)
+
+    def test_once_across_many_chunks(self, monkeypatch):
+        self.check(monkeypatch, periodicity._MAX_ROUNDING_ERROR, 1)
+
+    def test_once_when_the_whole_axis_just_fits(self, monkeypatch):
+        self.check(monkeypatch, np.nextafter(self.bound(self.H), 1), 1)
+
+    def test_per_chunk_below_the_bound_of_two_chunks(self, monkeypatch):
+        limit = (self.bound(self.ROWS) + self.bound(2 * self.ROWS)) / 2
+        self.check(monkeypatch, limit, 8)
+
+    def test_runs_of_chunks_between_the_bounds(self, monkeypatch):
+        # 8 chunks halve to 4 (12 rows), which the limit covers: two runs
+        limit = (self.bound(4 * self.ROWS) + self.bound(self.H)) / 2
+        self.check(monkeypatch, limit, 2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(DMF_IMAGES, st.integers(1, 3), st.floats(0.0, 1.0))
+    def test_any_limit_above_one_chunk_matches_naive(self, pixels, rows, where):
+        # a limit anywhere between one chunk's bound and the whole axis's
+        h, w = pixels.shape
+        n = periodicity._fft_length(2 * w - 1)
+        lo = periodicity._corr_error_bound(n, min(rows, h), w)
+        hi = periodicity._corr_error_bound(n, h, w)
+        limit = np.nextafter(lo + where * (hi - lo), np.inf)
+        with mock.patch.object(periodicity, "_chunk_rows", lambda h, w, n: min(rows, h)), \
+                mock.patch.object(periodicity, "_MAX_ROUNDING_ERROR", limit):
+            assert column_dmf(GrayImage(pixels), w - 1).tolist() == dmf(pixels, w - 1)
+
+
+def is_5_smooth(k):
+    for p in (2, 3, 5):
+        while k % p == 0:
+            k //= p
+    return k == 1
+
+
+def test_fft_length_is_the_least_5_smooth_length_at_least_m():
+    smooth = [k for k in range(1, 2 * 4096) if is_5_smooth(k)]
+    for m in range(1, 4097):
+        assert periodicity._fft_length(m) == next(k for k in smooth if k >= m)
 
 
 class TestFindMinima:
