@@ -17,8 +17,6 @@ from .blocks import (
 from .image import (
     GrayImage,
     PgmError,
-    Rect,
-    crop,
     draw_rect_outline,
     load_pgm,
     save_pgm,
@@ -59,10 +57,8 @@ __all__ = [
     "MINIMA_DEPTH_FRACTION",
     "PeriodEstimate",
     "PgmError",
-    "Rect",
     "classify_blocks",
     "column_dmf",
-    "crop",
     "draw_rect_outline",
     "estimate_periods",
     "extract_texel",

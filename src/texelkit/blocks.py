@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .image import GrayImage, Rect
+from .image import GrayImage, _sealed
 from .stats import FEATURE_NAMES, block_features, features_of_region
 
 DEFAULT_EPSILON = 1e-6
@@ -45,48 +45,65 @@ class BlockGrid:
         if self.n_rows < 1 or self.n_cols < 1:
             raise ValueError("grid must contain at least one whole block")
 
-    def rect(self, i: int, j: int) -> Rect:
-        """Pixel rectangle of block (i, j)."""
+    def blocks(self, pixels: np.ndarray) -> np.ndarray:
+        """The (n_rows, block_h, n_cols, block_w) view of the grid's blocks
+        in a 2-D pixel array: block (i, j) is [i, :, j, :]. The grid must fit
+        inside the array."""
+        h, w = self.n_rows * self.block_h, self.n_cols * self.block_w
+        if h > pixels.shape[0] or w > pixels.shape[1]:
+            raise ValueError("grid does not fit inside the image")
+        return pixels[:h, :w].reshape(self.n_rows, self.block_h, self.n_cols, self.block_w)
+
+    def block(self, pixels: np.ndarray, i: int, j: int) -> np.ndarray:
+        """The (block_h, block_w) view of block (i, j) in a 2-D pixel array."""
         if not (0 <= i < self.n_rows and 0 <= j < self.n_cols):
             raise ValueError(
                 f"block ({i}, {j}) outside {self.n_rows}x{self.n_cols} grid"
             )
-        return Rect(j * self.block_w, i * self.block_h, self.block_w, self.block_h)
-
-    def check_inside(self, img: GrayImage) -> None:
-        if self.n_rows * self.block_h > img.height or self.n_cols * self.block_w > img.width:
-            raise ValueError("grid does not fit inside the image")
+        return self.blocks(pixels)[i, :, j]
 
 
 @dataclass(frozen=True, eq=False)
 class AnalysisResult:
-    """Full block classification outcome for one image.
-
-    Per-block values are row-major arrays: block (i, j) is row i * n_cols + j
-    of `features` (columns in FEATURE_NAMES order) and entry i * n_cols + j
-    of `max_deviation` and `conforming`. `global_features` is the whole
-    image's row of six, in the same column order. A block's six deviations
-    are not stored: they are deviation_matrix of its features, derived
-    where they are needed, one feature column or one report run at a time.
+    """Full block classification outcome for one image, made from grid,
+    global_features (the whole image's row of six), features (one row per
+    block, row-major: block (i, j) is row i * n_cols + j), threshold and
+    epsilon. The verdict is derived from them by the constructor, and so by
+    dataclasses.replace: `max_deviation` and `conforming` (max_deviation <=
+    threshold), one entry per block, and `representative` (the conforming
+    block of least max_deviation, earliest in row-major order on ties; None
+    when none conforms). A block's six deviations are not stored: they are
+    deviation_matrix of its features, derived where they are needed, one
+    feature column or one report run at a time.
     """
 
     grid: BlockGrid
     global_features: np.ndarray
     features: np.ndarray = field(repr=False)
-    max_deviation: np.ndarray = field(repr=False)
-    conforming: np.ndarray = field(repr=False)
     threshold: float
     epsilon: float
-    representative: tuple[int, int] | None
+    max_deviation: np.ndarray = field(init=False, repr=False)
+    conforming: np.ndarray = field(init=False, repr=False)
+    representative: tuple[int, int] | None = field(init=False)
 
     def __post_init__(self):
+        max_dev = _max_deviation(self.features, self.global_features, self.epsilon)
         # the report is strict JSON, so a result holds no inf or nan to write;
         # a non-finite feature makes its derived deviation inf or nan too
-        derived = _max_deviation(self.features, self.global_features, self.epsilon)
-        if not all(np.isfinite(a).all() for a in (derived, self.max_deviation)):
+        if not np.isfinite(max_dev).all():
             raise ValueError(
                 f"a relative deviation overflowed: epsilon {self.epsilon!r} is too small"
             )
+        conforming = max_dev <= self.threshold
+        candidates = np.flatnonzero(conforming)
+        representative = None
+        if candidates.size:
+            # argmin keeps the first minimum: the earliest block in row-major order
+            best = int(candidates[np.argmin(max_dev[candidates])])
+            representative = divmod(best, self.grid.n_cols)
+        object.__setattr__(self, "max_deviation", _sealed(max_dev))
+        object.__setattr__(self, "conforming", _sealed(conforming))
+        object.__setattr__(self, "representative", representative)
 
     def head(self) -> dict:
         """to_dict() without its "blocks" list; key order is part of the output contract."""
@@ -205,43 +222,17 @@ def classify_blocks(
     threshold: float,
     epsilon: float = DEFAULT_EPSILON,
 ) -> AnalysisResult:
-    """Classify every grid block against the whole-image statistics.
+    """Classify every grid block against the whole-image statistics: the
+    AnalysisResult of the blocks' and the whole image's features.
 
     The grid must fit inside the image. Global features cover all pixels,
-    including any partial-block edge strips the grid excludes. A block
-    conforms when its largest per-feature deviation is at most `threshold`;
-    the representative is the conforming block with the smallest such
-    deviation, earliest in row-major order on ties. When no block conforms
-    the result carries representative=None rather than failing. An epsilon
+    including any partial-block edge strips the grid excludes. An epsilon
     so small that a deviation overflows raises ValueError.
     """
     # threshold 0 is a usable degenerate boundary: only blocks with
     # exactly zero deviation (e.g. on perfect tilings) conform
     if not 0 <= threshold < math.inf:
         raise ValueError(f"threshold must be finite and >= 0, got {threshold}")
-    grid.check_inside(img)
-    bh, bw = grid.block_h, grid.block_w
-    global_features = features_of_region(img)
-    feats = block_features(img.pixels[: grid.n_rows * bh, : grid.n_cols * bw], bh, bw)
-    max_dev = _max_deviation(feats, global_features, epsilon)
-    conforming = max_dev <= threshold
-    for arr in (feats, max_dev, conforming):
-        arr.setflags(write=False)
-
-    candidates = np.flatnonzero(conforming)
-    representative = None
-    if candidates.size:
-        # argmin keeps the first minimum: the earliest block in row-major order
-        best = int(candidates[np.argmin(max_dev[candidates])])
-        representative = divmod(best, grid.n_cols)
-
-    return AnalysisResult(
-        grid=grid,
-        global_features=global_features,
-        features=feats,
-        max_deviation=max_dev,
-        conforming=conforming,
-        threshold=threshold,
-        epsilon=epsilon,
-        representative=representative,
-    )
+    blocks = grid.blocks(img.pixels)
+    return AnalysisResult(grid, features_of_region(img), _sealed(block_features(blocks)),
+                          threshold, epsilon)

@@ -1,4 +1,4 @@
-"""Grayscale image container, PGM I/O, cropping, and rectangle outlining.
+"""Grayscale image container, PGM I/O, and block outlining.
 
 Images are immutable 8-bit grayscale grids. Every operation returns a new
 image, so values can be shared freely across threads.
@@ -89,28 +89,6 @@ def _sealed(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class Rect:
-    """Axis-aligned rectangle: x0 is a column index, y0 a row index."""
-
-    x0: int
-    y0: int
-    w: int
-    h: int
-
-    def __post_init__(self):
-        if self.w < 1 or self.h < 1:
-            raise ValueError(f"rect must have positive size, got {self.w}x{self.h}")
-        if self.x0 < 0 or self.y0 < 0:
-            raise ValueError(f"rect origin must be non-negative, got ({self.x0}, {self.y0})")
-
-    def check_inside(self, img: GrayImage) -> None:
-        if self.x0 + self.w > img.width or self.y0 + self.h > img.height:
-            raise ValueError(
-                f"rect {self} does not fit inside a {img.width}x{img.height} image"
-            )
-
-
 def _read_header_token(data: bytes, pos: int) -> tuple[bytes, int]:
     """The header token at or after data[pos] and the position just past it."""
     match = _HEADER_TOKEN.match(data, pos)
@@ -197,16 +175,18 @@ def load_pgm(data: bytes) -> GrayImage:
     """Parse PGM bytes (binary "P5" or ASCII "P2", maxval <= 255) into an image.
 
     Header whitespace and '#' comments are tolerated; samples are used as-is
-    without rescaling, whatever the declared maxval. A P5 image views its
-    raster in `data` when `data` is bytes and the raster fills at least
-    half of it, so loading copies nothing. The raster is copied from any
-    other buffer (a bytearray or an mmap can change later), and when more
-    bytes follow it than it holds, so a small image pins no large buffer.
+    without rescaling, whatever the declared maxval. Any bytes-like input
+    that is not bytes (a bytearray, memoryview or mmap can change later) is
+    copied into bytes first. A P5 image views its raster in the bytes when
+    it fills at least half of them, so loading bytes copies nothing; else
+    the raster is copied, so a small image pins no large buffer.
     A P2 raster is decoded in runs of whole lines within a fixed budget
     (_p2_samples), straight into the image's uint8 buffer; its largest
     sample, kept as the runs go, is checked against maxval here, as a P5
     raster's is.
     """
+    if not isinstance(data, bytes):
+        data = memoryview(data).tobytes()  # bytes(n) would make n zero bytes
     magic, pos = _read_header_token(data, 0)
     if magic not in (b"P5", b"P2"):
         raise PgmError(f"not a PGM file: bad magic {magic!r}")
@@ -231,8 +211,8 @@ def load_pgm(data: bytes) -> GrayImage:
             raise PgmError(
                 f"truncated P5 pixel data: expected {count} bytes, got {len(raster)}"
             )
-        # only bytes cannot change later, and a small image pins no large buffer
-        if not isinstance(data, bytes) or 2 * count < len(data):
+        # a small image pins no large buffer
+        if 2 * count < len(data):
             raster = raster.tobytes()
         samples = np.frombuffer(raster, dtype=np.uint8)
         top = int(samples.max())
@@ -275,12 +255,6 @@ def save_pgm(img: GrayImage, mode: str = "P5") -> bytes:
     return b"".join(pgm_parts(img, mode))
 
 
-def crop(img: GrayImage, r: Rect) -> GrayImage:
-    """Copy of the sub-image covered by `r`."""
-    r.check_inside(img)
-    return GrayImage(img.pixels[r.y0 : r.y0 + r.h, r.x0 : r.x0 + r.w])
-
-
 def _check_band(value: int, thickness: int) -> None:
     if not 0 <= value <= 255:
         raise ValueError(f"outline value must be in [0, 255], got {value}")
@@ -300,15 +274,14 @@ def _paint_outlines(view: np.ndarray, flagged, value: int, thickness: int) -> No
         np.copyto(band, value, where=flagged)
 
 
-def draw_rect_outline(img: GrayImage, r: Rect, value: int, thickness: int = 1) -> GrayImage:
-    """Copy of `img` with the border band of width `thickness` just inside `r`
-    set to `value`, clipped to `r` as _paint_outlines clips a block's (so a
-    band at least half as wide as r's shorter side fills r); all other
-    pixels unchanged.
+def draw_rect_outline(img: GrayImage, grid, index: tuple[int, int], value: int,
+                      thickness: int = 1) -> GrayImage:
+    """Copy of `img` with the border band of width `thickness` just inside
+    block `index` of the BlockGrid `grid` set to `value`, clipped to the
+    block as _paint_outlines clips it (so a band at least half as wide as
+    the block's shorter side fills the block); all other pixels unchanged.
     """
-    r.check_inside(img)
     _check_band(value, thickness)
     out = img.pixels.copy()
-    _paint_outlines(out[r.y0 : r.y0 + r.h, r.x0 : r.x0 + r.w].reshape(1, r.h, 1, r.w),
-                    True, value, thickness)
+    _paint_outlines(grid.block(out, *index)[None, :, None], True, value, thickness)
     return GrayImage(_sealed(out))

@@ -93,9 +93,9 @@ def feature_matrix(counts: np.ndarray, n: int, work: np.ndarray | None = None) -
     return out
 
 
-def block_features(pixels: np.ndarray, block_h: int, block_w: int) -> np.ndarray:
-    """(n_rows * n_cols, 6) features of the whole block_h x block_w blocks
-    of a 2-D uint8 array, row-major: the one place that counts gray levels.
+def block_features(blocks: np.ndarray) -> np.ndarray:
+    """(n_rows * n_cols, 6) features of the blocks of a BlockGrid.blocks
+    view of uint8 pixels, row-major: the one place that counts gray levels.
 
     A run of blocks is one bincount of block_id * 256 + level over the
     (n_rows, block_h, n_cols, block_w) view. Runs take whole block rows
@@ -106,8 +106,7 @@ def block_features(pixels: np.ndarray, block_h: int, block_w: int) -> np.ndarray
     (one block over a whole image) is counted in runs of pixel rows that do,
     and their integer counts are added exactly.
     """
-    n_rows, n_cols = pixels.shape[0] // block_h, pixels.shape[1] // block_w
-    blocks = pixels[: n_rows * block_h, : n_cols * block_w].reshape(n_rows, block_h, n_cols, block_w)
+    n_rows, block_h, n_cols, block_w = blocks.shape
     n = block_h * block_w
     per_block = 8 * max(n + GRAY_LEVELS, _LEVEL_ARRAYS * GRAY_LEVELS)
     fit = max(1, _CHUNK_BYTES // per_block)
@@ -134,6 +133,6 @@ def block_features(pixels: np.ndarray, block_h: int, block_w: int) -> np.ndarray
 def features_of_region(img: GrayImage) -> np.ndarray:
     """The whole image's six features: block_features of the image taken
     as one block, a read-only 1-D float64 row in FEATURE_NAMES order."""
-    row = block_features(img.pixels, img.height, img.width)[0]
+    row = block_features(img.pixels[None, :, None, :])[0]
     row.setflags(write=False)
     return row

@@ -10,17 +10,17 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterator
+from dataclasses import replace
 
 import numpy as np
 
 from .blocks import BlockGrid
-from .image import GrayImage, _check_band, _paint_outlines, _sealed, crop
+from .image import GrayImage, _check_band, _paint_outlines, _sealed
 
 
 def extract_texel(img: GrayImage, grid: BlockGrid, index: tuple[int, int]) -> GrayImage:
     """Pixels of grid block `index`, as a standalone image."""
-    i, j = index
-    return crop(img, grid.rect(i, j))
+    return GrayImage(grid.block(img.pixels, *index))
 
 
 def tiling_parts(texel: GrayImage, out_w: int, out_h: int) -> Iterator[memoryview]:
@@ -76,20 +76,19 @@ def outline_parts(
         raise ValueError(
             f"mask of shape {flagged.shape} does not match the {grid.n_rows}x{grid.n_cols} grid"
         )
-    grid.check_inside(img)
-    return _outlined_bands(img.pixels, flagged, grid.block_h, grid.block_w, value, thickness)
+    grid.blocks(img.pixels)  # the grid must fit inside the image
+    return _outlined_bands(img.pixels, grid, flagged, value, thickness)
 
 
-def _outlined_bands(pixels, flagged, bh, bw, value, thickness) -> Iterator[memoryview]:
-    n_rows, n_cols = flagged.shape
+def _outlined_bands(pixels, grid, flagged, value, thickness) -> Iterator[memoryview]:
+    bh, band_grid = grid.block_h, replace(grid, n_rows=1)  # a band is one block row
     for i, row in enumerate(flagged):
         band = pixels[i * bh : (i + 1) * bh]
         if row.any():
             band = band.copy()
-            view = band[:, : n_cols * bw].reshape(1, bh, n_cols, bw)
-            _paint_outlines(view, row.reshape(1, 1, n_cols, 1), value, thickness)
+            _paint_outlines(band_grid.blocks(band), row[None, None, :, None], value, thickness)
         yield band.data
-    yield pixels[n_rows * bh :].data
+    yield pixels[grid.n_rows * bh :].data
 
 
 def highlight_anomalies(img: GrayImage, grid: BlockGrid, flagged: np.ndarray,

@@ -19,6 +19,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .blocks import BlockGrid
 from .image import GrayImage, _sealed
 
 DEFECT_SHIFT = 60
@@ -126,9 +127,9 @@ def generate(gt: GroundTruth, texel: GrayImage) -> GrayImage:
         )
     img = np.tile(texel.pixels.astype(np.int64), (gt.reps_r, gt.reps_c))
     defect = np.clip(texel.pixels.astype(np.int64) + DEFECT_SHIFT, 0, 255)
-    th, tw = gt.texel_h, gt.texel_w
+    blocks = BlockGrid(gt.texel_h, gt.texel_w, gt.reps_r, gt.reps_c).blocks(img)
     for i, j in gt.defect_blocks:
-        img[i * th : (i + 1) * th, j * tw : (j + 1) * tw] = defect
+        blocks[i, :, j] = defect
     if gt.noise_amplitude > 0:
         rng = _stream(gt.seed, _NOISE_STREAM)
         noise = rng.integers(-gt.noise_amplitude, gt.noise_amplitude + 1, size=img.shape)

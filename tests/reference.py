@@ -116,17 +116,13 @@ def pgm_bytes(pixels: np.ndarray, mode: str = "P5") -> bytes:
     return f"P5\n{width} {height}\n255\n".encode("ascii") + pixels.astype(np.uint8).tobytes()
 
 
-def pixel_loop_features(img: GrayImage, region=None) -> dict[str, float]:
-    """Per-pixel reference for the six first-order features of the image,
-    or of the rectangle `region` (x0, y0, w, h) of it.
+def pixel_loop_features(img: GrayImage) -> dict[str, float]:
+    """Per-pixel reference for the six first-order features of the image.
 
     Moments come from a direct pass over pixel values; energy and entropy
     from a Counter of gray levels. math.fsum keeps the sums exactly rounded.
     """
-    pix = img.pixels
-    if region is not None:
-        pix = pix[region.y0 : region.y0 + region.h, region.x0 : region.x0 + region.w]
-    values = [int(v) for v in pix.ravel()]
+    values = [int(v) for v in img.pixels.ravel()]
     n = len(values)
     mean = math.fsum(values) / n
     variance = math.fsum((v - mean) ** 2 for v in values) / n
@@ -159,11 +155,10 @@ def direct_feature_matrix(counts: np.ndarray) -> np.ndarray:
     ], axis=-1)
 
 
-def one_bincount_features(img: GrayImage, r) -> np.ndarray:
-    """The features of the rectangle `r` (x0, y0, w, h) of the image, from
-    one bincount over all its pixels, fed to direct_feature_matrix."""
-    block = img.pixels[r.y0 : r.y0 + r.h, r.x0 : r.x0 + r.w]
-    return direct_feature_matrix(np.bincount(block.ravel(), minlength=256)[None])[0]
+def one_bincount_features(pixels: np.ndarray) -> np.ndarray:
+    """The features of a 2-D array of pixels, from one bincount over all of
+    them, fed to direct_feature_matrix."""
+    return direct_feature_matrix(np.bincount(pixels.ravel(), minlength=256)[None])[0]
 
 
 class Grid(NamedTuple):

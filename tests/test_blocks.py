@@ -14,7 +14,6 @@ from texelkit import blocks, stats
 from texelkit import (
     BlockGrid,
     GrayImage,
-    Rect,
     classify_blocks,
     features_of_region,
     partition,
@@ -43,16 +42,15 @@ class TestPartition:
         grid = partition(img, 4, 5)
         covered = np.zeros((12, 15), dtype=int)
         for i, j in np.ndindex(grid.n_rows, grid.n_cols):
-            r = grid.rect(i, j)
-            covered[r.y0 : r.y0 + r.h, r.x0 : r.x0 + r.w] += 1
+            grid.block(covered, i, j)[...] += 1
         assert covered.max() == 1 and covered.sum() == 12 * 15
 
     def test_edge_strips_excluded_from_grid(self, rng):
         img = random_image(rng, 10, 10)
         grid = partition(img, 3, 4)
         assert (grid.n_rows, grid.n_cols) == (3, 2)
-        last = grid.rect(2, 1)
-        assert last.y0 + last.h == 9 and last.x0 + last.w == 8
+        assert grid.blocks(img.pixels).shape == (3, 3, 2, 4)
+        assert np.array_equal(grid.block(img.pixels, 2, 1), img.pixels[6:9, 4:8])
 
     def test_block_larger_than_image_rejected(self, rng):
         img = random_image(rng, 8, 8)
@@ -62,11 +60,11 @@ class TestPartition:
             partition(img, 0, 4)
 
     def test_rect_index_bounds(self, rng):
-        grid = partition(random_image(rng, 8, 8), 4, 4)
-        with pytest.raises(ValueError):
-            grid.rect(2, 0)
-        with pytest.raises(ValueError):
-            grid.rect(0, -1)
+        img = random_image(rng, 8, 8)
+        grid = partition(img, 4, 4)
+        for i, j in [(2, 0), (0, 2), (0, -1), (-1, 0), (-1, -1)]:
+            with pytest.raises(ValueError, match=rf"^block \({i}, {j}\) outside 2x2 grid$"):
+                grid.block(img.pixels, i, j)
 
 
 class TestDeviation:
@@ -288,9 +286,9 @@ class TestWholeGrid:
     def test_block_features_equal_single_region(self, case):
         img, grid, budget = case
         with chunked(budget):
-            feats = stats.block_features(img.pixels, grid.block_h, grid.block_w)
+            feats = stats.block_features(grid.blocks(img.pixels))
         assert feats.shape == (grid.n_rows * grid.n_cols, 6)
-        expected = np.array([one_bincount_features(img, grid.rect(i, j))
+        expected = np.array([one_bincount_features(grid.block(img.pixels, i, j))
                              for i, j in np.ndindex(grid.n_rows, grid.n_cols)])
         assert np.array_equal(feats.view(np.uint64), expected.view(np.uint64))
 
@@ -311,7 +309,7 @@ class TestWholeGrid:
             return real(ids, minlength=minlength)
 
         with chunked(budget), mock.patch.object(stats.np, "bincount", bincount):
-            stats.block_features(img.pixels, grid.block_h, grid.block_w)
+            stats.block_features(grid.blocks(img.pixels))
         assert seen == calls
 
     @settings(max_examples=200, deadline=None)
@@ -351,7 +349,7 @@ class TestWholeGrid:
         img = make_image([[0, 0, 0, 255], [255, 255, 255, 0]])
         glob = features_of_region(img)
         assert named(glob)["skewness"] == 0.0
-        feats = stats.block_features(img.pixels, 1, 4)
+        feats = stats.block_features(partition(img, 1, 4).blocks(img.pixels))
         devs = blocks.deviation_matrix(feats, glob, epsilon=1e-320)
         assert devs.max(axis=1).tolist() == [float("inf")] * 2
         # a result holding it could not be written as strict JSON
@@ -360,10 +358,11 @@ class TestWholeGrid:
             classify_blocks(img, partition(img, 1, 4), threshold=0.1, epsilon=1e-320)
 
     def test_result_whose_derived_deviation_overflows_is_refused(self):
-        # its max_deviation is finite, but the skewness deviation 1e305 / 1e-6 is not
-        values = np.zeros((1, 7))
-        values[0, 2] = 1e305
-        res = result_of(1, 1, values, np.ones(1, bool))
+        # against global features of 1.0 every deviation is finite, but
+        # against zeros the skewness deviation 1e305 / 1e-6 is not
+        features = np.zeros((1, 6))
+        features[0, 2] = 1e305
+        res = result_of(1, 1, features)
         with pytest.raises(ValueError, match="^a relative deviation overflowed: "
                                              "epsilon 1e-06 is too small$"):
             dataclasses.replace(res, global_features=np.zeros(6))
@@ -381,36 +380,75 @@ class TestWholeGrid:
     ], ids=["1024x1024 in 8x8 blocks", "4x4096 in 2x2 blocks"])
     def test_block_features_peak_within_budget(self, shape, block):
         pixels = np.random.default_rng(3).integers(0, 256, shape, dtype=np.uint8)
-        feats, peak = peak_bytes(stats.block_features, pixels, block, block)
+        view = partition(GrayImage(pixels), block, block).blocks(pixels)
+        feats, peak = peak_bytes(stats.block_features, view)
         assert peak <= feats.nbytes + 2 * stats._CHUNK_BYTES
+
+
+def assert_verdict(res, want):
+    """The result's derived fields equal per_block_classify's."""
+    assert res.max_deviation.tolist() == want.max_deviation
+    assert res.conforming.tolist() == want.conforming
+    assert res.representative == want.representative
+
+
+class TestDerivedVerdict:
+    @settings(max_examples=100, deadline=None)
+    @given(grid_cases(), st.sampled_from([0.0, 0.02, 0.1, 0.5, 1e9]), st.randoms())
+    def test_replace_derives_the_verdict_again(self, case, threshold, random):
+        img, grid, _ = case
+        res = classify_blocks(img, grid, 0.1)
+        want = per_block_classify(img, grid, threshold, res.epsilon)
+        assert_verdict(dataclasses.replace(res, threshold=threshold), want)
+        # the same blocks in another order: the image's histogram, and so its
+        # global features, are unchanged, and each block keeps its features
+        order = list(range(grid.n_rows * grid.n_cols))
+        random.shuffle(order)
+        pixels = img.pixels.copy()
+        view = grid.blocks(pixels).transpose(0, 2, 1, 3)
+        view[...] = view.reshape(-1, grid.block_h, grid.block_w)[order].reshape(view.shape)
+        want = per_block_classify(GrayImage(pixels), grid, 0.1, res.epsilon)
+        assert_verdict(dataclasses.replace(res, features=res.features[order]), want)
+
+    @pytest.mark.parametrize("name", ["max_deviation", "conforming", "representative"])
+    def test_derived_field_cannot_be_given(self, rng, name):
+        img = random_image(rng, 8, 8)
+        res = classify_blocks(img, partition(img, 4, 4), threshold=0.1)
+        with pytest.raises(ValueError, match=f"^field {name} is declared with init=False"):
+            dataclasses.replace(res, **{name: getattr(res, name)})
+        with pytest.raises(TypeError):
+            blocks.AnalysisResult(res.grid, res.global_features, res.features, 0.1, 1e-6,
+                                  **{name: getattr(res, name)})
+
+    def test_one_deviation_pass_per_classification(self, rng):
+        img = random_image(rng, 8, 8)
+        with mock.patch.object(blocks, "_max_deviation", wraps=blocks._max_deviation) as spy:
+            classify_blocks(img, partition(img, 4, 4), threshold=0.1)
+        assert spy.call_count == 1
 
 
 @st.composite
 def block_values(draw):
-    """Result of an n_rows x n_cols grid whose six features and maximum
-    deviation per block come from a small pool (so values repeat) that always
-    holds both 0.0 and -0.0, and block rows per report run."""
+    """Result of an n_rows x n_cols grid whose six features per block come
+    from a small pool (so values repeat) that always holds both 0.0 and
+    -0.0, at a threshold some blocks may pass, and block rows per report run."""
     n_rows, n_cols = draw(st.integers(1, 12)), draw(st.integers(1, 5))
     pool = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=4))
     k = n_rows * n_cols
-    values = draw(hnp.arrays(np.float64, (k, 7), elements=st.sampled_from([0.0, -0.0, *pool])))
-    conforming = draw(hnp.arrays(np.bool_, k))
-    return result_of(n_rows, n_cols, values, conforming), draw(st.integers(1, n_rows))
+    features = draw(hnp.arrays(np.float64, (k, 6), elements=st.sampled_from([0.0, -0.0, *pool])))
+    threshold = draw(st.sampled_from([0.0, 1.0, 1e300]))
+    return result_of(n_rows, n_cols, features, threshold), draw(st.integers(1, n_rows))
 
 
-def result_of(n_rows, n_cols, values, conforming):
-    """A result whose (blocks, 7) values are each block's six features and
-    its maximum deviation; every global feature is 1.0, so every derived
-    deviation is |feature - 1.0|."""
+def result_of(n_rows, n_cols, features, threshold=1.0):
+    """The result of these (blocks, 6) features; every global feature is
+    1.0, so every derived deviation is |feature - 1.0|."""
     return blocks.AnalysisResult(
         grid=BlockGrid(block_h=1, block_w=1, n_rows=n_rows, n_cols=n_cols),
         global_features=np.ones(6),
-        features=values[:, :6].copy(),
-        max_deviation=values[:, 6].copy(),
-        conforming=conforming,
-        threshold=0.1,
+        features=features,
+        threshold=threshold,
         epsilon=1e-6,
-        representative=None,
     )
 
 
@@ -420,14 +458,15 @@ def report_runs(res, rows_per_run):
     return mock.patch.object(blocks, "_REPORT_CHUNK_BYTES", rows_per_run * res.grid.n_cols * 13 * 8)
 
 
-_SIGNED_ZEROS = np.array([[0.0, -0.0] * 3 + [-0.0]] * 4)
+# a deviation of 0 where a feature is 1.0, and of 1.0 where it is 0.0 or -0.0
+_SIGNED_ZEROS = np.array([[0.0, -0.0] * 3, [1.0, -0.0] * 3, [1.0] * 6, [-0.0] * 6])
 
 
 class TestBlocksJson:
     @settings(max_examples=200, deadline=None)
     @given(block_values(), st.sampled_from(["", "  ", "    "]))
-    @example((result_of(2, 2, _SIGNED_ZEROS, np.array([True, False] * 2)), 2), "  ")
-    @example((result_of(7, 3, np.tile(np.arange(7.0) / 3, (21, 1)), np.ones(21, bool)), 2), "")
+    @example((result_of(2, 2, _SIGNED_ZEROS, 0.5), 2), "  ")
+    @example((result_of(7, 3, np.tile(np.arange(6.0) / 3, (21, 1))), 2), "")
     def test_equals_json_dumps_of_dict_form(self, case, pad):
         res, rows_per_run = case
         with report_runs(res, rows_per_run):
@@ -437,8 +476,8 @@ class TestBlocksJson:
 
     def test_default_budget_spans_several_runs(self):
         # one column of 700 blocks is more block rows than one run holds
-        values = np.random.default_rng(3).integers(-4, 5, (700, 7)) / 4
-        res = result_of(700, 1, values, values[:, 6] <= 0)
+        features = np.random.default_rng(3).integers(-4, 5, (700, 6)) / 4
+        res = result_of(700, 1, features)
         assert 700 * 13 * 8 > blocks._REPORT_CHUNK_BYTES
         expected = json.dumps(result_report(res)["blocks"], indent=2, allow_nan=False)
         assert "".join(res.blocks_json("")) == expected

@@ -1,5 +1,6 @@
-"""PGM I/O, cropping, and outline drawing."""
+"""PGM I/O, block views, and outline drawing."""
 
+import itertools
 import mmap
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from texelkit import GrayImage, PgmError, Rect, crop, draw_rect_outline, image, load_pgm, save_pgm
+from texelkit import BlockGrid, GrayImage, PgmError, draw_rect_outline, image, load_pgm, save_pgm
 from texelkit.image import pgm_header
 
 from conftest import make_image, peak_bytes, random_image
@@ -380,69 +381,95 @@ class TestP5View:
         assert not np.shares_memory(got.pixels, np.frombuffer(data, np.uint8))
 
 
+_BUFFERS = {
+    "bytes": bytes,
+    "bytearray": bytearray,
+    "memoryview": lambda data: memoryview(bytearray(data)),
+    "read-only memoryview": lambda data: memoryview(bytearray(data)).toreadonly(),
+}
+
+
+class TestBytesLikeInput:
+    @pytest.mark.parametrize("mode", ["P5", "P2"])
+    @pytest.mark.parametrize("kind", list(_BUFFERS))
+    def test_loads_or_refuses_as_bytes_do(self, rng, kind, mode):
+        img = random_image(rng, 5, 7)
+        data = save_pgm(img, mode)
+        assert load_pgm(_BUFFERS[kind](data)) == img
+        # the header and one byte of raster: a PgmError, not a TypeError
+        short = data[: len(pgm_header(7, 5, mode)) + 1]
+        with pytest.raises(PgmError, match=f"^truncated {mode} pixel data"):
+            load_pgm(_BUFFERS[kind](short))
+
+
 class TestCrop:
+    """A block is cropped as BlockGrid.block's view of the pixels."""
+
     def test_crop_matches_slice(self, rng):
-        img = random_image(rng, 12, 17)
-        r = Rect(3, 2, 5, 7)
-        assert np.array_equal(crop(img, r).pixels, img.pixels[2:9, 3:8])
+        img = random_image(rng, 12, 17)  # edge strips below and right of the grid
+        grid = BlockGrid(block_h=5, block_w=4, n_rows=2, n_cols=4)
+        for i, j in np.ndindex(2, 4):
+            block = grid.block(img.pixels, i, j)
+            assert np.array_equal(block, img.pixels[5 * i : 5 * i + 5, 4 * j : 4 * j + 4])
+            assert np.shares_memory(block, img.pixels)
 
     def test_crop_composition(self, rng):
-        # cropping twice equals cropping once with composed offsets
-        img = random_image(rng, 20, 20)
-        outer = Rect(2, 3, 12, 14)
-        inner = Rect(4, 5, 6, 7)
-        once = crop(img, Rect(2 + 4, 3 + 5, 6, 7))
-        assert crop(crop(img, outer), inner) == once
+        # a block of a block is the block of the finer grid at the composed index
+        img = random_image(rng, 20, 24)
+        outer, inner, fine = BlockGrid(10, 12, 2, 2), BlockGrid(5, 4, 2, 3), BlockGrid(5, 4, 4, 6)
+        for (i, j), (k, m) in itertools.product(np.ndindex(2, 2), np.ndindex(2, 3)):
+            got = inner.block(outer.block(img.pixels, i, j), k, m)
+            assert np.array_equal(got, fine.block(img.pixels, 2 * i + k, 3 * j + m))
 
     def test_crop_out_of_bounds(self):
-        img = make_image([[1, 2], [3, 4]])
-        with pytest.raises(ValueError):
-            crop(img, Rect(1, 0, 2, 1))
-        with pytest.raises(ValueError):
-            crop(img, Rect(0, 0, 0, 1))
+        pixels = make_image([[1, 2], [3, 4]]).pixels
+        with pytest.raises(ValueError, match="^grid does not fit inside the image$"):
+            BlockGrid(1, 2, 1, 2).block(pixels, 0, 0)
+        with pytest.raises(ValueError, match="^block size must be positive$"):
+            BlockGrid(1, 0, 1, 1)
 
 
 class TestDrawRectOutline:
     def test_band_pixel_count(self, rng):
         # an outline of thickness t covers w*h - (w-2t)*(h-2t) pixels
-        img = GrayImage(np.zeros((20, 24), dtype=np.uint8))
+        img = GrayImage(np.zeros((30, 30), dtype=np.uint8))
         for t, (w, h) in [(1, (10, 8)), (2, (9, 11)), (3, (7, 6))]:
-            out = draw_rect_outline(img, Rect(4, 3, w, h), 255, t)
+            out = draw_rect_outline(img, BlockGrid(h, w, 2, 2), (1, 1), 255, t)
             expect = w * h - (w - 2 * t) * (h - 2 * t)
             assert int((out.pixels == 255).sum()) == expect
 
     def test_interior_and_exterior_untouched(self, rng):
-        img = random_image(rng, 16, 16)
-        r = Rect(4, 4, 8, 8)
-        out = draw_rect_outline(img, r, 200, 2)
+        img = random_image(rng, 24, 24)
+        out = draw_rect_outline(img, BlockGrid(8, 8, 3, 3), (1, 1), 200, 2)
         # interior preserved
-        assert np.array_equal(out.pixels[6:10, 6:10], img.pixels[6:10, 6:10])
+        assert np.array_equal(out.pixels[10:14, 10:14], img.pixels[10:14, 10:14])
         # exterior preserved
-        assert np.array_equal(out.pixels[:4, :], img.pixels[:4, :])
-        assert np.array_equal(out.pixels[:, 12:], img.pixels[:, 12:])
+        assert np.array_equal(out.pixels[:8, :], img.pixels[:8, :])
+        assert np.array_equal(out.pixels[:, 16:], img.pixels[:, 16:])
 
     def test_source_image_unmodified(self, rng):
         img = random_image(rng, 8, 8)
         before = img.pixels.copy()
-        draw_rect_outline(img, Rect(1, 1, 5, 5), 0, 1)
+        draw_rect_outline(img, BlockGrid(4, 4, 2, 2), (1, 0), 0, 1)
         assert np.array_equal(img.pixels, before)
 
     def test_exact_double_thickness_fills_rect(self):
         img = GrayImage(np.zeros((10, 10), dtype=np.uint8))
-        out = draw_rect_outline(img, Rect(0, 0, 4, 4), 255, 2)
+        out = draw_rect_outline(img, BlockGrid(4, 4, 2, 2), (0, 0), 255, 2)
         assert int((out.pixels == 255).sum()) == 16
 
     def test_too_thick_outline_fills_rect(self):
-        # each side's band is clipped to the rect, as a block's is
+        # each side's band is clipped to the block, as outline_parts clips it
         img = GrayImage(np.zeros((10, 10), dtype=np.uint8))
-        out = draw_rect_outline(img, Rect(1, 2, 4, 5), 255, 3)
+        out = draw_rect_outline(img, BlockGrid(5, 4, 2, 2), (1, 1), 255, 3)
         want = np.zeros((10, 10), dtype=np.uint8)
-        want[2:7, 1:5] = 255
+        want[5:10, 4:8] = 255
         assert np.array_equal(out.pixels, want)
 
     def test_bad_value_or_thickness(self):
         img = GrayImage(np.zeros((10, 10), dtype=np.uint8))
+        grid = BlockGrid(6, 6, 1, 1)
         with pytest.raises(ValueError):
-            draw_rect_outline(img, Rect(0, 0, 6, 6), 256, 1)
+            draw_rect_outline(img, grid, (0, 0), 256, 1)
         with pytest.raises(ValueError):
-            draw_rect_outline(img, Rect(0, 0, 6, 6), 255, 0)
+            draw_rect_outline(img, grid, (0, 0), 255, 0)

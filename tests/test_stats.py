@@ -13,9 +13,7 @@ from texelkit import stats
 from texelkit import (
     FEATURE_NAMES,
     GrayImage,
-    Rect,
     classify_blocks,
-    crop,
     features_of_region,
     partition,
 )
@@ -66,10 +64,8 @@ class TestAgainstPixelLoop:
             h = int(rng.integers(1, 16))
             x0 = int(rng.integers(0, 32 - w + 1))
             y0 = int(rng.integers(0, 32 - h + 1))
-            r = Rect(x0, y0, w, h)
-            assert features_close(
-                features_of_region(crop(img, r)), pixel_loop_features(img, r)
-            )
+            region = GrayImage(img.pixels[y0 : y0 + h, x0 : x0 + w])
+            assert features_close(features_of_region(region), pixel_loop_features(region))
 
 
 class TestInvariants:
@@ -190,29 +186,28 @@ _NOISE_1024 = GrayImage(np.random.default_rng(3).integers(0, 256, (1024, 1024), 
 
 @st.composite
 def chunked_regions(draw):
-    """Image, region inside it, and the rows of that region per histogram chunk."""
+    """A region sliced from a random image, and its rows per histogram chunk."""
     h, w = draw(st.integers(1, 40)), draw(st.integers(1, 40))
-    img = GrayImage(draw(hnp.arrays(np.uint8, (h, w))))
+    pixels = draw(hnp.arrays(np.uint8, (h, w)))
     rh, rw = draw(st.integers(1, h)), draw(st.integers(1, w))
-    region = Rect(draw(st.integers(0, w - rw)), draw(st.integers(0, h - rh)), rw, rh)
-    return img, region, draw(st.integers(1, rh))
+    y0, x0 = draw(st.integers(0, h - rh)), draw(st.integers(0, w - rw))
+    return GrayImage(pixels[y0 : y0 + rh, x0 : x0 + rw]), draw(st.integers(1, rh))
 
 
 class TestChunkedCounts:
     @settings(max_examples=200, deadline=None)
     @given(chunked_regions())
     def test_equals_one_bincount(self, case):
-        img, region, rows_per_chunk = case
-        with mock.patch.object(stats, "_CHUNK_BYTES", rows_per_chunk * 8 * region.w):
-            got = features_of_region(crop(img, region))
-        assert np.array_equal(got.view(np.uint64), one_bincount_features(img, region).view(np.uint64))
+        region, rows_per_chunk = case
+        with mock.patch.object(stats, "_CHUNK_BYTES", rows_per_chunk * 8 * region.width):
+            got = features_of_region(region)
+        assert np.array_equal(got.view(np.uint64), one_bincount_features(region.pixels).view(np.uint64))
 
     def test_default_budget_spans_several_chunks(self):
         img = _NOISE_1024
         assert 1024 * 1024 * 8 > 4 * stats._CHUNK_BYTES
         got = features_of_region(img)
-        whole = Rect(0, 0, img.width, img.height)
-        assert np.array_equal(got.view(np.uint64), one_bincount_features(img, whole).view(np.uint64))
+        assert np.array_equal(got.view(np.uint64), one_bincount_features(img.pixels).view(np.uint64))
 
     def test_peak_below_2_mb_on_1024_squared(self):
         _, peak = peak_bytes(features_of_region, _NOISE_1024)

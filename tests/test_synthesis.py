@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from texelkit import (
     GrayImage,
     classify_blocks,
-    crop,
     draw_rect_outline,
     extract_texel,
     highlight_anomalies,
@@ -28,8 +27,9 @@ class TestExtractTexel:
     def test_matches_block_crop(self, rng):
         img = random_image(rng, 20, 20)
         grid = partition(img, 5, 4)
-        for idx in [(0, 0), (1, 2), (3, 4)]:
-            assert extract_texel(img, grid, idx) == crop(img, grid.rect(*idx))
+        for i, j in [(0, 0), (1, 2), (3, 4)]:
+            want = GrayImage(img.pixels[5 * i : 5 * i + 5, 4 * j : 4 * j + 4])
+            assert extract_texel(img, grid, (i, j)) == want
 
     def test_bad_index_rejected(self, rng):
         grid = partition(random_image(rng, 8, 8), 4, 4)
@@ -110,7 +110,7 @@ def per_anomaly_highlight(img, grid, anomalies, value, thickness):
     """Reference: one new image per anomaly, each from draw_rect_outline."""
     out = img
     for i, j in anomalies:
-        out = draw_rect_outline(out, grid.rect(i, j), value, thickness)
+        out = draw_rect_outline(out, grid, (i, j), value, thickness)
     return out
 
 
@@ -165,11 +165,8 @@ class TestHighlightAnomalies:
         out = highlight_anomalies(img, grid, mask_of(grid, anomalies), value=255, thickness=2)
         mask = np.zeros((24, 24), dtype=bool)
         for i, j in anomalies:
-            r = grid.rect(i, j)
-            block = np.zeros((24, 24), dtype=bool)
-            block[r.y0 : r.y0 + r.h, r.x0 : r.x0 + r.w] = True
-            block[r.y0 + 2 : r.y0 + r.h - 2, r.x0 + 2 : r.x0 + r.w - 2] = False
-            mask |= block
+            mask[6 * i : 6 * i + 6, 6 * j : 6 * j + 6] = True
+            mask[6 * i + 2 : 6 * i + 4, 6 * j + 2 : 6 * j + 4] = False
         assert np.array_equal(out.pixels == 255, mask)
 
     def test_thick_outline_fills_small_blocks(self, rng):
