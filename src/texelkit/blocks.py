@@ -11,6 +11,7 @@ anomalies (defects or camouflaged regions).
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from collections.abc import Iterator
@@ -25,6 +26,7 @@ DEFAULT_EPSILON = 1e-6
 
 # bytes of float64 values in one run of block rows the report writer formats
 _REPORT_CHUNK_BYTES = 1 << 16
+_MARK = "\0"  # no report holds it: json.dumps writes it where a block's values go
 
 
 @dataclass(frozen=True)
@@ -105,50 +107,49 @@ class AnalysisResult:
         object.__setattr__(self, "conforming", _sealed(conforming))
         object.__setattr__(self, "representative", representative)
 
-    def head(self) -> dict:
-        """to_dict() without its "blocks" list; key order is part of the output contract."""
-        return {
+    def to_dict(self) -> dict:
+        """The report as a dict: report_parts() read back."""
+        return json.loads("".join(self.report_parts()))
+
+    def report_parts(self, periods: dict | None = None) -> Iterator[str]:
+        """Pieces of json.dumps(report, indent=2, allow_nan=False) + "\n", where
+        report is {"periods": periods, "analysis": ...} when periods are given
+        (analyze); its key order is part of the output contract. All but the
+        blocks is dumped now, before any piece is taken, with a marker for one
+        block: its line gives the blocks' indent, and _block_rows() the blocks."""
+        report = {
             "grid": asdict(self.grid),
             "threshold": self.threshold,
             "epsilon": self.epsilon,
             "global": dict(zip(FEATURE_NAMES, self.global_features.tolist())),
             "representative": None if self.representative is None else list(self.representative),
+            "blocks": [_MARK],
         }
+        if periods is not None:
+            report = {"periods": periods, "analysis": report}
+        before, after = json.dumps(report, indent=2, allow_nan=False).split(json.dumps(_MARK))
+        before, _, indent = before.rpartition("\n")  # before ends with the list's "["
+        return itertools.chain((before,), self._block_rows(indent), (after + "\n",))
 
-    def to_dict(self) -> dict:
-        """The report as a dict: head() and the blocks blocks_json() lays out, read back."""
-        return {**self.head(), "blocks": json.loads("".join(self.blocks_json("")))}
-
-    def blocks_json(self, pad: str) -> Iterator[str]:
-        """The report's "blocks" list as json.dumps(indent=2, allow_nan=False)
-        writes it when its key sits at indent `pad`, from "[" to "]", in
-        pieces whose concatenation is that text.
-
-        Each block is one %-template laid out as json lays it out: index i,
-        j, six features, six deviations, max deviation, "true" or "false".
-        Floats go through float.__repr__ as json writes them; they are
-        finite, since the result could not be made otherwise.
+    def _block_rows(self, indent: str) -> Iterator[str]:
+        """The blocks between the list's "[" and its closing line, each at
+        `indent`, as json.dumps(indent=2) writes them: "\n" before the first
+        block row and ",\n" before each later one, one row per piece. A block
+        is json.dumps of a block of markers, split at each and joined by %s.
 
         The blocks come in runs of block rows holding about
         _REPORT_CHUNK_BYTES of floats, each formatted when it is asked for;
-        a run's deviations are derived from its features then.
-        Within a run, repr is called once per distinct float64 bit pattern
-        (so -0.0 and 0.0 stay apart), and each block row is one piece: the
-        strings are gathered back into the row's repeated template. "[\n"
-        comes before the first row, ",\n" before each later one, and the
-        last piece is the closing "\n{pad}]".
+        a run's deviations are derived from its features then. Within a run,
+        repr (as json writes floats; all are finite, or the result could not
+        be made) is called once per distinct float64 bit pattern, so -0.0
+        and 0.0 stay apart, and the strings are gathered back into the row's
+        repeated template.
         """
-        p = pad + "  "  # the blocks sit one level inside the list
-        members = ",\n".join(f'{p}    "{name}": %s' for name in FEATURE_NAMES)
-        template = (
-            f'{p}{{\n'
-            f'{p}  "index": [\n{p}    %d,\n{p}    %d\n{p}  ],\n'
-            f'{p}  "features": {{\n{members}\n{p}  }},\n'
-            f'{p}  "deviations": {{\n{members}\n{p}  }},\n'
-            f'{p}  "max_deviation": %s,\n'
-            f'{p}  "conforming": %s\n'
-            f'{p}}}'
-        )
+        features = dict.fromkeys(FEATURE_NAMES, _MARK)
+        block = {"index": [_MARK, _MARK], "features": features, "deviations": features,
+                 "max_deviation": _MARK, "conforming": _MARK}
+        template = "%s".join(json.dumps(block, indent=2).split(json.dumps(_MARK)))
+        template = indent + template.replace("\n", "\n" + indent)
         n_cols, n = self.grid.n_cols, self.conforming.size
         words = np.array(["false", "true"], dtype=object)
         step = n_cols * max(1, _REPORT_CHUNK_BYTES // (n_cols * 13 * 8))
@@ -165,9 +166,8 @@ class AnalysisResult:
             args[:, 2:15] = texts[at.reshape(run.shape)]
             args[:, 15] = words[self.conforming[k0:k1].view(np.uint8)]
             for r0 in range(0, k1 - k0, n_cols):
-                yield "[\n" if k0 + r0 == 0 else ",\n"
+                yield ",\n" if k0 + r0 else "\n"
                 yield row % tuple(args[r0 : r0 + n_cols].ravel().tolist())
-        yield f"\n{pad}]"
 
 
 def partition(img: GrayImage, block_h: int, block_w: int) -> BlockGrid:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import math
 import os
 import shutil
@@ -60,21 +59,9 @@ def _write(path: str | Path | None, pieces: Iterable, mode: str = "wb") -> None:
 
 def _emit_json(result: AnalysisResult, periods: dict | None = None,
                json_out: str | None = None) -> None:
-    """Write the report to json_out, or to stdout when json_out is None or
-    empty: json.dumps(report, indent=2, allow_nan=False) plus a newline,
-    byte for byte, where report is result.to_dict() (detect), or {"periods":
-    periods, "analysis": result.to_dict()} when periods are given (analyze).
-
-    The rest of the report is dumped once with a marker string where the
-    blocks go, before the output is opened, and result.blocks_json()
-    streams them in between, so no piece holds more than one block row.
-    """
-    report, pad = {**result.head(), "blocks": "\0"}, "  "
-    if periods is not None:
-        report, pad = {"periods": periods, "analysis": report}, "    "
-    before, after = json.dumps(report, indent=2, allow_nan=False).split('"\\u0000"')
-    pieces = itertools.chain((before,), result.blocks_json(pad), (after + "\n",))
-    _write(json_out or None, pieces, "w")
+    """Write the report, result.report_parts(periods), to json_out, or to
+    stdout when json_out is None or empty (an empty --json-out means stdout)."""
+    _write(json_out or None, result.report_parts(periods), "w")
 
 
 def _parse_defects(text: str) -> list[tuple[int, int]]:
@@ -195,7 +182,7 @@ def cmd_generate(args) -> int:
     texel = random_texel(gt.texel_h, gt.texel_w, gt.seed)
     img = generate(gt, texel)
     _write(args.output, pgm_parts(img))
-    _write(Path(args.output).with_suffix(".json"), (gt.to_json() + "\n",), "w")
+    _write(args.sidecar, (gt.to_json() + "\n",), "w")
     return EXIT_OK
 
 
@@ -277,19 +264,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# the two outputs of a command that would overwrite each other if they named one file
-_OUTPUT_PAIRS = {
-    "analyze": ("--csv-dmf", "--json-out"),
-    "synthesize": ("output", "--texel-out"),
-    "detect": ("output", "--json-out"),
-}
-
-
 def _check_flags(args) -> None:
     """Reject numeric flags the library would misread, one manual period
-    without the other, an output path (generate's sidecar included) no file
-    can be written at, an empty one among them (an empty --json-out means
-    stdout), and two outputs that name one file, before any work."""
+    without the other, an output path no file can be written at, an empty
+    one among them (an empty --json-out means stdout), and any two outputs
+    that are regular files, or not there yet, and resolve to one file,
+    before any work. generate's sidecar is one of the outputs; its path is
+    derived here once, as args.sidecar."""
     if not 0 <= getattr(args, "threshold", 0) < math.inf:
         raise ValueError(f"--threshold must be finite and >= 0, got {args.threshold}")
     if not 0 < getattr(args, "epsilon", 1) < math.inf:
@@ -324,20 +305,17 @@ def _check_flags(args) -> None:
     # a device such as /dev/stdout passes: it is no directory, and /dev is one
     outputs = {flag: Path(path) for flag, path in paths.items() if path}
     if args.command == "generate":  # the ground-truth sidecar is an output too
-        outputs["sidecar"] = Path(args.output).with_suffix(".json")
-        if outputs["sidecar"] == Path(args.output):
-            raise ValueError(f"output {Path(args.output)} would be overwritten by its "
-                             "ground-truth sidecar")
+        outputs["sidecar"] = args.sidecar = Path(args.output).with_suffix(".json")
     for flag, out in outputs.items():
         if out.is_dir() or not out.parent.is_dir():
             raise ValueError(f"{flag} {out} is a directory" if out.is_dir() else
                              f"{flag} {out}: {out.parent} is not a directory")
-    pair = _OUTPUT_PAIRS.get(args.command, ())
-    paths = [outputs[flag] for flag in pair if flag in outputs]
-    # a device such as /dev/stdout may take both outputs in turn
-    files = len(paths) == 2 and all(p.is_file() or not p.exists() for p in paths)
-    if files and paths[0].resolve() == paths[1].resolve():
-        raise ValueError(f"{pair[0]} and {pair[1]} name the same file {paths[1]}")
+    # a device such as /dev/stdout may take two outputs in turn
+    files = {flag: out.resolve() for flag, out in outputs.items()
+             if out.is_file() or not out.exists()}
+    for (a, path_a), (b, path_b) in itertools.combinations(files.items(), 2):
+        if path_a == path_b:
+            raise ValueError(f"{a} and {b} name the same file {outputs[b]}")
 
 
 def main(argv=None) -> int:

@@ -15,6 +15,7 @@ from texelkit import (
     BlockGrid,
     GrayImage,
     classify_blocks,
+    estimate_periods,
     features_of_region,
     partition,
     random_texel,
@@ -58,6 +59,17 @@ class TestPartition:
             partition(img, 9, 4)
         with pytest.raises(ValueError):
             partition(img, 0, 4)
+
+    @pytest.mark.parametrize("block_w", [0, 9])
+    def test_block_width_outside_image_rejected(self, rng, block_w):
+        img = random_image(rng, 8, 8)
+        with pytest.raises(ValueError, match=rf"^block width {block_w} outside 1\.\.8$"):
+            partition(img, 4, block_w)
+
+    @pytest.mark.parametrize("n_rows, n_cols", [(0, 3), (3, 0)])
+    def test_grid_without_a_whole_block_rejected(self, n_rows, n_cols):
+        with pytest.raises(ValueError, match="^grid must contain at least one whole block$"):
+            BlockGrid(block_h=2, block_w=2, n_rows=n_rows, n_cols=n_cols)
 
     def test_rect_index_bounds(self, rng):
         img = random_image(rng, 8, 8)
@@ -453,7 +465,7 @@ def result_of(n_rows, n_cols, features, threshold=1.0):
 
 
 def report_runs(res, rows_per_run):
-    """Patch the report budget so blocks_json formats this many block rows
+    """Patch the report budget so report_parts formats this many block rows
     at a time."""
     return mock.patch.object(blocks, "_REPORT_CHUNK_BYTES", rows_per_run * res.grid.n_cols * 13 * 8)
 
@@ -463,21 +475,36 @@ _SIGNED_ZEROS = np.array([[0.0, -0.0] * 3, [1.0, -0.0] * 3, [1.0] * 6, [-0.0] * 
 
 
 class TestBlocksJson:
+    """report_parts writes json.dumps of the report's dict form, nested
+    under "analysis" when periods are given."""
+
     @settings(max_examples=200, deadline=None)
-    @given(block_values(), st.sampled_from(["", "  ", "    "]))
-    @example((result_of(2, 2, _SIGNED_ZEROS, 0.5), 2), "  ")
-    @example((result_of(7, 3, np.tile(np.arange(6.0) / 3, (21, 1))), 2), "")
-    def test_equals_json_dumps_of_dict_form(self, case, pad):
+    @given(block_values(), st.sampled_from([None, {}, {"row_period": 1, "manual": True}]))
+    @example((result_of(2, 2, _SIGNED_ZEROS, 0.5), 2), {"row_period": 1, "manual": True})
+    @example((result_of(7, 3, np.tile(np.arange(6.0) / 3, (21, 1))), 2), None)
+    def test_equals_json_dumps_of_dict_form(self, case, periods):
         res, rows_per_run = case
         with report_runs(res, rows_per_run):
-            text = "".join(res.blocks_json(pad))
-        expected = json.dumps(result_report(res)["blocks"], indent=2, allow_nan=False)
-        assert text == expected.replace("\n", "\n" + pad)
+            text = "".join(res.report_parts(periods))
+        report = result_report(res)
+        if periods is not None:
+            report = {"periods": periods, "analysis": report}
+        assert text == json.dumps(report, indent=2, allow_nan=False) + "\n"
 
     def test_default_budget_spans_several_runs(self):
         # one column of 700 blocks is more block rows than one run holds
         features = np.random.default_rng(3).integers(-4, 5, (700, 6)) / 4
         res = result_of(700, 1, features)
         assert 700 * 13 * 8 > blocks._REPORT_CHUNK_BYTES
-        expected = json.dumps(result_report(res)["blocks"], indent=2, allow_nan=False)
-        assert "".join(res.blocks_json("")) == expected
+        expected = json.dumps(result_report(res), indent=2, allow_nan=False) + "\n"
+        assert "".join(res.report_parts()) == expected
+
+    @pytest.mark.parametrize("budget", [1, blocks._REPORT_CHUNK_BYTES], ids=["1-byte", "default"])
+    def test_nested_parts_equal_dumps_of_to_dict(self, budget):
+        img = GrayImage(np.random.default_rng(5).integers(0, 256, (40, 36), dtype=np.uint8))
+        est = estimate_periods(img)
+        res = classify_blocks(img, partition(img, 4, 3), threshold=0.5)
+        periods = {**est.to_dict(), "manual": False}
+        with mock.patch.object(blocks, "_REPORT_CHUNK_BYTES", budget):
+            text = "".join(res.report_parts(periods))
+        assert text == json.dumps({"periods": periods, "analysis": res.to_dict()}, indent=2) + "\n"

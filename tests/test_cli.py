@@ -379,6 +379,28 @@ class TestFlagValidation:
         proc = run_cli("analyze", "in.pgm", f"--threshold={value}", cwd=tmp_path)
         assert_flag_error(proc, "--threshold")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["analyze", "in.pgm", "--csv-dmf", "r.txt", "--json-out", "./r.txt"],
+         "--csv-dmf and --json-out name the same file r.txt"),
+        (["detect", "in.pgm", "r.txt", "--json-out", "sub/../r.txt"],
+         "output and --json-out name the same file sub/../r.txt"),
+        (["synthesize", "in.pgm", "r.txt", "--texel-out", "link.txt"],
+         "output and --texel-out name the same file link.txt"),
+        (["generate", "r.json", "--texel-h", "4", "--texel-w", "4", "--reps-r", "2",
+          "--reps-c", "2"], "output and sidecar name the same file r.json"),
+    ], ids=["analyze", "detect", "synthesize", "generate"])
+    def test_two_outputs_naming_one_file_exit_2_writing_nothing(
+        self, tmp_path, monkeypatch, capsys, argv, message
+    ):
+        write_tiling(tmp_path / "in.pgm", 4, 5, 6, seed=4)
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "link.txt").symlink_to("r.txt")  # dangling: r.txt is not there yet
+        monkeypatch.chdir(tmp_path)
+        manual = [] if argv[0] == "generate" else ["--period-rows", "4", "--period-cols", "5"]
+        assert cli.main(argv + manual) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.pgm", "link.txt", "sub"]
+
     @pytest.mark.parametrize("value", ["inf", "0"])
     def test_bad_epsilon_exits_2(self, tmp_path, value):
         write_tiling(tmp_path / "in.pgm", 5, 5, 6, seed=4)
@@ -754,7 +776,7 @@ class TestP2InputErrors:
 
 
 def report_runs(n_rows, n_cols):
-    """How many block-row runs blocks_json writes for this grid."""
+    """How many block-row runs the report writes for this grid."""
     rows_per_run = max(1, blocks._REPORT_CHUNK_BYTES // (n_cols * 13 * 8))
     return -(-n_rows // rows_per_run)
 
@@ -873,11 +895,11 @@ class TestStreamedOutputs:
 
     @staticmethod
     def fail_part_way(monkeypatch):
-        def runs(self, pad):
-            yield "[\n"
+        def rows(self, indent):
+            yield "\n"
             raise MemoryError
 
-        monkeypatch.setattr(AnalysisResult, "blocks_json", runs)
+        monkeypatch.setattr(AnalysisResult, "_block_rows", rows)
 
     def test_report_failing_part_way_leaves_no_file(self, tmp_path, monkeypatch):
         write_noise(tmp_path / "in.pgm", 32, seed=10)

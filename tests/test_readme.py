@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 
-from texelkit import GroundTruth, generate, load_pgm, random_texel, save_pgm
+from texelkit import GroundTruth, cli, generate, load_pgm, random_texel, save_pgm
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -28,3 +28,6 @@ def test_library_example_writes_the_tiling(tmp_path, monkeypatch):
     assert np.array_equal(big.pixels, np.tile(texel.pixels, (128, 128))[:768, :1024])
     # an exact tiling has no anomalies, so its outlined copy is the input
     assert (tmp_path / "marked.pgm").read_bytes() == (tmp_path / "fabric.pgm").read_bytes()
+    # the report is the one detect writes for the same input
+    assert cli.main(["detect", "fabric.pgm", "detect.pgm", "--json-out", "detect.json"]) == 0
+    assert (tmp_path / "report.json").read_bytes() == (tmp_path / "detect.json").read_bytes()

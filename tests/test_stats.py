@@ -113,8 +113,9 @@ class TestFeatureRow:
     def test_report_names_the_row_in_order(self, rng):
         img = random_image(rng, 4, 4)
         res = classify_blocks(img, partition(img, 2, 2), threshold=0.1)
-        assert list(res.head()["global"]) == list(FEATURE_NAMES)
-        assert list(res.head()["global"].values()) == res.global_features.tolist()
+        report = res.to_dict()
+        assert list(report["global"]) == list(FEATURE_NAMES)
+        assert list(report["global"].values()) == res.global_features.tolist()
 
 
 @st.composite

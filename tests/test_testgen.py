@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from texelkit import testgen
 from texelkit import (
     DEFECT_SHIFT,
     GroundTruth,
@@ -71,6 +72,19 @@ class TestRandomTexel:
         assert skewed.pixels.max() <= 195
         # power > 1 bends mass toward the low end
         assert skewed.pixels.mean() < 195 / 2
+
+    @pytest.mark.parametrize("low, high", [(5, 5), (9, 3), (-1, 10), (0, 256)])
+    def test_level_range_rejected(self, low, high):
+        with pytest.raises(ValueError, match=rf"^need 0 <= low < high <= 255, got \[{low}, {high}\]$"):
+            random_texel(4, 4, seed=0, low=low, high=high)
+
+    def test_retries_exhausted_raises(self, monkeypatch):
+        # seed 0's first 2x2 draw on levels 0-1 repeats its columns; a redraw passes
+        assert random_texel(2, 2, seed=0, high=1).pixels.tolist() == [[1, 0], [1, 1]]
+        monkeypatch.setattr(testgen, "_MAX_TEXEL_RETRIES", 1)
+        with pytest.raises(RuntimeError, match=r"^could not draw a 2x2 texel without "
+                                               r"sub-periods after 1 attempts \(seed 0\)$"):
+            random_texel(2, 2, seed=0, high=1)
 
     def test_tiny_dims_rejected(self):
         with pytest.raises(ValueError):
