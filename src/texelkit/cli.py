@@ -80,10 +80,13 @@ def _parse_defects(text: str) -> list[tuple[int, int]]:
 
 
 def _classify(args) -> tuple[GrayImage, PeriodEstimate, BlockGrid, AnalysisResult]:
-    """Load the input, take its periods (manual when given, DMF estimation
-    otherwise), and classify its blocks. A manual estimate carries no curves.
+    """Load the input, which load_pgm reads from the open file (in windows
+    when it is a regular file), take its periods (manual when given, DMF
+    estimation otherwise), and classify its blocks. A manual estimate
+    carries no curves.
     """
-    img = load_pgm(Path(args.input).read_bytes())
+    with open(args.input, "rb") as fh:
+        img = load_pgm(fh)
     if args.period_rows is None:  # _check_flags saw both periods or neither
         est = estimate_periods(img, args.dmax_fraction)
         if est.row_degenerate:
@@ -270,7 +273,8 @@ def _check_flags(args) -> None:
     one among them (an empty --json-out means stdout), and any two outputs
     that are regular files, or not there yet, and resolve to one file,
     before any work. generate's sidecar is one of the outputs; its path is
-    derived here once, as args.sidecar."""
+    derived here once, as args.sidecar, and an output that exists and is no
+    regular file leaves it nowhere to go."""
     if not 0 <= getattr(args, "threshold", 0) < math.inf:
         raise ValueError(f"--threshold must be finite and >= 0, got {args.threshold}")
     if not 0 < getattr(args, "epsilon", 1) < math.inf:
@@ -310,6 +314,11 @@ def _check_flags(args) -> None:
         if out.is_dir() or not out.parent.is_dir():
             raise ValueError(f"{flag} {out} is a directory" if out.is_dir() else
                              f"{flag} {out}: {out.parent} is not a directory")
+    # a device or pipe has no name its sidecar could sit beside
+    image = outputs.get("output") if args.command == "generate" else None
+    if image is not None and image.exists() and not image.is_file():
+        raise ValueError(f"output {image} is not a regular file, "
+                         "so generate has nowhere to write its sidecar")
     # a device such as /dev/stdout may take two outputs in turn
     files = {flag: out.resolve() for flag, out in outputs.items()
              if out.is_file() or not out.exists()}

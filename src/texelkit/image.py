@@ -6,7 +6,9 @@ image, so values can be shared freely across threads.
 
 from __future__ import annotations
 
+import os
 import re
+import stat
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,7 +17,8 @@ _COMMENT = re.compile(rb"#[^\r\n]*")
 # the six whitespace bytes (\s in a bytes pattern) and whole '#' comments,
 # each up to its line end, then one token
 _HEADER_TOKEN = re.compile(rb"(?:\s|#[^\r\n]*(?![^\r\n]))*([^\s#]+)")
-# bytes of P2 text per decoded run; its int64 samples take at most four bytes per byte
+# bytes of P2 text per decoded run, and of a file per read; a run's int64
+# samples take at most four bytes per byte
 _P2_RUN_BYTES = 1 << 16
 # the bytes a well-formed P2 run holds once its comments are blanked, and its
 # first malformed token, from that token's leading digits
@@ -89,42 +92,92 @@ def _sealed(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _read_header_token(data: bytes, pos: int) -> tuple[bytes, int]:
-    """The header token at or after data[pos] and the position just past it."""
-    match = _HEADER_TOKEN.match(data, pos)
+class _Text:
+    """The bytes of a PGM input from the cursor `pos` on. Bytes are a source
+    whose first window is all there is; a regular file is read in windows
+    by `more`, so it is never held whole."""
+
+    def __init__(self, data: bytes, file=None):
+        self.data, self.pos, self.file = data, 0, file
+
+    def more(self) -> bool:
+        """Drop the bytes before the cursor, which moves to 0, and append the
+        file's next bytes: a window of _P2_RUN_BYTES, or as many as are kept
+        when that is more, so a line of n bytes is read in O(n). False, with
+        nothing changed, at the end of the input."""
+        chunk = self.file.read(max(_P2_RUN_BYTES, len(self.data) - self.pos)) if self.file else b""
+        if chunk:
+            self.data, self.pos = self.data[self.pos :] + chunk, 0
+        return bool(chunk)
+
+    def left(self) -> int:
+        """The number of bytes from the cursor to the end of the input."""
+        unread = os.fstat(self.file.fileno()).st_size - self.file.tell() if self.file else 0
+        return len(self.data) - self.pos + max(unread, 0)
+
+
+def _text_of(source) -> _Text:
+    """The _Text of a load_pgm input: an open regular file is read in
+    windows, and anything else is read whole into bytes."""
+    if not hasattr(source, "readinto"):
+        # bytes(n) would make n zero bytes
+        return _Text(source if isinstance(source, bytes) else memoryview(source).tobytes())
+    try:
+        regular = stat.S_ISREG(os.fstat(source.fileno()).st_mode)
+    except OSError:  # no file descriptor, as in io.BytesIO
+        regular = False
+    return _Text(b"", source) if regular else _Text(source.read())
+
+
+def _read_header_token(text: _Text) -> bytes:
+    """The header token at or after the cursor, which moves just past it. A
+    match that reaches the end of the bytes read so far may go on in the
+    next window, so it is tried again once that is read."""
+    while ((match := _HEADER_TOKEN.match(text.data, text.pos)) is None
+           or match.end() == len(text.data)) and text.more():
+        pass
     if match is None:
         raise PgmError("unexpected end of file while reading PGM header")
-    return match[1], match.end()
+    text.pos = match.end()
+    return match[1]
 
 
-def _read_header_int(data: bytes, pos: int, what: str) -> tuple[int, int]:
-    token, pos = _read_header_token(data, pos)
+def _read_header_int(text: _Text, what: str) -> int:
+    token = _read_header_token(text)
     if not token.isdigit():
         raise PgmError(f"malformed PGM header: expected {what}, got {token!r}")
     try:
-        return int(token), pos
+        return int(token)
     except ValueError:  # more digits than Python converts to int
         raise PgmError(f"invalid PGM {what} of {len(token)} digits") from None
 
 
-def _p2_run_end(data: bytes, start: int) -> int:
-    """End of the P2 run that starts at data[start], outside any comment.
+def _p2_run_end(text: _Text) -> int:
+    """End of the P2 run that starts at the cursor, outside any comment.
 
     The run ends just after the last line end in its window of _P2_RUN_BYTES
     bytes; with none, just after the last whitespace before the window's
     first '#' (these two are _RUN_END); with neither, just after the next
-    line end (_LINE_END), or at the end of the data. So a run holds whole
-    tokens and whole comments.
+    line end (_LINE_END), or at the end of the input. So a run holds whole
+    tokens and whole comments. The text is read on until it holds the
+    window and the run's end, so the runs are those of the input as bytes.
     """
-    stop = start + _P2_RUN_BYTES
-    if stop >= len(data):
-        return len(data)
-    cut = _RUN_END.match(data, start, stop) or _LINE_END.search(data, stop)
-    return cut.end() if cut else len(data)
+    while len(text.data) - text.pos <= _P2_RUN_BYTES and text.more():
+        pass
+    stop = text.pos + _P2_RUN_BYTES
+    if stop >= len(text.data):
+        return len(text.data)
+    cut = _RUN_END.match(text.data, text.pos, stop)
+    while cut is None and (cut := _LINE_END.search(text.data, stop)) is None:
+        # the search goes on past the run's bytes read so far, which more() moves to 0
+        stop = len(text.data) - text.pos
+        if not text.more():
+            return len(text.data)
+    return cut.end()
 
 
-def _p2_samples(data: bytes, pos: int, count: int, maxval: int) -> tuple[np.ndarray, int]:
-    """The first `count` samples of the P2 raster at data[pos:], tokenized as
+def _p2_samples(text: _Text, count: int, maxval: int) -> tuple[np.ndarray, int]:
+    """The first `count` samples of the P2 raster at the cursor, tokenized as
     the header is, as uint8, and the largest of them.
 
     The raster is read in runs of whole lines (_p2_run_end) of about
@@ -136,26 +189,26 @@ def _p2_samples(data: bytes, pos: int, count: int, maxval: int) -> tuple[np.ndar
     raises before a short raster does, and both before the first sample of
     1000 or more, named from its text (or its length when it has more digits
     than Python converts to int), since a parsed sample stops at 2**63 - 1.
-    The output holds at most one sample per two bytes of text, so a declared
-    size the raster cannot hold allocates nothing in proportion to it.
+    The output holds at most one sample per two bytes of input left, so a
+    declared size the raster cannot hold allocates nothing in proportion to it.
     """
-    out = np.empty(min(count, (len(data) - pos + 1) // 2), dtype=np.uint8)
+    out = np.empty(min(count, (text.left() + 1) // 2), dtype=np.uint8)
     found, top, big = 0, 0, None
-    while pos < len(data) and found < count:
-        stop = _p2_run_end(data, pos)
-        text = data[pos:stop]
-        pos = stop
-        if b"#" in text:
-            text = _COMMENT.sub(b" ", text)
-        bad = _MALFORMED.search(text) if text.translate(None, _DIGITS_AND_BLANKS) else None
+    while found < count and (text.pos < len(text.data) or text.more()):
+        stop = _p2_run_end(text)
+        run = text.data[text.pos : stop]
+        text.pos = stop
+        if b"#" in run:
+            run = _COMMENT.sub(b" ", run)
+        bad = _MALFORMED.search(run) if run.translate(None, _DIGITS_AND_BLANKS) else None
         if bad is not None:
-            text = text[: bad.start()]
+            run = run[: bad.start()]
         # whitespace alone would read as one 0
-        samples = np.fromstring(b"" if text.isspace() else text, np.int64, sep=" ")[: count - found]
+        samples = np.fromstring(b"" if run.isspace() else run, np.int64, sep=" ")[: count - found]
         if bad is not None and found + samples.size < count:
             raise PgmError(f"malformed P2 sample: {bad[0]!r}")
         if big is None and (samples >= 1000).any():
-            big = text.split()[int(np.argmax(samples >= 1000))]
+            big = run.split()[int(np.argmax(samples >= 1000))]
         # a sample past 255 wraps here, but then top > 255 >= maxval raises
         out[found : found + samples.size] = samples
         top = max(top, int(samples.max(initial=0)))
@@ -171,28 +224,52 @@ def _p2_samples(data: bytes, pos: int, count: int, maxval: int) -> tuple[np.ndar
     return out, top
 
 
-def load_pgm(data: bytes) -> GrayImage:
-    """Parse PGM bytes (binary "P5" or ASCII "P2", maxval <= 255) into an image.
+def _p5_samples(text: _Text, count: int) -> np.ndarray:
+    """The `count` samples of the P5 raster at the cursor. Bytes are viewed
+    when the raster fills at least half of them, and copied otherwise, so a
+    small image pins no large buffer. A file's raster goes into one fresh
+    array, first the part already read, then the rest by readinto; the input
+    left is checked first, so a declared size it cannot hold allocates
+    nothing in proportion to it."""
+    have = text.left()
+    if have < count:
+        raise PgmError(f"truncated P5 pixel data: expected {count} bytes, got {have}")
+    if text.file is None:
+        raster = memoryview(text.data)[text.pos : text.pos + count]
+        return np.frombuffer(raster.tobytes() if 2 * count < len(text.data) else raster, np.uint8)
+    out = np.empty(count, np.uint8)
+    done = min(len(text.data) - text.pos, count)
+    out[:done] = np.frombuffer(text.data, np.uint8, done, text.pos)
+    while done < count:
+        read = text.file.readinto(memoryview(out)[done:])
+        if not read:  # the file shrank since it was measured
+            raise PgmError(f"truncated P5 pixel data: expected {count} bytes, got {done}")
+        done += read
+    return out
 
+
+def load_pgm(source) -> GrayImage:
+    """Parse a PGM (binary "P5" or ASCII "P2", maxval <= 255) into an image.
+
+    `source` is bytes, any other bytes-like object (a bytearray, memoryview
+    or mmap, which can change later, so it is copied into bytes first), or
+    an open binary file. A regular file is read from its current position
+    in windows of _P2_RUN_BYTES, so it is never held whole; any other file
+    (a pipe, /dev/stdin, io.BytesIO) is read whole and loaded as bytes.
     Header whitespace and '#' comments are tolerated; samples are used as-is
-    without rescaling, whatever the declared maxval. Any bytes-like input
-    that is not bytes (a bytearray, memoryview or mmap can change later) is
-    copied into bytes first. A P5 image views its raster in the bytes when
-    it fills at least half of them, so loading bytes copies nothing; else
-    the raster is copied, so a small image pins no large buffer.
-    A P2 raster is decoded in runs of whole lines within a fixed budget
-    (_p2_samples), straight into the image's uint8 buffer; its largest
-    sample, kept as the runs go, is checked against maxval here, as a P5
-    raster's is.
+    without rescaling, whatever the declared maxval. A P5 raster is viewed
+    or copied as _p5_samples says. A P2 raster is decoded in runs of whole
+    lines within a fixed budget (_p2_samples), straight into the image's
+    uint8 buffer; its largest sample, kept as the runs go, is checked
+    against maxval here, as a P5 raster's is.
     """
-    if not isinstance(data, bytes):
-        data = memoryview(data).tobytes()  # bytes(n) would make n zero bytes
-    magic, pos = _read_header_token(data, 0)
+    text = _text_of(source)
+    magic = _read_header_token(text)
     if magic not in (b"P5", b"P2"):
         raise PgmError(f"not a PGM file: bad magic {magic!r}")
-    width, pos = _read_header_int(data, pos, "width")
-    height, pos = _read_header_int(data, pos, "height")
-    maxval, pos = _read_header_int(data, pos, "maxval")
+    width = _read_header_int(text, "width")
+    height = _read_header_int(text, "height")
+    maxval = _read_header_int(text, "maxval")
     if width < 1 or height < 1:
         raise PgmError(f"invalid PGM dimensions {width}x{height}")
     if maxval > 255:
@@ -202,22 +279,15 @@ def load_pgm(data: bytes) -> GrayImage:
 
     count = width * height
     if magic == b"P5":
-        # Exactly one whitespace byte separates maxval from the raster.
-        if pos >= len(data) or not data[pos : pos + 1].isspace():
+        # Exactly one whitespace byte separates maxval from the raster; a
+        # header token ends before the last byte read, so it is read already.
+        if not text.data[text.pos : text.pos + 1].isspace():
             raise PgmError("malformed PGM header: missing whitespace before P5 raster")
-        pos += 1
-        raster = memoryview(data)[pos : pos + count]
-        if len(raster) < count:
-            raise PgmError(
-                f"truncated P5 pixel data: expected {count} bytes, got {len(raster)}"
-            )
-        # a small image pins no large buffer
-        if 2 * count < len(data):
-            raster = raster.tobytes()
-        samples = np.frombuffer(raster, dtype=np.uint8)
+        text.pos += 1
+        samples = _p5_samples(text, count)
         top = int(samples.max())
     else:
-        samples, top = _p2_samples(data, pos, count, maxval)
+        samples, top = _p2_samples(text, count, maxval)
 
     if top > maxval:
         raise PgmError(f"sample value {top} exceeds declared maxval {maxval}")

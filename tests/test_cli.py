@@ -620,6 +620,18 @@ class TestGenerate:
         assert proc.stderr == "error: sidecar t.json is a directory\n"
         assert [p.name for p in tmp_path.iterdir()] == ["t.json"]
 
+    def test_output_that_is_no_regular_file_exits_2(self, tmp_path):
+        # a pipe (like /dev/stdout) has no name its sidecar could sit beside
+        os.mkfifo(tmp_path / "t.pgm")
+        proc = run_cli(
+            "generate", "t.pgm", "--texel-h", "4", "--texel-w", "4",
+            "--reps-r", "2", "--reps-c", "2", cwd=tmp_path,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == ("error: output t.pgm is not a regular file, "
+                               "so generate has nowhere to write its sidecar\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["t.pgm"]
+
     def test_defect_outside_grid_exits_2(self, tmp_path):
         proc = run_cli(
             "generate", "t.pgm", "--texel-h", "4", "--texel-w", "4",
@@ -773,6 +785,31 @@ class TestP2InputErrors:
         (tmp_path / "in.pgm").write_bytes(text)
         proc = run_cli("analyze", "in.pgm", cwd=tmp_path)
         assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", line + "\n")
+
+
+class TestStdinInput:
+    """A pipe is read whole and a file redirected to stdin in windows, so
+    /dev/stdin runs as the file given by its path does."""
+
+    @pytest.mark.parametrize("stdin", ["pipe", "redirect"])
+    @pytest.mark.parametrize("mode", ["P5", "P2", "P2-truncated"])
+    def test_analyze_of_stdin_matches_the_path(self, tmp_path, mode, stdin):
+        texel = random_texel(6, 5, seed=8)
+        data = save_pgm(synthesize(texel, 5 * 7, 6 * 7), mode[:2])
+        if mode == "P2-truncated":
+            data = data[: len(data) // 2]
+        (tmp_path / "in.pgm").write_bytes(data)
+        want = run_cli_bytes("analyze", "in.pgm", cwd=tmp_path)
+        argv = [sys.executable, "-m", "texelkit", "analyze", "/dev/stdin"]
+        if stdin == "pipe":
+            got = subprocess.run(argv, input=data, capture_output=True, cwd=tmp_path, env=cli_env())
+        else:
+            with open(tmp_path / "in.pgm", "rb") as fh:
+                got = subprocess.run(argv, stdin=fh, capture_output=True, cwd=tmp_path,
+                                     env=cli_env())
+        assert want.returncode == (2 if mode == "P2-truncated" else 0)
+        assert (got.returncode, got.stdout, got.stderr) == (
+            want.returncode, want.stdout, want.stderr)
 
 
 def report_runs(n_rows, n_cols):

@@ -1,7 +1,10 @@
 """PGM I/O, block views, and outline drawing."""
 
+import io
 import itertools
 import mmap
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -300,36 +303,170 @@ def decode_peak(data: bytes) -> tuple[GrayImage | PgmError, int]:
     return peak_bytes(decode_or_error, data)
 
 
+def file_decode_peak(data: bytes) -> tuple[GrayImage | PgmError, int]:
+    """What load_pgm returns or raises for an open file of `data`, and the
+    call's tracemalloc peak, with the file written before the peak is taken."""
+    with tempfile.TemporaryFile() as fh:
+        fh.write(data)
+        fh.seek(0)
+        return peak_bytes(decode_or_error, fh)
+
+
+def same_outcome(got, want) -> bool:
+    """Equal images, or PgmErrors of one message."""
+    if isinstance(want, PgmError):
+        return isinstance(got, PgmError) and str(got) == str(want)
+    return got == want
+
+
+class TestFileInput:
+    """An open regular file is read in windows of _P2_RUN_BYTES and loads as
+    its bytes do, wherever the window boundaries fall."""
+
+    @pytest.fixture(params=[1, _RUN], ids=["1-byte", "default"])
+    def window(self, request, monkeypatch):
+        monkeypatch.setattr(image, "_P2_RUN_BYTES", request.param)
+        return request.param
+
+    @staticmethod
+    def load_both(data: bytes):
+        """load_pgm of `data` read from a file, and of `data` itself."""
+        got, _ = file_decode_peak(data)
+        return got, decode_or_error(data)
+
+    def test_header_token_split_across_windows(self, window):
+        # the width token, leading zeros and all, starts on either side of
+        # the first window's end
+        for pad in range(max(1, window - 4), max(1, window - 4) + 6):
+            data = b"P2" + b" " * pad + b"0000003 1 255\n1 2 3\n"
+            got, want = self.load_both(data)
+            assert got == want == make_image([[1, 2, 3]])
+
+    def test_header_comment_longer_than_a_window(self, window):
+        for magic, raster in ((b"P2", b"\n1 2 3\n"), (b"P5", b"\n\x01\x02\x03")):
+            data = magic + b"\n#" + b"c" * (3 * window + 5) + b"\n3 #" + b"d" * window + b"\n1 255"
+            got, want = self.load_both(data + raster)
+            assert got == want == make_image([[1, 2, 3]])
+
+    def test_p5_separator_and_first_raster_byte_on_a_boundary(self, window):
+        head = b"P5\n3 1\n255"
+        for sep_at in range(window - 2, window + 2):
+            pad = b"#" + b"c" * max(0, sep_at - len(head) - 2) + b"\n"
+            data = head[:3] + pad + head[3:] + b"\n\x07\x08\x09"
+            got, want = self.load_both(data)
+            assert got == want == make_image([[7, 8, 9]])
+            # a missing separator and a short raster raise as for bytes
+            for bad in (data.replace(b"255\n", b"255x"), data[:-1]):
+                got, want = self.load_both(bad)
+                assert isinstance(want, PgmError) and same_outcome(got, want)
+
+    def test_p2_sample_split_across_windows(self, window):
+        img = GrayImage(np.full((200, 400), 123, np.uint8))
+        body = save_pgm(img, "P2")
+        assert len(body) > 3 * _RUN
+        split = False
+        for pad in range(4):  # one of these ends the first window inside a sample
+            data = body.replace(b"\n", b"\n" + b" " * pad, 1)
+            split |= data[window - 1 : window + 1].isdigit()
+            got, want = self.load_both(data)
+            assert got == want == img
+        # 1-byte windows end inside every sample of two digits or more
+        assert split or window == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(st.binary(max_size=64), mutated_pgm(), p2_files()),
+        st.one_of(st.integers(1, 12), st.just(_RUN)),
+    )
+    @example(b"P5\n2 1\n255\n\x01", 1)  # a short raster
+    @example(b"P5 2 1 255", 1)  # no separator
+    @example(b"P2 1 1 255 #long comment\n7", 4)
+    def test_file_loads_as_its_bytes_do(self, data, budget):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(image, "_P2_RUN_BYTES", budget)
+            assert same_outcome(*self.load_both(data))
+
+    def test_file_is_read_from_its_position(self, rng, tmp_path):
+        img = random_image(rng, 4, 6)
+        (tmp_path / "in.pgm").write_bytes(b"junk" + save_pgm(img, "P2"))
+        with open(tmp_path / "in.pgm", "rb") as fh:
+            fh.seek(4)
+            assert load_pgm(fh) == img
+
+    @pytest.mark.parametrize("mode", ["P5", "P2"])
+    def test_non_regular_files_are_read_whole(self, rng, mode):
+        img = random_image(rng, 5, 7)
+        data = save_pgm(img, mode)
+        assert load_pgm(io.BytesIO(data)) == img
+        read, write = os.pipe()
+        os.write(write, data)
+        os.close(write)
+        with os.fdopen(read, "rb") as pipe:
+            assert load_pgm(pipe) == img
+
+    @pytest.mark.parametrize("data, error", [
+        (b"P5 100000 100000 255\n" + bytes(100),
+         "truncated P5 pixel data: expected 10000000000 bytes, got 100"),
+        (b"P2 100000 100000 255 1 2 3",
+         "truncated P2 pixel data: expected 10000000000 samples, got 3"),
+    ], ids=["P5", "P2"])
+    def test_declared_size_the_file_cannot_hold_allocates_little(self, data, error):
+        # the size left in the file is read before the raster is allocated
+        got, peak = file_decode_peak(data)
+        assert str(got) == error
+        assert peak < 64_000 + 2 * _RUN
+
+
 class TestP2DecodeMemory:
-    """A P2 raster is decoded in runs of whole lines: beyond the output, the
-    decoder's working set is one run, however long the text."""
+    """A P2 raster is decoded in runs of whole lines, and a file is read in
+    windows: beyond the output, the decoder's working set is one run and one
+    window, however long the text and the file."""
 
     @pytest.fixture(scope="class")
     def noise(self):
         img = GrayImage(np.random.default_rng(12).integers(0, 256, (1024, 1024), np.uint8))
         return img, save_pgm(img, "P2")
 
+    # load_pgm of bytes, whose cost the caller has paid already, and of an
+    # open file, which is read within the call
+    SOURCES = (decode_peak, file_decode_peak)
+
     def test_peak_below_output_plus_1_mb(self, noise):
         img, data = noise
         assert len(data) > 3_500_000
-        got, peak = decode_peak(data)
-        assert got == img
-        assert peak < 2**20 + 10**6
+        for decode in self.SOURCES:
+            got, peak = decode(data)
+            assert got == img
+            assert peak < 2**20 + 10**6
 
     def test_commented_lines_peak_below_output_plus_1_mb(self, noise):
         img, data = noise
         header = pgm_header(1024, 1024, "P2")
-        data = header + data[len(header) :].replace(b"\n", b" # comment\n")
-        got, peak = decode_peak(data)
-        assert got == img
-        assert peak < 2**20 + 10**6
+        commented = header + data[len(header) :].replace(b"\n", b" # comment\n")
+        # a comment line after each line, twice as long: the file is tripled
+        tripled = header + b"".join(
+            line + b"\n#" + b"c" * (2 * len(line) + 1) + b"\n"
+            for line in data[len(header) :].splitlines()
+        )
+        assert len(tripled) > 3 * len(data)
+        for decode, text in itertools.product(self.SOURCES, (commented, tripled)):
+            got, peak = decode(text)
+            assert got == img
+            assert peak < 2**20 + 10**6
 
     def test_long_token_peak_below_3x_text(self):
         # one run of a line longer than the budget: its copies, and no masks
         data = b"P2 1 1 255\n" + b"0" * 2**20 + b"7"
-        got, peak = decode_peak(data)
-        assert got == GrayImage(np.array([[7]], np.uint8))
-        assert peak < 3 * len(data)
+        for decode in self.SOURCES:
+            got, peak = decode(data)
+            assert got == GrayImage(np.array([[7]], np.uint8))
+            assert peak < 3 * len(data)
+
+    def test_p5_file_peak_below_image_plus_128_kib(self, noise):
+        img, _ = noise
+        got, peak = file_decode_peak(save_pgm(img))
+        assert got == img
+        assert peak < 2**20 + 128 * 1024
 
     def test_declared_size_the_raster_cannot_hold_allocates_little(self):
         got, peak = decode_peak(b"P2 100000 100000 255 1 2 3")

@@ -10,6 +10,9 @@ np.array_equal or bytes, never with a tolerance:
   deviations and the mask the same way;
 - a cyclic roll by whole periods rolls the block features and the mask,
   and keeps the estimated periods of a tiling without defect blocks;
+- a transpose about either diagonal swaps the row and column DMF curves
+  and the periods, keeps the global features, and moves the block
+  features and the mask as it moves the grid;
 - inverting the gray levels (255 - x) leaves both DMF curves unchanged;
 - the outlined PGM `detect` writes for a flipped input is the flipped
   outlined PGM.
@@ -31,6 +34,7 @@ from texelkit import (
     classify_blocks,
     cli,
     estimate_periods,
+    features_of_region,
     generate,
     load_pgm,
     partition,
@@ -44,6 +48,15 @@ FLIPS = {
     "left-right": np.fliplr,
     "upside-down": np.flipud,
     "half-turn": lambda a: a[::-1, ::-1],
+}
+
+# transposes about the main and the anti-diagonal, which move the first two
+# axes of a (rows, cols, features) array as they move the grid; the
+# anti-diagonal one also reverses each axis, so each curve is checked
+# against the other axis's curve of a reversed image
+TRANSPOSES = {
+    "main-diagonal": lambda a: a.swapaxes(0, 1),
+    "anti-diagonal": lambda a: a[::-1, ::-1].swapaxes(0, 1),
 }
 
 
@@ -73,11 +86,11 @@ def curves(img: GrayImage) -> tuple[np.ndarray, np.ndarray]:
     return est.row_curve, est.col_curve
 
 
-def block_arrays(img: GrayImage, gt: GroundTruth, threshold: float) -> list[np.ndarray]:
-    """The features, maximum deviations and mask of every texel-sized
+def block_arrays(img: GrayImage, block_h: int, block_w: int, threshold: float) -> list[np.ndarray]:
+    """The features, maximum deviations and mask of every block_h x block_w
     block, each laid out on the (n_rows, n_cols) grid."""
-    res = classify_blocks(img, partition(img, gt.texel_h, gt.texel_w), threshold)
-    grid = (gt.reps_r, gt.reps_c)
+    res = classify_blocks(img, partition(img, block_h, block_w), threshold)
+    grid = (res.grid.n_rows, res.grid.n_cols)
     return [res.features.reshape(*grid, -1), res.max_deviation.reshape(grid),
             res.conforming.reshape(grid)]
 
@@ -92,7 +105,9 @@ def test_flip_keeps_the_curves_and_moves_the_blocks(case, flip, threshold):
     flipped = image_of(FLIPS[flip](img.pixels))
     for got, want in zip(curves(flipped), curves(img)):
         assert np.array_equal(got, want)
-    for got, want in zip(block_arrays(flipped, gt, threshold), block_arrays(img, gt, threshold)):
+    texel = (gt.texel_h, gt.texel_w)
+    for got, want in zip(block_arrays(flipped, *texel, threshold),
+                         block_arrays(img, *texel, threshold)):
         assert np.array_equal(got, FLIPS[flip](want))
 
 
@@ -102,7 +117,9 @@ def test_roll_by_whole_periods_rolls_the_blocks(case, data, threshold):
     gt, img = case
     k, m = data.draw(st.integers(0, gt.reps_r - 1)), data.draw(st.integers(0, gt.reps_c - 1))
     rolled = image_of(np.roll(img.pixels, (k * gt.texel_h, m * gt.texel_w), axis=(0, 1)))
-    for got, want in zip(block_arrays(rolled, gt, threshold), block_arrays(img, gt, threshold)):
+    texel = (gt.texel_h, gt.texel_w)
+    for got, want in zip(block_arrays(rolled, *texel, threshold),
+                         block_arrays(img, *texel, threshold)):
         assert np.array_equal(got, np.roll(want, (k, m), axis=(0, 1)))
 
 
@@ -114,6 +131,22 @@ def test_roll_by_whole_periods_keeps_the_periods(case, data):
     rolled = image_of(np.roll(img.pixels, (k * gt.texel_h, m * gt.texel_w), axis=(0, 1)))
     est, got = estimate_periods(img), estimate_periods(rolled)
     assert (got.row_period, got.col_period) == (est.row_period, est.col_period)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tilings(), st.sampled_from(sorted(TRANSPOSES)), thresholds)
+def test_transpose_swaps_the_axes(case, transpose, threshold):
+    gt, img = case
+    est = estimate_periods(img)
+    turned = image_of(TRANSPOSES[transpose](img.pixels))
+    got = estimate_periods(turned)
+    assert np.array_equal(got.row_curve, est.col_curve)
+    assert np.array_equal(got.col_curve, est.row_curve)
+    assert (got.row_period, got.col_period) == (est.col_period, est.row_period)
+    assert np.array_equal(features_of_region(turned), features_of_region(img))
+    for got, want in zip(block_arrays(turned, gt.texel_w, gt.texel_h, threshold),
+                         block_arrays(img, gt.texel_h, gt.texel_w, threshold)):
+        assert np.array_equal(got, TRANSPOSES[transpose](want))
 
 
 @settings(max_examples=60, deadline=None)
