@@ -80,8 +80,8 @@ def _parse_defects(text: str) -> list[tuple[int, int]]:
 
 
 def _classify(args) -> tuple[GrayImage, PeriodEstimate, BlockGrid, AnalysisResult]:
-    """Load the input, which load_pgm reads from the open file (in windows
-    when it is a regular file), take its periods (manual when given, DMF
+    """Load the input, which load_pgm reads from the open file (in windows,
+    or whole when it is a pipe), take its periods (manual when given, DMF
     estimation otherwise), and classify its blocks. A manual estimate
     carries no curves.
     """

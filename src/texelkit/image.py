@@ -6,9 +6,8 @@ image, so values can be shared freely across threads.
 
 from __future__ import annotations
 
-import os
+import io
 import re
-import stat
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -93,40 +92,37 @@ def _sealed(arr: np.ndarray) -> np.ndarray:
 
 
 class _Text:
-    """The bytes of a PGM input from the cursor `pos` on. Bytes are a source
-    whose first window is all there is; a regular file is read in windows
-    by `more`, so it is never held whole."""
+    """The bytes of a PGM input from the cursor `pos` on, read from a file in
+    windows by `more`, so the input is never held whole. Bytes-like input is
+    read as an io.BytesIO, and a file that cannot seek (a pipe) is read whole
+    into one. The file's bytes left are measured once and no more are read,
+    so a device that measures 0 (such as /dev/zero) reads as empty."""
 
-    def __init__(self, data: bytes, file=None):
-        self.data, self.pos, self.file = data, 0, file
+    def __init__(self, source):
+        if not hasattr(source, "readinto"):
+            # io.BytesIO refuses a non-contiguous buffer, which memoryview takes
+            source = io.BytesIO(source if isinstance(source, bytes) else memoryview(source).tobytes())
+        elif not source.seekable():
+            source = io.BytesIO(source.read())
+        start = source.tell()
+        self.unread = max(source.seek(0, io.SEEK_END) - start, 0)
+        source.seek(start)
+        self.data, self.pos, self.file = b"", 0, source
 
     def more(self) -> bool:
         """Drop the bytes before the cursor, which moves to 0, and append the
         file's next bytes: a window of _P2_RUN_BYTES, or as many as are kept
         when that is more, so a line of n bytes is read in O(n). False, with
         nothing changed, at the end of the input."""
-        chunk = self.file.read(max(_P2_RUN_BYTES, len(self.data) - self.pos)) if self.file else b""
+        chunk = self.file.read(min(self.unread, max(_P2_RUN_BYTES, len(self.data) - self.pos)))
         if chunk:
             self.data, self.pos = self.data[self.pos :] + chunk, 0
+            self.unread -= len(chunk)
         return bool(chunk)
 
     def left(self) -> int:
         """The number of bytes from the cursor to the end of the input."""
-        unread = os.fstat(self.file.fileno()).st_size - self.file.tell() if self.file else 0
-        return len(self.data) - self.pos + max(unread, 0)
-
-
-def _text_of(source) -> _Text:
-    """The _Text of a load_pgm input: an open regular file is read in
-    windows, and anything else is read whole into bytes."""
-    if not hasattr(source, "readinto"):
-        # bytes(n) would make n zero bytes
-        return _Text(source if isinstance(source, bytes) else memoryview(source).tobytes())
-    try:
-        regular = stat.S_ISREG(os.fstat(source.fileno()).st_mode)
-    except OSError:  # no file descriptor, as in io.BytesIO
-        regular = False
-    return _Text(b"", source) if regular else _Text(source.read())
+        return len(self.data) - self.pos + self.unread
 
 
 def _read_header_token(text: _Text) -> bytes:
@@ -225,18 +221,13 @@ def _p2_samples(text: _Text, count: int, maxval: int) -> tuple[np.ndarray, int]:
 
 
 def _p5_samples(text: _Text, count: int) -> np.ndarray:
-    """The `count` samples of the P5 raster at the cursor. Bytes are viewed
-    when the raster fills at least half of them, and copied otherwise, so a
-    small image pins no large buffer. A file's raster goes into one fresh
-    array, first the part already read, then the rest by readinto; the input
-    left is checked first, so a declared size it cannot hold allocates
-    nothing in proportion to it."""
+    """The `count` samples of the P5 raster at the cursor, in one fresh
+    array: first the part already read, then the rest by readinto. The
+    input left is checked first, so a declared size it cannot hold
+    allocates nothing in proportion to it."""
     have = text.left()
     if have < count:
         raise PgmError(f"truncated P5 pixel data: expected {count} bytes, got {have}")
-    if text.file is None:
-        raster = memoryview(text.data)[text.pos : text.pos + count]
-        return np.frombuffer(raster.tobytes() if 2 * count < len(text.data) else raster, np.uint8)
     out = np.empty(count, np.uint8)
     done = min(len(text.data) - text.pos, count)
     out[:done] = np.frombuffer(text.data, np.uint8, done, text.pos)
@@ -253,17 +244,18 @@ def load_pgm(source) -> GrayImage:
 
     `source` is bytes, any other bytes-like object (a bytearray, memoryview
     or mmap, which can change later, so it is copied into bytes first), or
-    an open binary file. A regular file is read from its current position
-    in windows of _P2_RUN_BYTES, so it is never held whole; any other file
-    (a pipe, /dev/stdin, io.BytesIO) is read whole and loaded as bytes.
+    an open binary file, read from its current position. Every source is
+    read as a file, in windows of _P2_RUN_BYTES, up to the size it had when
+    loading began (_Text); bytes are read as an io.BytesIO, and a file that
+    cannot seek (a pipe, a piped /dev/stdin) is read whole into one.
     Header whitespace and '#' comments are tolerated; samples are used as-is
-    without rescaling, whatever the declared maxval. A P5 raster is viewed
-    or copied as _p5_samples says. A P2 raster is decoded in runs of whole
-    lines within a fixed budget (_p2_samples), straight into the image's
-    uint8 buffer; its largest sample, kept as the runs go, is checked
-    against maxval here, as a P5 raster's is.
+    without rescaling, whatever the declared maxval. A P5 raster is read
+    into one fresh array (_p5_samples). A P2 raster is decoded in runs of
+    whole lines within a fixed budget (_p2_samples), straight into the
+    image's uint8 buffer; its largest sample, kept as the runs go, is
+    checked against maxval here, as a P5 raster's is.
     """
-    text = _text_of(source)
+    text = _Text(source)
     magic = _read_header_token(text)
     if magic not in (b"P5", b"P2"):
         raise PgmError(f"not a PGM file: bad magic {magic!r}")

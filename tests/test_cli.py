@@ -789,7 +789,8 @@ class TestP2InputErrors:
 
 class TestStdinInput:
     """A pipe is read whole and a file redirected to stdin in windows, so
-    /dev/stdin runs as the file given by its path does."""
+    /dev/stdin runs as the file given by its path does. A device is read up
+    to the size it had when loading began, so an endless one ends."""
 
     @pytest.mark.parametrize("stdin", ["pipe", "redirect"])
     @pytest.mark.parametrize("mode", ["P5", "P2", "P2-truncated"])
@@ -810,6 +811,21 @@ class TestStdinInput:
         assert want.returncode == (2 if mode == "P2-truncated" else 0)
         assert (got.returncode, got.stdout, got.stderr) == (
             want.returncode, want.stdout, want.stderr)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+    def test_analyze_of_dev_zero_exits_2(self, tmp_path):
+        resource = pytest.importorskip("resource")
+
+        def limit_memory():  # runs in the child only
+            hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, hard))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "texelkit", "analyze", "/dev/zero"], capture_output=True,
+            text=True, cwd=tmp_path, env=cli_env(), timeout=30, preexec_fn=limit_memory,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            2, "", "error: unexpected end of file while reading PGM header\n")
 
 
 def report_runs(n_rows, n_cols):

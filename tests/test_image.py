@@ -320,8 +320,8 @@ def same_outcome(got, want) -> bool:
 
 
 class TestFileInput:
-    """An open regular file is read in windows of _P2_RUN_BYTES and loads as
-    its bytes do, wherever the window boundaries fall."""
+    """An open file is read in windows of _P2_RUN_BYTES, as bytes are, and
+    loads as its bytes do, wherever the window boundaries fall."""
 
     @pytest.fixture(params=[1, _RUN], ids=["1-byte", "default"])
     def window(self, request, monkeypatch):
@@ -395,6 +395,8 @@ class TestFileInput:
 
     @pytest.mark.parametrize("mode", ["P5", "P2"])
     def test_non_regular_files_are_read_whole(self, rng, mode):
+        # an io.BytesIO is read in windows, and a pipe, which cannot seek,
+        # is read whole first
         img = random_image(rng, 5, 7)
         data = save_pgm(img, mode)
         assert load_pgm(io.BytesIO(data)) == img
@@ -475,20 +477,20 @@ class TestP2DecodeMemory:
 
 
 class TestP5View:
-    """A P5 image views its raster in the file's bytes, and copies it only
-    when the buffer is writable or mostly other bytes."""
+    """A P5 raster is read into one fresh array, from bytes as from a file,
+    so a later change to the input buffer leaves the image as it was, and
+    bytes cost what a file costs."""
 
     @pytest.fixture(scope="class")
     def noise(self):
         img = GrayImage(np.random.default_rng(13).integers(0, 256, (960, 960), np.uint8))
         return img, save_pgm(img)
 
-    def test_image_shares_the_input_bytes(self, noise):
+    def test_bytes_peak_below_image_plus_two_windows(self, noise):
         img, data = noise
         got, peak = peak_bytes(load_pgm, data)
         assert got == img
-        assert np.shares_memory(got.pixels, np.frombuffer(data, np.uint8))
-        assert peak < 64 * 1024
+        assert peak < img.width * img.height + 2 * _RUN
 
     def test_bytearray_input_is_copied(self, noise):
         img, data = noise
@@ -523,6 +525,8 @@ _BUFFERS = {
     "bytearray": bytearray,
     "memoryview": lambda data: memoryview(bytearray(data)),
     "read-only memoryview": lambda data: memoryview(bytearray(data)).toreadonly(),
+    # every other byte of a buffer twice as long
+    "non-contiguous array": lambda data: np.repeat(np.frombuffer(data, np.uint8), 2)[::2],
 }
 
 

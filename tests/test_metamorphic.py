@@ -15,12 +15,16 @@ np.array_equal or bytes, never with a tolerance:
   features and the mask as it moves the grid;
 - inverting the gray levels (255 - x) leaves both DMF curves unchanged;
 - the outlined PGM `detect` writes for a flipped input is the flipped
-  outlined PGM.
+  outlined PGM;
+- the encoding of the input (P5, P2, or P2 with CRLF line ends and a
+  comment on every line) changes no exit code, message or output file.
 
 The grid is the tiling's texel size, so each transformation maps whole
 blocks onto whole blocks.
 """
 
+import contextlib
+import io
 import tempfile
 from pathlib import Path
 
@@ -174,3 +178,40 @@ def test_detect_outlines_a_flipped_input_flipped(case, flip, thickness):
         outlined = load_pgm((tmp / "in-out.pgm").read_bytes())
         want = save_pgm(image_of(FLIPS[flip](outlined.pixels)))
         assert (tmp / "flipped-out.pgm").read_bytes() == want
+
+
+# the same image as P5, as P2, and as P2 with a comment and CRLF on every line
+ENCODINGS = {
+    "P5": save_pgm,
+    "P2": lambda img: save_pgm(img, "P2"),
+    "P2-commented-crlf": lambda img: save_pgm(img, "P2").replace(b"\n", b"# c\r\n"),
+}
+
+
+@settings(max_examples=10, deadline=None)
+@given(tilings())
+def test_the_input_encoding_changes_no_output(case):
+    _, img = case
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        src, out_pgm = str(tmp / "in.pgm"), str(tmp / "out.pgm")
+        runs = [
+            ["analyze", src, "--csv-dmf", str(tmp / "dmf.csv")],
+            ["detect", src, out_pgm, "--json-out", str(tmp / "report.json")],
+            ["synthesize", src, out_pgm, "--texel-out", str(tmp / "texel.pgm")],
+        ]
+        outcomes = {}
+        for encoding, encode in ENCODINGS.items():
+            (tmp / "in.pgm").write_bytes(encode(img))
+            for argv in runs:
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = cli.main(argv)
+                files = {}
+                for path in tmp.iterdir():
+                    if path.name != "in.pgm":
+                        files[path.name] = path.read_bytes()
+                        path.unlink()
+                outcomes[argv[0], encoding] = (code, out.getvalue(), err.getvalue(), files)
+    for command, encoding in outcomes:
+        assert outcomes[command, encoding] == outcomes[command, "P5"], (command, encoding)
