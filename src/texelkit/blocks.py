@@ -2,7 +2,8 @@
 
 The image is divided by a period-sized grid anchored at (0, 0). Each whole
 block's feature vector is compared against the whole-image features (both
-come from stats.block_features, the image as one block); a block conforms
+come from the gray-level counts of stats.block_features, to which the whole
+image adds the edge strips the grid leaves out); a block conforms
 when every per-feature relative deviation stays within the threshold. The
 most typical conforming block (smallest worst-case deviation) becomes the
 representative texel; the blocks the `conforming` mask leaves False are the
@@ -20,7 +21,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .image import GrayImage, _sealed
-from .stats import FEATURE_NAMES, block_features, features_of_region
+from .stats import FEATURE_NAMES, GRAY_LEVELS, _count_levels, block_features, feature_matrix
 
 DEFAULT_EPSILON = 1e-6
 
@@ -160,14 +161,17 @@ class AnalysisResult:
             devs = deviation_matrix(feats, self.global_features, self.epsilon)
             run = np.column_stack([feats, devs, self.max_deviation[k0:k1]])  # template order
             bits, at = np.unique(run.view(np.uint64), return_inverse=True)
-            texts = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+            # the Python floats go with this statement, the matrix and its sort after it
+            texts = list(map(repr, bits.view(np.float64).tolist()))
+            del devs, run, bits
             args = np.empty((k1 - k0, 16), dtype=object)  # i, j, 13 floats, true/false
             args[:, 0], args[:, 1] = np.divmod(np.arange(k0, k1), n_cols)
-            args[:, 2:15] = texts[at.reshape(run.shape)]
+            args[:, 2:15] = np.array(texts, dtype=object)[at.reshape(k1 - k0, 13)]
             args[:, 15] = words[self.conforming[k0:k1].view(np.uint8)]
             for r0 in range(0, k1 - k0, n_cols):
                 yield ",\n" if k0 + r0 else "\n"
                 yield row % tuple(args[r0 : r0 + n_cols].ravel().tolist())
+            del texts, at, args  # the run's strings, before the next run's are made
 
 
 def partition(img: GrayImage, block_h: int, block_w: int) -> BlockGrid:
@@ -225,14 +229,19 @@ def classify_blocks(
     """Classify every grid block against the whole-image statistics: the
     AnalysisResult of the blocks' and the whole image's features.
 
-    The grid must fit inside the image. Global features cover all pixels,
-    including any partial-block edge strips the grid excludes. An epsilon
-    so small that a deviation overflows raises ValueError.
+    The grid must fit inside the image. Global features cover all pixels:
+    the counts block_features adds up over the grid, plus those of the
+    partial-block edge strips the grid excludes, so each pixel is counted
+    once. An epsilon so small that a deviation overflows raises ValueError.
     """
     # threshold 0 is a usable degenerate boundary: only blocks with
     # exactly zero deviation (e.g. on perfect tilings) conform
     if not 0 <= threshold < math.inf:
         raise ValueError(f"threshold must be finite and >= 0, got {threshold}")
-    blocks = grid.blocks(img.pixels)
-    return AnalysisResult(grid, features_of_region(img), _sealed(block_features(blocks)),
-                          threshold, epsilon)
+    total = np.zeros(GRAY_LEVELS, np.int64)
+    features = _sealed(block_features(grid.blocks(img.pixels), total))
+    h, w = grid.n_rows * grid.block_h, grid.n_cols * grid.block_w
+    _count_levels(img.pixels[h:], total)  # the rows below the grid
+    _count_levels(img.pixels[:h, w:], total)  # the columns right of it
+    global_features = _sealed(feature_matrix(total[None], img.pixels.size)[0])
+    return AnalysisResult(grid, global_features, features, threshold, epsilon)

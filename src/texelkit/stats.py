@@ -17,12 +17,11 @@ region's features are one float64 row, its columns in FEATURE_NAMES order.
 
 from __future__ import annotations
 
-import functools
 import itertools
 
 import numpy as np
 
-from .image import GrayImage
+from .image import GrayImage, _sealed
 
 GRAY_LEVELS = 256
 
@@ -93,18 +92,21 @@ def feature_matrix(counts: np.ndarray, n: int, work: np.ndarray | None = None) -
     return out
 
 
-def block_features(blocks: np.ndarray) -> np.ndarray:
+def block_features(blocks: np.ndarray, total: np.ndarray | None = None) -> np.ndarray:
     """(n_rows * n_cols, 6) features of the blocks of a BlockGrid.blocks
-    view of uint8 pixels, row-major: the one place that counts gray levels.
+    view of uint8 pixels, row-major: the one place that counts the gray
+    levels of a grid. Each run's counts, summed over its blocks, are added
+    into `total` (int64, 256 levels) when one is given.
 
     A run of blocks is one bincount of block_id * 256 + level over the
     (n_rows, block_h, n_cols, block_w) view. Runs take whole block rows
     while their int64 bin ids and counts, then counts and feature_matrix's
     arrays, fit _CHUNK_BYTES; when one block row does not fit, it is cut
-    into runs of whole blocks that do (one block at the least). Every run
-    reuses one feature_matrix buffer. A block whose bin ids alone do not fit
-    (one block over a whole image) is counted in runs of pixel rows that do,
-    and their integer counts are added exactly.
+    into runs of whole blocks that do (one block at the least). One buffer,
+    made once, holds a run's bin ids while it is counted and feature_matrix's
+    arrays after. A block whose bin ids alone do not fit (a 1024x1024 image
+    in one block) is counted in runs of pixel rows that do, and their
+    integer counts are added exactly.
     """
     n_rows, block_h, n_cols, block_w = blocks.shape
     n = block_h * block_w
@@ -112,27 +114,46 @@ def block_features(blocks: np.ndarray) -> np.ndarray:
     fit = max(1, _CHUNK_BYTES // per_block)
     # a run is `rows` whole block rows, or `cols` whole blocks of one block row
     rows, cols = (max(1, min(n_rows, fit // n_cols)), n_cols) if fit >= n_cols else (1, fit)
-    # pixel rows per bincount: block_h or more unless one block does not fit
-    pixel_rows = max(1, _CHUNK_BYTES // (8 * cols * block_w))
+    # pixel rows per bincount: block_h unless one block does not fit
+    pixel_rows = min(block_h, max(1, _CHUNK_BYTES // (8 * cols * block_w)))
     first_bin = np.arange(0, rows * cols * GRAY_LEVELS, GRAY_LEVELS).reshape(rows, 1, cols, 1)
-    work = np.empty((3, rows * cols * GRAY_LEVELS))
+    # one buffer: a bincount's int64 bin ids, then feature_matrix's three float64 arrays
+    work = np.empty(max(rows * pixel_rows * cols * block_w, 3 * rows * cols * GRAY_LEVELS))
+    bin_ids, levels = work.view(np.int64), work[: 3 * rows * cols * GRAY_LEVELS].reshape(3, -1)
     out = np.empty((n_rows * n_cols, len(FEATURE_NAMES)))
     for r0, c0 in itertools.product(range(0, n_rows, rows), range(0, n_cols, cols)):
         run = blocks[r0 : r0 + rows, :, c0 : c0 + cols]
         bins = first_bin[: run.shape[0], :, : run.shape[2]]
         m, k = bins.size, r0 * n_cols + c0  # k: the run's first block, row-major
-        # the bin ids are temporaries, freed before feature_matrix runs, and
-        # the counts are freed with it, before the next run is counted
-        out[k : k + m] = feature_matrix(functools.reduce(np.add, (
-            np.bincount((bins + run[:, y0 : y0 + pixel_rows]).ravel(), minlength=m * GRAY_LEVELS)
-            for y0 in range(0, block_h, pixel_rows)
-        )).reshape(m, GRAY_LEVELS), n, work)
+        for y0 in range(0, block_h, pixel_rows):
+            part = run[:, y0 : y0 + pixel_rows]
+            ids = bin_ids[: part.size].reshape(part.shape)
+            # one cast, then a same-type add: mixing the types in one ufunc
+            # would allocate numpy's casting buffers
+            np.copyto(ids, part)
+            ids += bins
+            hist = np.bincount(ids.ravel(), minlength=m * GRAY_LEVELS)
+            counts = np.add(counts, hist, out=counts) if y0 else hist
+        counts = counts.reshape(m, GRAY_LEVELS)
+        if total is not None:
+            total += counts.sum(axis=0)
+        out[k : k + m] = feature_matrix(counts, n, levels)
+        del counts, hist  # before the next run is counted
     return out
 
 
+def _count_levels(pixels: np.ndarray, total: np.ndarray) -> None:
+    """Add the gray-level counts of a 2-D uint8 array into `total` (int64,
+    256 levels), in runs of pixel rows whose uint8 copy (ravel makes one
+    when the rows are not contiguous) and int64 bin ids fit _CHUNK_BYTES."""
+    rows = max(1, _CHUNK_BYTES // (9 * max(1, pixels.shape[1])))
+    for y0 in range(0, len(pixels), rows):
+        total += np.bincount(pixels[y0 : y0 + rows].ravel(), minlength=GRAY_LEVELS)
+
+
 def features_of_region(img: GrayImage) -> np.ndarray:
-    """The whole image's six features: block_features of the image taken
-    as one block, a read-only 1-D float64 row in FEATURE_NAMES order."""
-    row = block_features(img.pixels[None, :, None, :])[0]
-    row.setflags(write=False)
-    return row
+    """The whole image's six features, from its gray-level counts, a
+    read-only 1-D float64 row in FEATURE_NAMES order."""
+    total = np.zeros(GRAY_LEVELS, np.int64)
+    _count_levels(img.pixels, total)
+    return _sealed(feature_matrix(total[None], img.pixels.size)[0])

@@ -1,5 +1,6 @@
 """Block partitioning, relative deviations, and conformance classification."""
 
+import collections
 import dataclasses
 import json
 from unittest import mock
@@ -107,6 +108,21 @@ class TestDeviation:
         assert named_deviations(local, ref)["skewness"] > 1e6
 
 
+def _strips(h, w, block_h, block_w):
+    """A noise image of h x w pixels and a block size."""
+    pixels = np.random.default_rng(h * w).integers(0, 256, (h, w), dtype=np.uint8)
+    return GrayImage(pixels), block_h, block_w
+
+
+@st.composite
+def strip_cases(draw):
+    """An image and a block size, so the grid may leave a strip of any width
+    below it, right of it, both or neither."""
+    h, w = draw(st.integers(1, 30)), draw(st.integers(1, 30))
+    pixels = draw(hnp.arrays(np.uint8, (h, w)))
+    return GrayImage(pixels), draw(st.integers(1, h)), draw(st.integers(1, w))
+
+
 class TestClassifyBlocks:
     def test_exact_tiling_all_conforming(self):
         texel = random_texel(6, 5, seed=8)
@@ -162,14 +178,23 @@ class TestClassifyBlocks:
         assert res.representative is None
         assert set(anomalies_of(res)) == {(0, 0), (1, 0)}
 
-    def test_global_features_include_edge_strips(self, rng):
-        # 10x10 image, 3x3 blocks: the 9x9 grid drops an L-shaped strip,
-        # but global stats still cover all 100 pixels
-        img = random_image(rng, 10, 10)
-        grid = partition(img, 3, 3)
-        res = classify_blocks(img, grid, threshold=0.1)
-        want = features_of_region(img)
-        assert np.array_equal(res.global_features.view(np.uint64), want.view(np.uint64))
+    @settings(max_examples=100, deadline=None)
+    @given(strip_cases())
+    @example(_strips(12, 12, 3, 4))  # no edge strip
+    @example(_strips(12, 14, 3, 4))  # a right strip only
+    @example(_strips(13, 12, 3, 4))  # a bottom strip only
+    @example(_strips(10, 10, 3, 3))  # both: the 9x9 grid drops an L-shaped strip
+    @example(_strips(10, 13, 3, 4))  # both, 1 px wide
+    @example(_strips(7, 9, 5, 6))  # a one-block grid and both strips
+    def test_global_features_include_edge_strips(self, case):
+        # the grid's counts plus the strips' cover every pixel once: the
+        # global row is that of one bincount over the whole image
+        img, block_h, block_w = case
+        want = one_bincount_features(img.pixels).view(np.uint64)
+        for budget in (1, stats._CHUNK_BYTES):
+            with chunked(budget):
+                res = classify_blocks(img, partition(img, block_h, block_w), threshold=0.1)
+            assert np.array_equal(res.global_features.view(np.uint64), want)
 
     def test_zero_threshold_boundary(self, rng):
         # exact tilings still conform at threshold 0 (deviations are 0);
@@ -386,15 +411,30 @@ class TestWholeGrid:
             classify_blocks(small, grid, threshold=0.1)
 
     @pytest.mark.parametrize("shape, block", [
-        ((1024, 1024), 8),
+        ((1024, 1024), (8, 8)),
+        # bin ids of 480 pixels a block, more than its three level arrays
+        ((960, 960), (24, 20)),
         # one block row of 2048 blocks, about 40 budgets if it were counted in one run
-        ((4, 4096), 2),
-    ], ids=["1024x1024 in 8x8 blocks", "4x4096 in 2x2 blocks"])
+        ((4, 4096), (2, 2)),
+    ], ids=["1024x1024 in 8x8 blocks", "960x960 in 24x20 blocks", "4x4096 in 2x2 blocks"])
     def test_block_features_peak_within_budget(self, shape, block):
+        # a run's bin ids share its work buffer, so a run holds one budget
         pixels = np.random.default_rng(3).integers(0, 256, shape, dtype=np.uint8)
-        view = partition(GrayImage(pixels), block, block).blocks(pixels)
+        view = partition(GrayImage(pixels), *block).blocks(pixels)
         feats, peak = peak_bytes(stats.block_features, view)
-        assert peak <= feats.nbytes + 2 * stats._CHUNK_BYTES
+        assert peak <= feats.nbytes + stats._CHUNK_BYTES + 32 * 1024
+
+    @pytest.mark.parametrize("shape, block", [
+        ((504, 504), (14, 12)),
+        # a right strip of 6 columns and a bottom strip of 5 rows
+        ((1029, 1030), (8, 8)),
+    ], ids=["504x504 in 14x12 blocks", "1029x1030 in 8x8 blocks"])
+    def test_classify_blocks_peak_within_budget(self, shape, block):
+        # the global row comes from the blocks' counts and the strips', with
+        # no second pass over the image
+        img = GrayImage(np.random.default_rng(3).integers(0, 256, shape, dtype=np.uint8))
+        res, peak = peak_bytes(classify_blocks, img, partition(img, *block), 0.1)
+        assert peak <= res.features.nbytes + stats._CHUNK_BYTES + 32 * 1024
 
 
 def assert_verdict(res, want):
@@ -498,6 +538,14 @@ class TestBlocksJson:
         assert 700 * 13 * 8 > blocks._REPORT_CHUNK_BYTES
         expected = json.dumps(result_report(res), indent=2, allow_nan=False) + "\n"
         assert "".join(res.report_parts()) == expected
+
+    def test_report_peak_below_12_budgets(self):
+        # a run frees its floats, their sort and its strings once they are
+        # used, before the next run's strings are made
+        img = GrayImage(np.random.default_rng(3).integers(0, 256, (1024, 1024), dtype=np.uint8))
+        res = classify_blocks(img, partition(img, 8, 8), threshold=0.1)
+        _, peak = peak_bytes(collections.deque, res.report_parts(), maxlen=0)
+        assert peak < 12 * blocks._REPORT_CHUNK_BYTES
 
     @pytest.mark.parametrize("budget", [1, blocks._REPORT_CHUNK_BYTES], ids=["1-byte", "default"])
     def test_nested_parts_equal_dumps_of_to_dict(self, budget):
