@@ -19,6 +19,7 @@ from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
+import orjson
 
 from .image import GrayImage, _sealed
 from .stats import FEATURE_NAMES, GRAY_LEVELS, _count_levels, block_features, feature_matrix
@@ -28,6 +29,23 @@ DEFAULT_EPSILON = 1e-6
 # bytes of float64 values in one run of block rows the report writer formats
 _REPORT_CHUNK_BYTES = 1 << 16
 _MARK = "\0"  # no report holds it: json.dumps writes it where a block's values go
+
+
+def _float_texts(values: np.ndarray) -> list[str]:
+    """list(map(repr, values.tolist())) for a float64 array, by orjson's Ryu:
+    it writes the same shortest round-trip digits as repr where repr uses no
+    exponent, that is for 0 and 1e-4 <= |x| < 1e16. The rest (nan and inf,
+    which orjson writes as null, and the values repr writes with an exponent,
+    which orjson writes in its own notation) go through repr."""
+    flat = np.ascontiguousarray(values, np.float64).ravel()  # orjson refuses a strided array
+    if not flat.size:
+        return []
+    texts = orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+    size = np.abs(flat)
+    (odd,) = np.nonzero(~((size >= 1e-4) & (size < 1e16) | (flat == 0)))  # nan compares False
+    for i, x in zip(odd.tolist(), flat[odd].tolist()):
+        texts[i] = repr(x)
+    return texts
 
 
 @dataclass(frozen=True)
@@ -141,10 +159,10 @@ class AnalysisResult:
         The blocks come in runs of block rows holding about
         _REPORT_CHUNK_BYTES of floats, each formatted when it is asked for;
         a run's deviations are derived from its features then. Within a run,
-        repr (as json writes floats; all are finite, or the result could not
-        be made) is called once per distinct float64 bit pattern, so -0.0
-        and 0.0 stay apart, and the strings are gathered back into the row's
-        repeated template.
+        each distinct float64 bit pattern (so -0.0 and 0.0 stay apart) is
+        formatted once by _float_texts, whose text is repr's, as json writes
+        floats (all are finite, or the result could not be made), and the
+        strings are gathered back into the row's repeated template.
         """
         features = dict.fromkeys(FEATURE_NAMES, _MARK)
         block = {"index": [_MARK, _MARK], "features": features, "deviations": features,
@@ -161,8 +179,8 @@ class AnalysisResult:
             devs = deviation_matrix(feats, self.global_features, self.epsilon)
             run = np.column_stack([feats, devs, self.max_deviation[k0:k1]])  # template order
             bits, at = np.unique(run.view(np.uint64), return_inverse=True)
-            # the Python floats go with this statement, the matrix and its sort after it
-            texts = list(map(repr, bits.view(np.float64).tolist()))
+            # the strings are made here; the matrix and its sort go after it
+            texts = _float_texts(bits.view(np.float64))
             del devs, run, bits
             args = np.empty((k1 - k0, 16), dtype=object)  # i, j, 13 floats, true/false
             args[:, 0], args[:, 1] = np.divmod(np.arange(k0, k1), n_cols)

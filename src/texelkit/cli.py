@@ -20,7 +20,16 @@ import sys
 from collections.abc import Iterable, Iterator
 from pathlib import Path
 
-from .blocks import DEFAULT_EPSILON, AnalysisResult, BlockGrid, classify_blocks, partition
+import numpy as np
+
+from .blocks import (
+    DEFAULT_EPSILON,
+    AnalysisResult,
+    BlockGrid,
+    _float_texts,
+    classify_blocks,
+    partition,
+)
 from .image import GrayImage, load_pgm, pgm_header, pgm_parts
 from .periodicity import PeriodEstimate, estimate_periods
 from .synthesis import extract_texel, outline_parts, tiling_parts
@@ -102,13 +111,13 @@ def _classify(args) -> tuple[GrayImage, PeriodEstimate, BlockGrid, AnalysisResul
 def _dmf_csv(curves) -> Iterator[str]:
     """The (axis, values) DMF curves as the CSV lines csv.writer writes for
     them: their fields hold no comma, quote or line break, so none is quoted.
-    Each forward difference is one float64 subtraction, as np.diff makes it."""
+    Each forward difference is np.diff's one float64 subtraction, and every
+    float is written as repr writes it, by _float_texts."""
     yield "axis,d,dmf,forward_difference\r\n"
     for axis, values in curves:
-        values = values.tolist()
-        for d, value in enumerate(values, 1):
-            fd = repr(values[d] - value) if d < len(values) else ""
-            yield f"{axis},{d},{value!r},{fd}\r\n"
+        diffs = _float_texts(np.diff(values)) + [""]  # none at the last d
+        for d, (value, fd) in enumerate(zip(_float_texts(values), diffs), 1):
+            yield f"{axis},{d},{value},{fd}\r\n"
 
 
 def cmd_analyze(args) -> int:

@@ -556,3 +556,41 @@ class TestBlocksJson:
         with mock.patch.object(blocks, "_REPORT_CHUNK_BYTES", budget):
             text = "".join(res.report_parts(periods))
         assert text == json.dumps({"periods": periods, "analysis": res.to_dict()}, indent=2) + "\n"
+
+
+def _edges():
+    """±1e-4 and ±1e16, where repr's notation changes, each with its float64
+    neighbours on both sides."""
+    for x in (1e-4, 1e16):
+        for v in (np.nextafter(x, 0), x, np.nextafter(x, np.inf)):
+            yield float(v)
+            yield -float(v)
+
+
+class TestFloatTexts:
+    """_float_texts(a) is list(map(repr, a.tolist())), text for text."""
+
+    @staticmethod
+    def assert_repr(a):
+        assert blocks._float_texts(a) == list(map(repr, a.tolist()))
+
+    @settings(max_examples=300, deadline=None)
+    @given(hnp.arrays(np.float64, st.integers(0, 40),
+                      elements=st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)))
+    @example(np.array([*_edges(), -0.0, 0.0, 5e-324, -5e-324, np.finfo(np.float64).max]))
+    @example(np.array([np.nan, np.inf, -np.inf, 1e-5, 1e21, 123456.789]))
+    @example(np.empty(0))
+    def test_floats(self, a):
+        self.assert_repr(a)
+
+    @settings(max_examples=300, deadline=None)
+    @given(hnp.arrays(np.uint64, st.integers(0, 40)))
+    def test_bit_patterns(self, bits):
+        # every float64, subnormals and nan payloads included
+        self.assert_repr(bits.view(np.float64))
+
+    def test_strided_column(self):
+        a = np.array([[-1.5, 1e-7], [2.0 / 3, 1e16], [0.1, -0.0]])
+        assert not a[:, 1].flags.c_contiguous
+        self.assert_repr(a[:, 1])
+        self.assert_repr(a[::-1, 0])

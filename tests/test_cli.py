@@ -7,6 +7,7 @@ import errno
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -36,6 +37,7 @@ from texelkit import (
     synthesize,
 )
 
+import reference
 from conftest import cli_env, peak_bytes
 from reference import Grid, per_block_classify, report, report_text, result_report
 
@@ -326,6 +328,22 @@ class TestDetect:
         in_a = (ys >= 2 * 14) & (ys < 3 * 14) & (xs >= 3 * 12) & (xs < 4 * 12)
         in_b = (ys >= 30 * 14) & (ys < 31 * 14) & (xs >= 7 * 12) & (xs < 8 * 12)
         assert np.all(in_a | in_b)
+
+    def test_report_holds_both_float_notations(self, tmp_path):
+        # noise makes some deviations small enough for repr's exponent
+        # notation, which _float_texts takes from repr, beside the decimals
+        # it takes from orjson
+        gt = GroundTruth(8, 8, 4, 4, noise_amplitude=5, seed=2)
+        data = save_pgm(generate(gt, random_texel(8, 8, seed=2)))
+        (tmp_path / "in.pgm").write_bytes(data)
+        proc = run_cli("detect", "in.pgm", "hi.pgm", "--period-rows", "8", "--period-cols", "8",
+                       "--json-out", "r.json", cwd=tmp_path)
+        text = (tmp_path / "r.json").read_text()
+        assert re.search(r"\d(\.\d+)?e-0\d", text)
+        assert len(re.findall(r": -?\d+\.\d+(?![\de])", text)) > 100
+        code, stdout, stderr, files = reference.run_cli("detect", data, periods=(8, 8), json_out=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, stdout, stderr)
+        assert (tmp_path / "r.json").read_bytes() == files["json_out"]
 
     def test_threshold_monotone_conforming_superset(self, tmp_path):
         run_cli(
