@@ -12,6 +12,7 @@ anomalies (defects or camouflaged regions).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -26,7 +27,7 @@ from .stats import FEATURE_NAMES, GRAY_LEVELS, _count_levels, block_features, fe
 
 DEFAULT_EPSILON = 1e-6
 
-# bytes of float64 values in one run of block rows the report writer formats
+# bytes of the report's float64 values in one of _deviation_runs' runs of block rows
 _REPORT_CHUNK_BYTES = 1 << 16
 _MARK = "\0"  # no report holds it: json.dumps writes it where a block's values go
 
@@ -94,8 +95,8 @@ class AnalysisResult:
     threshold), one entry per block, and `representative` (the conforming
     block of least max_deviation, earliest in row-major order on ties; None
     when none conforms). A block's six deviations are not stored: they are
-    deviation_matrix of its features, derived where they are needed, one
-    feature column or one report run at a time.
+    deviation_matrix of its features, derived one run of block rows at a
+    time by _deviation_runs, for the verdict and again for the report.
     """
 
     grid: BlockGrid
@@ -108,7 +109,10 @@ class AnalysisResult:
     representative: tuple[int, int] | None = field(init=False)
 
     def __post_init__(self):
-        max_dev = _max_deviation(self.features, self.global_features, self.epsilon)
+        max_dev = np.empty(len(self.features))
+        for k0, k1, devs in self._deviation_runs():
+            # column by column: a reduction along the 6-wide axis is slower
+            max_dev[k0:k1] = functools.reduce(np.maximum, devs.T)  # a nan stays nan
         # the report is strict JSON, so a result holds no inf or nan to write;
         # a non-finite feature makes its derived deviation inf or nan too
         if not np.isfinite(max_dev).all():
@@ -156,28 +160,24 @@ class AnalysisResult:
         block row and ",\n" before each later one, one row per piece. A block
         is json.dumps of a block of markers, split at each and joined by %s.
 
-        The blocks come in runs of block rows holding about
-        _REPORT_CHUNK_BYTES of floats, each formatted when it is asked for;
-        a run's deviations are derived from its features then. Within a run,
-        each distinct float64 bit pattern (so -0.0 and 0.0 stay apart) is
-        formatted once by _float_texts, whose text is repr's, as json writes
-        floats (all are finite, or the result could not be made), and the
-        strings are gathered back into the row's repeated template.
+        The blocks come in the runs of _deviation_runs, each formatted when
+        it is asked for: its features, deviations and max_deviation are
+        stacked in template order then. Within a run, each distinct float64
+        bit pattern (so -0.0 and 0.0 stay apart) is formatted once by
+        _float_texts, whose text is repr's, as json writes floats (all are
+        finite, or the result could not be made), and the strings are
+        gathered back into the row's repeated template.
         """
         features = dict.fromkeys(FEATURE_NAMES, _MARK)
         block = {"index": [_MARK, _MARK], "features": features, "deviations": features,
                  "max_deviation": _MARK, "conforming": _MARK}
         template = "%s".join(json.dumps(block, indent=2).split(json.dumps(_MARK)))
         template = indent + template.replace("\n", "\n" + indent)
-        n_cols, n = self.grid.n_cols, self.conforming.size
+        n_cols = self.grid.n_cols
         words = np.array(["false", "true"], dtype=object)
-        step = n_cols * max(1, _REPORT_CHUNK_BYTES // (n_cols * 13 * 8))
         row = ",\n".join([template] * n_cols)
-        for k0 in range(0, n, step):
-            k1 = min(k0 + step, n)
-            feats = self.features[k0:k1]
-            devs = deviation_matrix(feats, self.global_features, self.epsilon)
-            run = np.column_stack([feats, devs, self.max_deviation[k0:k1]])  # template order
+        for k0, k1, devs in self._deviation_runs():
+            run = np.column_stack([self.features[k0:k1], devs, self.max_deviation[k0:k1]])
             bits, at = np.unique(run.view(np.uint64), return_inverse=True)
             # the strings are made here; the matrix and its sort go after it
             texts = _float_texts(bits.view(np.float64))
@@ -190,6 +190,15 @@ class AnalysisResult:
                 yield ",\n" if k0 + r0 else "\n"
                 yield row % tuple(args[r0 : r0 + n_cols].ravel().tolist())
             del texts, at, args  # the run's strings, before the next run's are made
+
+    def _deviation_runs(self) -> Iterator[tuple[int, int, np.ndarray]]:
+        """(k0, k1, deviation_matrix of features[k0:k1]) for runs of whole block
+        rows, each about _REPORT_CHUNK_BYTES of the report's 13 floats a block."""
+        n_cols, n = self.grid.n_cols, len(self.features)
+        step = n_cols * max(1, _REPORT_CHUNK_BYTES // (n_cols * 13 * 8))
+        for k0 in range(0, n, step):
+            k1 = min(k0 + step, n)
+            yield k0, k1, deviation_matrix(self.features[k0:k1], self.global_features, self.epsilon)
 
 
 def partition(img: GrayImage, block_h: int, block_w: int) -> BlockGrid:
@@ -210,8 +219,7 @@ def deviation_matrix(
     local: np.ndarray, reference: np.ndarray, epsilon: float = DEFAULT_EPSILON
 ) -> np.ndarray:
     """Relative deviations |local - reference| / max(|reference|, epsilon) of
-    (m, 6) feature rows from one reference row, or of one feature column
-    from that feature's reference value.
+    (m, 6) feature rows from one reference row.
 
     The epsilon guard keeps ratios finite when a reference feature sits at
     zero (e.g. the skewness of a perfectly symmetric texture) but such ratios
@@ -225,16 +233,6 @@ def deviation_matrix(
     np.abs(out, out=out)
     with np.errstate(over="ignore"):
         out /= np.maximum(np.abs(reference), epsilon)
-    return out
-
-
-def _max_deviation(features: np.ndarray, reference: np.ndarray, epsilon: float) -> np.ndarray:
-    """Each row's largest deviation_matrix entry, from one feature column at
-    a time: the same subtract, abs and divide per entry, with no (m, 6) array.
-    Any nan among a row's deviations makes its maximum nan."""
-    out = deviation_matrix(features[:, 0], reference[0], epsilon)
-    for j in range(1, features.shape[1]):
-        np.maximum(out, deviation_matrix(features[:, j], reference[j], epsilon), out=out)
     return out
 
 

@@ -472,11 +472,25 @@ class TestDerivedVerdict:
             blocks.AnalysisResult(res.grid, res.global_features, res.features, 0.1, 1e-6,
                                   **{name: getattr(res, name)})
 
-    def test_one_deviation_pass_per_classification(self, rng):
-        img = random_image(rng, 8, 8)
-        with mock.patch.object(blocks, "_max_deviation", wraps=blocks._max_deviation) as spy:
-            classify_blocks(img, partition(img, 4, 4), threshold=0.1)
-        assert spy.call_count == 1
+    @pytest.mark.parametrize("rows_per_run", [1, 2, 5, 6])
+    def test_one_deviation_matrix_per_run(self, rng, rows_per_run):
+        # 5 block rows of 3 blocks, in runs of whole block rows; the last run
+        # holds what is left
+        img = random_image(rng, 10, 6)
+        budget = rows_per_run * 3 * 13 * 8
+        with mock.patch.object(blocks, "_REPORT_CHUNK_BYTES", budget), \
+                mock.patch.object(blocks, "deviation_matrix", wraps=blocks.deviation_matrix) as spy:
+            res = classify_blocks(img, partition(img, 2, 2), threshold=0.1)
+        # each call's rows are a slice of the result's features: the run of
+        # blocks from that slice's offset
+        runs = []
+        for call in spy.call_args_list:
+            local = call.args[0]
+            assert np.shares_memory(local, res.features)
+            k0 = (local.ctypes.data - res.features.ctypes.data) // res.features.strides[0]
+            runs.append((k0, k0 + len(local)))
+        step = 3 * rows_per_run
+        assert runs == [(k0, min(k0 + step, 15)) for k0 in range(0, 15, step)]
 
 
 @st.composite

@@ -151,6 +151,23 @@ class TestFftDmf:
         _, peak = peak_bytes(lambda: (column_dmf(img, 480), row_dmf(img, 480)))
         assert peak < 1.2 * periodicity._FFT_CHUNK_BYTES
 
+    def test_fft_input_is_centred(self, rng):
+        # _corr_error_bound takes no centred pixel to be more than 128 from
+        # mid-gray; black and white are the two extremes
+        pixels = (rng.integers(0, 2, (9, 13)) * 255).astype(np.uint8)
+        pixels[0, :2] = 0, 255
+        rfft, seen = np.fft.rfft, []
+
+        def spy(a, *args, **kwargs):
+            seen.append((a.min(), a.max()))
+            return rfft(a, *args, **kwargs)
+
+        with mock.patch.object(np.fft, "rfft", spy):
+            column_dmf(GrayImage(pixels), 12)
+            row_dmf(GrayImage(pixels), 8)
+        assert len(seen) >= 2
+        assert min(lo for lo, _ in seen) == -128 and max(hi for _, hi in seen) == 127
+
 
 def irfft_calls(fn):
     """How many inverse FFTs fn() takes: one per rounding of the lag sums."""
@@ -294,6 +311,7 @@ class TestPeriodSelection:
     @given(st.lists(st.integers(0, 3), min_size=3, max_size=40))
     @example([2, 1, 1, 2, 0, 0, 3, 1, 1, 3])  # plateaus at the troughs
     @example([3, 0, 3, 1, 3, 0, 3, 1, 3])  # the deep minima alone take part
+    @example([5, 1, 5, 0, 5, 5, 5, 6])  # tau is 1.0, the minimum at 2: it takes part
     def test_matches_reference(self, values):
         # few levels give plateaus and ties in the spacing mode, which
         # real DMF curves rarely show
