@@ -23,7 +23,7 @@ import numpy as np
 import orjson
 
 from .image import GrayImage, _sealed
-from .stats import FEATURE_NAMES, GRAY_LEVELS, _count_levels, block_features, feature_matrix
+from .stats import FEATURE_NAMES, GRAY_LEVELS, block_features, feature_matrix
 
 DEFAULT_EPSILON = 1e-6
 
@@ -109,7 +109,11 @@ class AnalysisResult:
     representative: tuple[int, int] | None = field(init=False)
 
     def __post_init__(self):
-        max_dev = np.empty(len(self.features))
+        k = self.grid.n_rows * self.grid.n_cols
+        for name, shape in (("features", (k, 6)), ("global_features", (6,))):
+            if (got := np.shape(getattr(self, name))) != shape:
+                raise ValueError(f"{name} must have shape {shape}, got {got}")
+        max_dev = np.empty(k)
         for k0, k1, devs in self._deviation_runs():
             # column by column: a reduction along the 6-wide axis is slower
             max_dev[k0:k1] = functools.reduce(np.maximum, devs.T)  # a nan stays nan
@@ -246,9 +250,9 @@ def classify_blocks(
     AnalysisResult of the blocks' and the whole image's features.
 
     The grid must fit inside the image. Global features cover all pixels:
-    the counts block_features adds up over the grid, plus those of the
-    partial-block edge strips the grid excludes, so each pixel is counted
-    once. An epsilon so small that a deviation overflows raises ValueError.
+    the counts block_features adds up over the grid and over each edge
+    strip the grid excludes, as one block, so each pixel is counted once.
+    An epsilon so small that a deviation overflows raises ValueError.
     """
     # threshold 0 is a usable degenerate boundary: only blocks with
     # exactly zero deviation (e.g. on perfect tilings) conform
@@ -257,7 +261,8 @@ def classify_blocks(
     total = np.zeros(GRAY_LEVELS, np.int64)
     features = _sealed(block_features(grid.blocks(img.pixels), total))
     h, w = grid.n_rows * grid.block_h, grid.n_cols * grid.block_w
-    _count_levels(img.pixels[h:], total)  # the rows below the grid
-    _count_levels(img.pixels[:h, w:], total)  # the columns right of it
+    for strip in (img.pixels[h:], img.pixels[:h, w:]):  # below the grid, right of it
+        if strip.size:  # block_features takes no empty block
+            block_features(strip[None, :, None], total)
     global_features = _sealed(feature_matrix(total[None], img.pixels.size)[0])
     return AnalysisResult(grid, global_features, features, threshold, epsilon)

@@ -94,9 +94,10 @@ def feature_matrix(counts: np.ndarray, n: int, work: np.ndarray | None = None) -
 
 def block_features(blocks: np.ndarray, total: np.ndarray | None = None) -> np.ndarray:
     """(n_rows * n_cols, 6) features of the blocks of a BlockGrid.blocks
-    view of uint8 pixels, row-major: the one place that counts the gray
-    levels of a grid. Each run's counts, summed over its blocks, are added
-    into `total` (int64, 256 levels) when one is given.
+    view of uint8 pixels, row-major: the one place that counts gray levels
+    (an edge strip or a whole image is one block, pixels[None, :, None]).
+    Each run's counts, summed over its blocks, are added into `total`
+    (int64, 256 levels) when one is given.
 
     A run of blocks is one bincount of block_id * 256 + level over the
     (n_rows, block_h, n_cols, block_w) view. Runs take whole block rows
@@ -142,18 +143,8 @@ def block_features(blocks: np.ndarray, total: np.ndarray | None = None) -> np.nd
     return out
 
 
-def _count_levels(pixels: np.ndarray, total: np.ndarray) -> None:
-    """Add the gray-level counts of a 2-D uint8 array into `total` (int64,
-    256 levels), in runs of pixel rows whose uint8 copy (ravel makes one
-    when the rows are not contiguous) and int64 bin ids fit _CHUNK_BYTES."""
-    rows = max(1, _CHUNK_BYTES // (9 * max(1, pixels.shape[1])))
-    for y0 in range(0, len(pixels), rows):
-        total += np.bincount(pixels[y0 : y0 + rows].ravel(), minlength=GRAY_LEVELS)
-
-
 def features_of_region(img: GrayImage) -> np.ndarray:
     """The whole image's six features, from its gray-level counts, a
-    read-only 1-D float64 row in FEATURE_NAMES order."""
-    total = np.zeros(GRAY_LEVELS, np.int64)
-    _count_levels(img.pixels, total)
-    return _sealed(feature_matrix(total[None], img.pixels.size)[0])
+    read-only 1-D float64 row in FEATURE_NAMES order: block_features of the
+    image as one block."""
+    return _sealed(block_features(img.pixels[None, :, None])[0])

@@ -3,6 +3,7 @@
 import collections
 import dataclasses
 import json
+import re
 from unittest import mock
 
 import hypothesis.extra.numpy as hnp
@@ -416,7 +417,10 @@ class TestWholeGrid:
         ((960, 960), (24, 20)),
         # one block row of 2048 blocks, about 40 budgets if it were counted in one run
         ((4, 4096), (2, 2)),
-    ], ids=["1024x1024 in 8x8 blocks", "960x960 in 24x20 blocks", "4x4096 in 2x2 blocks"])
+        # one block over budget, counted in runs of pixel rows as features_of_region counts
+        ((1024, 1024), (1024, 1024)),
+    ], ids=["1024x1024 in 8x8 blocks", "960x960 in 24x20 blocks", "4x4096 in 2x2 blocks",
+            "1024x1024 as one block"])
     def test_block_features_peak_within_budget(self, shape, block):
         # a run's bin ids share its work buffer, so a run holds one budget
         pixels = np.random.default_rng(3).integers(0, 256, shape, dtype=np.uint8)
@@ -471,6 +475,26 @@ class TestDerivedVerdict:
         with pytest.raises(TypeError):
             blocks.AnalysisResult(res.grid, res.global_features, res.features, 0.1, 1e-6,
                                   **{name: getattr(res, name)})
+
+    def test_features_not_one_row_per_block_are_refused(self):
+        with pytest.raises(ValueError, match=r"^features must have shape \(4, 6\), got \(3, 6\)$"):
+            blocks.AnalysisResult(BlockGrid(1, 1, 2, 2), np.ones(6), np.zeros((3, 6)), 1.0, 1e-6)
+
+    @pytest.mark.parametrize("name, cut, shape", [
+        ("features", np.s_[:3], "(4, 6), got (3, 6)"),
+        ("features", np.s_[:, :5], "(4, 6), got (4, 5)"),
+        ("features", np.s_[None], "(4, 6), got (1, 4, 6)"),
+        ("global_features", np.s_[:5], "(6,), got (5,)"),
+        ("global_features", np.s_[None], "(6,), got (1, 6)"),
+    ])
+    def test_replace_with_another_shape_is_refused(self, rng, name, cut, shape):
+        # refused before any deviation is derived, so before the report could fail
+        img = random_image(rng, 8, 8)
+        res = classify_blocks(img, partition(img, 4, 4), threshold=0.1)
+        with mock.patch.object(blocks, "deviation_matrix") as spy, \
+                pytest.raises(ValueError, match=f"^{name} must have shape {re.escape(shape)}$"):
+            dataclasses.replace(res, **{name: getattr(res, name)[cut]})
+        spy.assert_not_called()
 
     @pytest.mark.parametrize("rows_per_run", [1, 2, 5, 6])
     def test_one_deviation_matrix_per_run(self, rng, rows_per_run):
