@@ -161,39 +161,54 @@ class AnalysisResult:
     def _block_rows(self, indent: str) -> Iterator[str]:
         """The blocks between the list's "[" and its closing line, each at
         `indent`, as json.dumps(indent=2) writes them: "\n" before the first
-        block row and ",\n" before each later one, one row per piece. A block
-        is json.dumps of a block of markers, split at each and joined by %s.
+        block and ",\n" before each later one, one piece per block row. A
+        block is json.dumps of a block of markers, split at each into its 17
+        fixed pieces, with the block's 16 values between them.
 
         The blocks come in the runs of _deviation_runs, each formatted when
         it is asked for: its features, deviations and max_deviation are
-        stacked in template order then. Within a run, each distinct float64
+        stacked in block order then. Within a run, each distinct float64
         bit pattern (so -0.0 and 0.0 stay apart) is formatted once by
         _float_texts, whose text is repr's, as json writes floats (all are
-        finite, or the result could not be made), and the strings are
-        gathered back into the row's repeated template.
+        finite, or the result could not be made). The run's vocabulary holds
+        the fixed pieces, false and true, the index numbers and those texts;
+        a block row is an (n_cols, 33) matrix of vocabulary indices, pieces
+        in its even columns and values in its odd ones, taken and joined.
         """
         features = dict.fromkeys(FEATURE_NAMES, _MARK)
         block = {"index": [_MARK, _MARK], "features": features, "deviations": features,
                  "max_deviation": _MARK, "conforming": _MARK}
-        template = "%s".join(json.dumps(block, indent=2).split(json.dumps(_MARK)))
-        template = indent + template.replace("\n", "\n" + indent)
+        pieces = json.dumps(block, indent=2).split(json.dumps(_MARK))
+        pieces = [p.replace("\n", "\n" + indent) for p in pieces]
+        pieces[0] = ",\n" + indent + pieces[0]  # the first block in the report drops the ","
         n_cols = self.grid.n_cols
-        words = np.array(["false", "true"], dtype=object)
-        row = ",\n".join([template] * n_cols)
+        # the vocabulary: 17 pieces, false and true at 17 and 18, the index
+        # numbers from 19, then the run's float texts from `floats` on
+        fixed = [*pieces, "false", "true", *map(str, range(max(self.grid.n_rows, n_cols)))]
+        floats = len(fixed)
+        idx = np.empty((n_cols, 33), dtype=np.intp)
+        idx[:, 0::2] = np.arange(17)
+        idx[:, 3] = 19 + np.arange(n_cols)
         for k0, k1, devs in self._deviation_runs():
             run = np.column_stack([self.features[k0:k1], devs, self.max_deviation[k0:k1]])
             bits, at = np.unique(run.view(np.uint64), return_inverse=True)
-            # the strings are made here; the matrix and its sort go after it
+            del devs, run  # the sort's input, before the strings are made
             texts = _float_texts(bits.view(np.float64))
-            del devs, run, bits
-            args = np.empty((k1 - k0, 16), dtype=object)  # i, j, 13 floats, true/false
-            args[:, 0], args[:, 1] = np.divmod(np.arange(k0, k1), n_cols)
-            args[:, 2:15] = np.array(texts, dtype=object)[at.reshape(k1 - k0, 13)]
-            args[:, 15] = words[self.conforming[k0:k1].view(np.uint8)]
+            del bits
+            vocab = np.empty(floats + len(texts), dtype=object)
+            vocab[:floats], vocab[floats:] = fixed, texts
+            del texts
+            at = at.reshape(k1 - k0, 13)
+            at += floats
+            words = 17 + self.conforming[k0:k1].view(np.uint8)
             for r0 in range(0, k1 - k0, n_cols):
-                yield ",\n" if k0 + r0 else "\n"
-                yield row % tuple(args[r0 : r0 + n_cols].ravel().tolist())
-            del texts, at, args  # the run's strings, before the next run's are made
+                r1 = r0 + n_cols
+                idx[:, 1] = 19 + (k0 + r0) // n_cols
+                idx[:, 5:31:2] = at[r0:r1]
+                idx[:, 31] = words[r0:r1]
+                text = "".join(vocab[idx].ravel().tolist())
+                yield text if k0 + r0 else text[1:]
+            del vocab, at  # the run's strings, before the next run's are made
 
     def _deviation_runs(self) -> Iterator[tuple[int, int, np.ndarray]]:
         """(k0, k1, deviation_matrix of features[k0:k1]) for runs of whole block

@@ -522,7 +522,7 @@ def block_values(draw):
     """Result of an n_rows x n_cols grid whose six features per block come
     from a small pool (so values repeat) that always holds both 0.0 and
     -0.0, at a threshold some blocks may pass, and block rows per report run."""
-    n_rows, n_cols = draw(st.integers(1, 12)), draw(st.integers(1, 5))
+    n_rows, n_cols = draw(st.integers(1, 12)), draw(st.integers(1, 12))
     pool = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=4))
     k = n_rows * n_cols
     features = draw(hnp.arrays(np.float64, (k, 6), elements=st.sampled_from([0.0, -0.0, *pool])))
@@ -560,6 +560,8 @@ class TestBlocksJson:
     @given(block_values(), st.sampled_from([None, {}, {"row_period": 1, "manual": True}]))
     @example((result_of(2, 2, _SIGNED_ZEROS, 0.5), 2), {"row_period": 1, "manual": True})
     @example((result_of(7, 3, np.tile(np.arange(6.0) / 3, (21, 1))), 2), None)
+    # one block row of 700 blocks: each run is that single row
+    @example((result_of(1, 700, np.tile(np.arange(6.0) / 3, (700, 1))), 1), {})
     def test_equals_json_dumps_of_dict_form(self, case, periods):
         res, rows_per_run = case
         with report_runs(res, rows_per_run):
@@ -576,6 +578,17 @@ class TestBlocksJson:
         assert 700 * 13 * 8 > blocks._REPORT_CHUNK_BYTES
         expected = json.dumps(result_report(res), indent=2, allow_nan=False) + "\n"
         assert "".join(res.report_parts()) == expected
+
+    @pytest.mark.parametrize("n_rows, n_cols, budget", [
+        (1, 1, 1), (5, 3, 1), (5, 3, 2 * 3 * 13 * 8), (700, 1, 1 << 16), (2, 700, 1 << 16),
+    ])
+    def test_one_piece_per_block_row(self, n_rows, n_cols, budget):
+        # the head, then each block row as one piece, then the tail
+        res = result_of(n_rows, n_cols, np.zeros((n_rows * n_cols, 6)))
+        with mock.patch.object(blocks, "_REPORT_CHUNK_BYTES", budget):
+            parts = list(res.report_parts())
+        assert len(parts) == n_rows + 2
+        assert all(part.count('"index"') == n_cols for part in parts[1:-1])
 
     def test_report_peak_below_12_budgets(self):
         # a run frees its floats, their sort and its strings once they are
