@@ -25,9 +25,12 @@ import orjson
 from .image import GrayImage, _sealed
 from .stats import FEATURE_NAMES, GRAY_LEVELS, block_features, feature_matrix
 
+__all__ = ["DEFAULT_EPSILON", "AnalysisResult", "BlockGrid", "classify_blocks", "partition"]
+
 DEFAULT_EPSILON = 1e-6
 
-# bytes of the report's float64 values in one of _deviation_runs' runs of block rows
+# bytes of the float64 report values of one of _deviation_runs' runs; the run's
+# strings take about 9 times as many (report_parts() peaks at 0.56 MB on detect-dense)
 _REPORT_CHUNK_BYTES = 1 << 16
 _MARK = "\0"  # no report holds it: json.dumps writes it where a block's values go
 
@@ -162,8 +165,8 @@ class AnalysisResult:
         """The blocks between the list's "[" and its closing line, each at
         `indent`, as json.dumps(indent=2) writes them: "\n" before the first
         block and ",\n" before each later one, one piece per block row. A
-        block is json.dumps of a block of markers, split at each into its 17
-        fixed pieces, with the block's 16 values between them.
+        block is json.dumps of a block of markers, split at each into its
+        fixed pieces, with the block's values between them.
 
         The blocks come in the runs of _deviation_runs, each formatted when
         it is asked for: its features, deviations and max_deviation are
@@ -172,8 +175,8 @@ class AnalysisResult:
         _float_texts, whose text is repr's, as json writes floats (all are
         finite, or the result could not be made). The run's vocabulary holds
         the fixed pieces, false and true, the index numbers and those texts;
-        a block row is an (n_cols, 33) matrix of vocabulary indices, pieces
-        in its even columns and values in its odd ones, taken and joined.
+        a block row is an (n_cols, 2 pieces - 1) index matrix, pieces in its
+        even columns and values in its odd ones, taken and joined.
         """
         features = dict.fromkeys(FEATURE_NAMES, _MARK)
         block = {"index": [_MARK, _MARK], "features": features, "deviations": features,
@@ -181,14 +184,15 @@ class AnalysisResult:
         pieces = json.dumps(block, indent=2).split(json.dumps(_MARK))
         pieces = [p.replace("\n", "\n" + indent) for p in pieces]
         pieces[0] = ",\n" + indent + pieces[0]  # the first block in the report drops the ","
-        n_cols = self.grid.n_cols
-        # the vocabulary: 17 pieces, false and true at 17 and 18, the index
-        # numbers from 19, then the run's float texts from `floats` on
+        n_cols, n_pieces = self.grid.n_cols, len(pieces)
+        # the vocabulary: the pieces, false and true, the index numbers from
+        # `numbers`, then the run's float texts from `floats` on; a block's
+        # values: its index at columns 1 and 3, its floats, conforming last
         fixed = [*pieces, "false", "true", *map(str, range(max(self.grid.n_rows, n_cols)))]
-        floats = len(fixed)
-        idx = np.empty((n_cols, 33), dtype=np.intp)
-        idx[:, 0::2] = np.arange(17)
-        idx[:, 3] = 19 + np.arange(n_cols)
+        numbers, floats = n_pieces + 2, len(fixed)
+        idx = np.empty((n_cols, 2 * n_pieces - 1), dtype=np.intp)
+        idx[:, 0::2] = np.arange(n_pieces)
+        idx[:, 3] = numbers + np.arange(n_cols)
         for k0, k1, devs in self._deviation_runs():
             run = np.column_stack([self.features[k0:k1], devs, self.max_deviation[k0:k1]])
             bits, at = np.unique(run.view(np.uint64), return_inverse=True)
@@ -198,23 +202,23 @@ class AnalysisResult:
             vocab = np.empty(floats + len(texts), dtype=object)
             vocab[:floats], vocab[floats:] = fixed, texts
             del texts
-            at = at.reshape(k1 - k0, 13)
+            at = at.reshape(k1 - k0, -1)
             at += floats
-            words = 17 + self.conforming[k0:k1].view(np.uint8)
+            words = n_pieces + self.conforming[k0:k1].view(np.uint8)
             for r0 in range(0, k1 - k0, n_cols):
                 r1 = r0 + n_cols
-                idx[:, 1] = 19 + (k0 + r0) // n_cols
-                idx[:, 5:31:2] = at[r0:r1]
-                idx[:, 31] = words[r0:r1]
+                idx[:, 1] = numbers + (k0 + r0) // n_cols
+                idx[:, 5:-2:2] = at[r0:r1]
+                idx[:, -2] = words[r0:r1]
                 text = "".join(vocab[idx].ravel().tolist())
                 yield text if k0 + r0 else text[1:]
             del vocab, at  # the run's strings, before the next run's are made
 
     def _deviation_runs(self) -> Iterator[tuple[int, int, np.ndarray]]:
         """(k0, k1, deviation_matrix of features[k0:k1]) for runs of whole block
-        rows, each about _REPORT_CHUNK_BYTES of the report's 13 floats a block."""
+        rows, each about _REPORT_CHUNK_BYTES of the report's 2 * 6 + 1 floats a block."""
         n_cols, n = self.grid.n_cols, len(self.features)
-        step = n_cols * max(1, _REPORT_CHUNK_BYTES // (n_cols * 13 * 8))
+        step = n_cols * max(1, _REPORT_CHUNK_BYTES // (n_cols * (2 * len(FEATURE_NAMES) + 1) * 8))
         for k0 in range(0, n, step):
             k1 = min(k0 + step, n)
             yield k0, k1, deviation_matrix(self.features[k0:k1], self.global_features, self.epsilon)

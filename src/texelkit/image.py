@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+__all__ = ["GrayImage", "PgmError", "draw_rect_outline", "load_pgm", "save_pgm"]
+
 _COMMENT = re.compile(rb"#[^\r\n]*")
 # the six whitespace bytes (\s in a bytes pattern) and whole '#' comments,
 # each up to its line end, then one token

@@ -23,6 +23,9 @@ import numpy as np
 
 from .image import GrayImage
 
+__all__ = ["MINIMA_DEPTH_FRACTION", "PeriodEstimate", "column_dmf", "estimate_periods",
+           "find_minima", "row_dmf"]
+
 # A local minimum only counts toward period selection when its value is within
 # this fraction of the way from the curve's global minimum up to the curve
 # mean. Random/noisy textures produce many shallow dips (neighbouring

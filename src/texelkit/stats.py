@@ -23,6 +23,8 @@ import numpy as np
 
 from .image import GrayImage, _sealed
 
+__all__ = ["FEATURE_NAMES", "GRAY_LEVELS", "features_of_region"]
+
 GRAY_LEVELS = 256
 
 FEATURE_NAMES = ("mean", "variance", "skewness", "kurtosis", "energy", "entropy")
@@ -114,7 +116,7 @@ def block_features(blocks: np.ndarray, total: np.ndarray | None = None) -> np.nd
     per_block = 8 * max(n + GRAY_LEVELS, _LEVEL_ARRAYS * GRAY_LEVELS)
     fit = max(1, _CHUNK_BYTES // per_block)
     # a run is `rows` whole block rows, or `cols` whole blocks of one block row
-    rows, cols = (max(1, min(n_rows, fit // n_cols)), n_cols) if fit >= n_cols else (1, fit)
+    rows, cols = max(1, min(n_rows, fit // n_cols)), min(fit, n_cols)
     # pixel rows per bincount: block_h unless one block does not fit
     pixel_rows = min(block_h, max(1, _CHUNK_BYTES // (8 * cols * block_w)))
     first_bin = np.arange(0, rows * cols * GRAY_LEVELS, GRAY_LEVELS).reshape(rows, 1, cols, 1)

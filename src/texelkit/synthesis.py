@@ -17,6 +17,8 @@ import numpy as np
 from .blocks import BlockGrid
 from .image import GrayImage, _check_band, _paint_outlines, _sealed
 
+__all__ = ["extract_texel", "highlight_anomalies", "synthesize"]
+
 
 def extract_texel(img: GrayImage, grid: BlockGrid, index: tuple[int, int]) -> GrayImage:
     """Pixels of grid block `index`, as a standalone image."""

@@ -22,6 +22,8 @@ import numpy as np
 from .blocks import BlockGrid
 from .image import GrayImage, _sealed
 
+__all__ = ["DEFECT_SHIFT", "GroundTruth", "generate", "has_subperiod", "random_texel"]
+
 DEFECT_SHIFT = 60
 
 _TEXEL_STREAM = 0

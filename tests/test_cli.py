@@ -198,6 +198,23 @@ class TestAnalyze:
         assert report["periods"]["row_degenerate"] is True
         assert report["periods"]["col_degenerate"] is True
 
+    @pytest.mark.parametrize("transpose", [False, True], ids=["rows", "cols"])
+    def test_one_degenerate_axis_warns_for_it_alone(self, tmp_path, transpose):
+        # 40 copies of one 7-periodic row: shifting by rows changes nothing
+        row = np.tile(np.random.default_rng(3).integers(0, 256, 7, dtype=np.uint8), 9)
+        pixels = np.tile(row, (40, 1))
+        axis, flag = ("column", "cols") if transpose else ("row", "rows")
+        (tmp_path / "in.pgm").write_bytes(save_pgm(GrayImage(pixels.T if transpose else pixels)))
+        proc = run_cli("analyze", "in.pgm", cwd=tmp_path)
+        assert proc.returncode == 0
+        assert proc.stderr == (
+            f"warning: {axis} periodicity is degenerate (no usable minima); "
+            f"consider --period-{flag}\n"
+        )
+        periods = json.loads(proc.stdout)["periods"]
+        assert (periods["row_period"], periods["col_period"]) == ((7, 1) if transpose else (1, 7))
+        assert (periods["row_degenerate"], periods["col_degenerate"]) == (not transpose, transpose)
+
     def test_missing_input_exits_2(self, tmp_path):
         proc = run_cli("analyze", "nosuch.pgm", cwd=tmp_path)
         assert proc.returncode == 2

@@ -14,10 +14,20 @@ from types import FunctionType
 from pathlib import Path
 
 import texelkit
+from texelkit import blocks, image, periodicity, stats, synthesis, testgen
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = [p for p in sorted((ROOT / "src" / "texelkit").glob("*.py")) if p.name != "__init__.py"]
 SOURCES += sorted((ROOT / "perfbench").glob("*.py"))
+
+PUBLIC = [
+    "AnalysisResult", "BlockGrid", "DEFAULT_EPSILON", "DEFECT_SHIFT", "FEATURE_NAMES",
+    "GRAY_LEVELS", "GrayImage", "GroundTruth", "MINIMA_DEPTH_FRACTION", "PeriodEstimate",
+    "PgmError", "classify_blocks", "column_dmf", "draw_rect_outline", "estimate_periods",
+    "extract_texel", "features_of_region", "find_minima", "generate", "has_subperiod",
+    "highlight_anomalies", "load_pgm", "partition", "random_texel", "row_dmf", "save_pgm",
+    "synthesize",
+]
 
 
 def names_read() -> tuple[set[str], set[str]]:
@@ -59,3 +69,12 @@ def test_every_public_member_of_a_public_class_is_used_by_the_program():
     ]
     assert members  # the guard sees the classes' methods
     assert [m for m in members if m.split(".")[1] not in attrs and m not in traced] == []
+
+
+def test_each_public_name_is_listed_by_one_module():
+    # texelkit.__all__ is the library modules' own lists, each name in one of them
+    assert sorted(texelkit.__all__) == PUBLIC
+    listed = [(name, module) for module in (blocks, image, periodicity, stats, synthesis, testgen)
+              for name in module.__all__]
+    assert sorted(name for name, _ in listed) == PUBLIC  # no name listed by two modules
+    assert [name for name, mod in listed if getattr(texelkit, name) is not getattr(mod, name)] == []
