@@ -7,6 +7,7 @@ image, so values can be shared freely across threads.
 from __future__ import annotations
 
 import io
+import os
 import re
 from dataclasses import dataclass, field
 
@@ -101,6 +102,9 @@ class _Text:
     so a device that measures 0 (such as /dev/zero) reads as empty."""
 
     def __init__(self, source):
+        if isinstance(source, (str, os.PathLike)):
+            raise TypeError("load_pgm takes bytes, a bytes-like object or an open binary "
+                            f"file, not the path {source!r}")
         if not hasattr(source, "readinto"):
             # io.BytesIO refuses a non-contiguous buffer, which memoryview takes
             source = io.BytesIO(source if isinstance(source, bytes) else memoryview(source).tobytes())
@@ -246,7 +250,8 @@ def load_pgm(source) -> GrayImage:
 
     `source` is bytes, any other bytes-like object (a bytearray, memoryview
     or mmap, which can change later, so it is copied into bytes first), or
-    an open binary file, read from its current position. Every source is
+    an open binary file, read from its current position; a path (str or
+    os.PathLike) raises TypeError without opening anything. Every source is
     read as a file, in windows of _P2_RUN_BYTES, up to the size it had when
     loading began (_Text); bytes are read as an io.BytesIO, and a file that
     cannot seek (a pipe, a piped /dev/stdin) is read whole into one.

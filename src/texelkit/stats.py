@@ -13,6 +13,13 @@ p_k = counts[k] / n alone, ignoring pixel arrangement:
 Skewness and kurtosis are deliberately not standardized by powers of the
 standard deviation; downstream conformance checks compare them as-is. A
 region's features are one float64 row, its columns in FEATURE_NAMES order.
+
+The first five are exact rationals of the counts, each rounded once to the
+nearest float64, from integer power sums (feature_matrix). So they depend
+on the counts alone, not on an order of float sums: adding a constant to
+every pixel (without clipping) keeps the bits of all but the mean, and
+mirroring the levels (255 - x) keeps variance, kurtosis and energy and
+negates skewness exactly. Entropy is a float64 sum of p_k log2(p_k).
 """
 
 from __future__ import annotations
@@ -29,68 +36,93 @@ GRAY_LEVELS = 256
 
 FEATURE_NAMES = ("mean", "variance", "skewness", "kurtosis", "energy", "entropy")
 
-_LEVELS = np.arange(GRAY_LEVELS, dtype=np.float64)
+# k, k^2, k^3 and k^4 of each gray level k, one column each
+_POWERS = np.arange(GRAY_LEVELS, dtype=np.float64)[:, None] ** np.arange(1, 5)
 
 # budget for the working set of one run of blocks in block_features
 _CHUNK_BYTES = 1 << 19
-# arrays of 256 levels per block alive at once: the counts and the three
-# float64 arrays feature_matrix computes in (p and two scratch arrays)
-_LEVEL_ARRAYS = 4
+# arrays of 256 levels per block alive at once: the counts and the two
+# float64 arrays feature_matrix computes in
+_LEVEL_ARRAYS = 3
+# words per block beside its level arrays: its feature row (6), its power
+# sums as float64 and as int64 (5 + 5) and up to four int64 numerators
+_BLOCK_WORDS = 20
+
+# The first five features, each an integer numerator over n^j: (j, a bound
+# on |numerator / n^j| for levels in 0..255, the numerator from n and the
+# sums s = (Q, S1, S2, S3, S4)). The bounds are the largest mean, variance
+# (255^2 / 4), |skewness| (255^3 / (6 sqrt 3) < 255^3 / 10), kurtosis
+# (255^4 / 12, at levels 0 and 255 with p (1 - p) = 1/6) and energy.
+_EXACT_FEATURES = (
+    (1, 255, lambda n, s: s[1]),
+    (2, 255**2 / 4, lambda n, s: n * s[2] - s[1] * s[1]),
+    (3, 255**3 / 10, lambda n, s: (n * s[3] - 3 * s[1] * s[2]) * n + 2 * s[1] ** 3),
+    (4, 255**4 / 12,
+     lambda n, s: ((n * s[4] - 4 * s[1] * s[3]) * n + 6 * s[1] * s[1] * s[2]) * n - 3 * s[1] ** 4),
+    (2, 1, lambda n, s: s[0]),
+)
 
 
 def feature_matrix(counts: np.ndarray, n: int, work: np.ndarray | None = None) -> np.ndarray:
-    """(m, 6) features of an (m, 256) matrix of gray-level counts, one region
-    of n >= 1 pixels per row.
+    """(m, 6) features of an (m, 256) matrix of gray-level counts c_k, one
+    region of n >= 1 pixels per row.
 
-    Each reduction is a float64 sum along the contiguous last axis, which
-    numpy takes pairwise over one row at a time: a row's features do not
-    depend on m or on the rows beside it. Everything is computed from
-    p = counts / n, so regions whose counts are multiples of one another
-    (a tile and a tiling of it) get bit-identical features.
+    The first five are correctly rounded (_EXACT_FEATURES): mean S1 / n,
+    variance (n S2 - S1^2) / n^2, skewness (n^2 S3 - 3 n S1 S2 + 2 S1^3) /
+    n^3, kurtosis (n^3 S4 - 4 n^2 S1 S3 + 6 n S1^2 S2 - 3 S1^4) / n^4 and
+    energy Q / n^2, from the power sums S_j = sum c_k k^j and Q = sum c_k^2.
+    While n 255^4 < 2^53 every term and partial sum of those is an integer
+    double, so one float64 matrix product takes them exactly; past that they
+    are int64, or Python ints. A numerator that its bound keeps below 2^53
+    is an exact int64, and one float64 division rounds it once; a larger
+    one is a Python int, whose true division is correctly rounded. So a
+    row's features depend on its counts alone.
 
-    When a table of n + 1 entries is no larger than the counts, p, p^2 and
-    p * log2(p) are looked up per count from t = arange(n + 1) / n: each
-    entry is the same float operation on the same operands as the direct
-    formula, so the features are bit-identical.
+    Entropy is a float64 sum of p log2(p), p = counts / n, along the
+    contiguous last axis, which numpy takes pairwise over one row at a time:
+    it does not depend on m or on the rows beside it, and regions whose
+    counts are multiples of one another (a tile and a tiling of it) get the
+    same bits. When a table of n + 1 entries is no larger than the counts,
+    p log2(p) is looked up per count from t = arange(n + 1) / n: each entry
+    is the same float operation on the same operands as the direct formula,
+    so the entropy is bit-identical.
 
-    Beside the counts, three float64 arrays of the counts' shape are alive
-    (_LEVEL_ARRAYS counts them): p and two scratch arrays that hold the
-    centred levels, their powers and each product before its row sum. They
-    are the first counts.size entries of each row of `work`, a (3, >=
-    counts.size) float64 array, so that runs of blocks reuse one buffer;
-    without it they are made here.
+    Beside the counts, two float64 arrays of the counts' shape are alive
+    (_LEVEL_ARRAYS counts them): p or the counts as floats, and the entropy
+    terms. They are the first counts.size entries of each row of `work`, a
+    (2, >= counts.size) float64 array, so that runs of blocks reuse one
+    buffer; without it they are made here.
     """
     if work is None:
-        work = np.empty((3, counts.size))
-    p, a, b = (w[: counts.size].reshape(counts.shape) for w in work)
+        work = np.empty((2, counts.size))
+    c, a = (w[: counts.size].reshape(counts.shape) for w in work)
     out = np.empty((len(counts), len(FEATURE_NAMES)))
     # +0.0 normalizes the -0.0 entropy of single-level regions
     if n + 1 <= counts.size:
         t = np.arange(n + 1) / n
         t_log_t = t * np.log2(t, out=np.zeros_like(t), where=t > 0)
-        out[:, 4] = np.take(t * t, counts, out=a, mode="clip").sum(axis=-1)
         out[:, 5] = -np.take(t_log_t, counts, out=a, mode="clip").sum(axis=-1) + 0.0
-        np.take(t, counts, out=p, mode="clip")
     else:
-        np.divide(counts, n, out=p)
+        p = np.divide(counts, n, out=c)
         a.fill(0.0)
         np.log2(p, out=a, where=p > 0)
         out[:, 5] = -np.multiply(p, a, out=a).sum(axis=-1) + 0.0
-        out[:, 4] = np.multiply(p, p, out=a).sum(axis=-1)
-    # a ufunc that broadcasts an operand allocates numpy's iteration buffers,
-    # so the levels and the means are first spread over whole arrays; the
-    # products and differences keep their operands and so their bits
-    np.copyto(a, _LEVELS)
-    mean = np.multiply(a, p, out=a).sum(axis=-1, keepdims=True)
-    out[:, 0] = mean[:, 0]
-    np.copyto(a, _LEVELS)
-    np.copyto(b, mean)
-    centred = np.subtract(a, b, out=a)
-    c2 = np.multiply(centred, centred, out=b)
-    # (c2 * centred) * p, c2 * p and (c2 * c2) * p, as products of the same operands
-    out[:, 2] = np.multiply(np.multiply(c2, centred, out=a), p, out=a).sum(axis=-1)
-    out[:, 1] = np.multiply(c2, p, out=a).sum(axis=-1)
-    out[:, 3] = np.multiply(np.multiply(c2, c2, out=b), p, out=b).sum(axis=-1)
+    if n * 255**4 < 2**53:  # each term and partial sum is an integer double
+        np.copyto(c, counts)
+        sums = np.empty((5, len(counts)))
+        np.einsum("ij,ij->i", c, c, out=sums[0])
+        np.matmul(_POWERS.T, c.T, out=sums[1:])
+        sums = sums.astype(np.int64)
+    else:  # int64, or Python ints past 2^63; one block a run at this n
+        wide = counts.astype(np.int64 if n * 255**4 < 2**63 else object, copy=False)
+        powers = _POWERS.T.astype(np.int64).astype(wide.dtype)
+        sums = np.vstack([(wide * wide).sum(axis=-1), powers @ wide.T])
+    for col, (j, bound, numerator) in enumerate(_EXACT_FEATURES):
+        d = n**j
+        # an int64 numerator below 2^53 over d < 2^53 rounds once in float64;
+        # past that each row is a Python int, whose / is correctly rounded
+        out[:, col] = (numerator(n, sums) / d if d * bound < 2**53
+                       else [numerator(n, s.tolist()) / d for s in sums.T])
     return out
 
 
@@ -103,8 +135,8 @@ def block_features(blocks: np.ndarray, total: np.ndarray | None = None) -> np.nd
 
     A run of blocks is one bincount of block_id * 256 + level over the
     (n_rows, block_h, n_cols, block_w) view. Runs take whole block rows
-    while their int64 bin ids and counts, then counts and feature_matrix's
-    arrays, fit _CHUNK_BYTES; when one block row does not fit, it is cut
+    while their int64 bin ids and counts, then counts, feature_matrix's
+    arrays and each block's own words (_BLOCK_WORDS), fit _CHUNK_BYTES; when one block row does not fit, it is cut
     into runs of whole blocks that do (one block at the least). One buffer,
     made once, holds a run's bin ids while it is counted and feature_matrix's
     arrays after. A block whose bin ids alone do not fit (a 1024x1024 image
@@ -113,16 +145,17 @@ def block_features(blocks: np.ndarray, total: np.ndarray | None = None) -> np.nd
     """
     n_rows, block_h, n_cols, block_w = blocks.shape
     n = block_h * block_w
-    per_block = 8 * max(n + GRAY_LEVELS, _LEVEL_ARRAYS * GRAY_LEVELS)
+    per_block = 8 * max(n + GRAY_LEVELS, _LEVEL_ARRAYS * GRAY_LEVELS + _BLOCK_WORDS)
     fit = max(1, _CHUNK_BYTES // per_block)
     # a run is `rows` whole block rows, or `cols` whole blocks of one block row
     rows, cols = max(1, min(n_rows, fit // n_cols)), min(fit, n_cols)
     # pixel rows per bincount: block_h unless one block does not fit
     pixel_rows = min(block_h, max(1, _CHUNK_BYTES // (8 * cols * block_w)))
     first_bin = np.arange(0, rows * cols * GRAY_LEVELS, GRAY_LEVELS).reshape(rows, 1, cols, 1)
-    # one buffer: a bincount's int64 bin ids, then feature_matrix's three float64 arrays
-    work = np.empty(max(rows * pixel_rows * cols * block_w, 3 * rows * cols * GRAY_LEVELS))
-    bin_ids, levels = work.view(np.int64), work[: 3 * rows * cols * GRAY_LEVELS].reshape(3, -1)
+    # one buffer: a bincount's int64 bin ids, then feature_matrix's float64 arrays
+    level_size = (_LEVEL_ARRAYS - 1) * rows * cols * GRAY_LEVELS
+    work = np.empty(max(rows * pixel_rows * cols * block_w, level_size))
+    bin_ids, levels = work.view(np.int64), work[:level_size].reshape(_LEVEL_ARRAYS - 1, -1)
     out = np.empty((n_rows * n_cols, len(FEATURE_NAMES)))
     for r0, c0 in itertools.product(range(0, n_rows, rows), range(0, n_cols, cols)):
         run = blocks[r0 : r0 + rows, :, c0 : c0 + cols]

@@ -16,6 +16,7 @@ import json
 import math
 import re
 from collections import Counter
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -116,43 +117,45 @@ def pgm_bytes(pixels: np.ndarray, mode: str = "P5") -> bytes:
     return f"P5\n{width} {height}\n255\n".encode("ascii") + pixels.astype(np.uint8).tobytes()
 
 
+def exact_moments(levels: Counter) -> list[float]:
+    """Mean, variance, skewness, kurtosis and energy of a Counter of gray
+    levels, each the float nearest its exact rational.
+
+    With n pixels of sum S, the central moment of order j is
+    sum (n v - S)^j / n^(j + 1) over the pixels v, a ratio of Python ints.
+    """
+    n = sum(levels.values())
+    total = sum(v * c for v, c in levels.items())
+    moments = [Fraction(sum(c * (n * v - total) ** j for v, c in levels.items()), n ** (j + 1))
+               for j in (2, 3, 4)]
+    energy = Fraction(sum(c * c for c in levels.values()), n * n)
+    return [float(f) for f in (Fraction(total, n), *moments, energy)]
+
+
 def pixel_loop_features(img: GrayImage) -> dict[str, float]:
     """Per-pixel reference for the six first-order features of the image.
 
-    Moments come from a direct pass over pixel values; energy and entropy
-    from a Counter of gray levels. math.fsum keeps the sums exactly rounded.
+    The first five are exact (exact_moments of a Counter of the pixels);
+    entropy comes from the same Counter, math.fsum keeping its sum exactly
+    rounded.
     """
-    values = [int(v) for v in img.pixels.ravel()]
-    n = len(values)
-    mean = math.fsum(values) / n
-    variance = math.fsum((v - mean) ** 2 for v in values) / n
-    skewness = math.fsum((v - mean) ** 3 for v in values) / n
-    kurtosis = math.fsum((v - mean) ** 4 for v in values) / n
-    counts = Counter(values)
-    energy = math.fsum((c / n) ** 2 for c in counts.values())
+    counts = Counter(int(v) for v in img.pixels.ravel())
+    n = img.pixels.size
     entropy = -math.fsum((c / n) * math.log2(c / n) for c in counts.values())
-    return dict(zip(FEATURE_NAMES, (mean, variance, skewness, kurtosis, energy, entropy + 0.0)))
+    return dict(zip(FEATURE_NAMES, (*exact_moments(counts), entropy + 0.0)))
 
 
 def direct_feature_matrix(counts: np.ndarray) -> np.ndarray:
     """The six features of each row of an (m, 256) matrix of gray-level
-    counts, from p = counts / n with log2 taken per element: the formula
-    the library's per-count tables must match bit for bit."""
+    counts: the first five exact (exact_moments), and entropy from p =
+    counts / n with log2 taken per element, the formula the library's
+    per-count tables must match bit for bit."""
     n = counts.sum(axis=-1, keepdims=True)
     p = counts / n
-    levels = np.arange(256, dtype=np.float64)
-    mean = (p * levels).sum(axis=-1, keepdims=True)
-    centered = levels - mean
-    c2 = centered * centered
     log_p = np.log2(p, out=np.zeros_like(p), where=p > 0)
-    return np.stack([
-        mean[:, 0],
-        (c2 * p).sum(axis=-1),
-        (c2 * centered * p).sum(axis=-1),
-        (c2 * c2 * p).sum(axis=-1),
-        (p * p).sum(axis=-1),
-        -(p * log_p).sum(axis=-1) + 0.0,
-    ], axis=-1)
+    entropy = -(p * log_p).sum(axis=-1) + 0.0
+    exact = [exact_moments(Counter({v: int(c) for v, c in enumerate(row) if c})) for row in counts]
+    return np.column_stack([np.array(exact).reshape(-1, 5), entropy])
 
 
 def one_bincount_features(pixels: np.ndarray) -> np.ndarray:

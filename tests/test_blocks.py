@@ -273,7 +273,8 @@ def blocks_budget(grid, blocks):
     """stats._CHUNK_BYTES at which stats.block_features counts this many
     whole blocks per bincount: whole block rows when it is a multiple of
     n_cols, else runs of whole blocks within one block row."""
-    per_block = 8 * max(grid.block_h * grid.block_w + 256, stats._LEVEL_ARRAYS * 256)
+    per_block = 8 * max(grid.block_h * grid.block_w + 256,
+                        stats._LEVEL_ARRAYS * 256 + stats._BLOCK_WORDS)
     return blocks * per_block
 
 

@@ -5,6 +5,8 @@ import itertools
 import mmap
 import os
 import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -541,6 +543,22 @@ class TestBytesLikeInput:
         short = data[: len(pgm_header(7, 5, mode)) + 1]
         with pytest.raises(PgmError, match=f"^truncated {mode} pixel data"):
             load_pgm(_BUFFERS[kind](short))
+
+    @pytest.mark.parametrize("kind", [str, Path], ids=["str", "Path"])
+    def test_a_path_is_refused_unopened(self, tmp_path, kind):
+        path = tmp_path / "in.pgm"
+        path.write_bytes(save_pgm(make_image([[1, 2]])))
+        with mock.patch("builtins.open") as builtin_open, mock.patch("io.open") as io_open, \
+                mock.patch("os.open") as os_open, pytest.raises(TypeError) as refused:
+            load_pgm(kind(path))
+        assert str(refused.value) == ("load_pgm takes bytes, a bytes-like object or an open "
+                                      f"binary file, not the path {kind(path)!r}")
+        for opener in (builtin_open, io_open, os_open):
+            opener.assert_not_called()
+
+    def test_an_int_keeps_its_type_error(self):
+        with pytest.raises(TypeError, match="^memoryview: a bytes-like object is required, not 'int'$"):
+            load_pgm(3)
 
 
 class TestCrop:

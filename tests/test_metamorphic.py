@@ -13,7 +13,11 @@ np.array_equal or bytes, never with a tolerance:
 - a transpose about either diagonal swaps the row and column DMF curves
   and the periods, keeps the global features, and moves the block
   features and the mask as it moves the grid;
-- inverting the gray levels (255 - x) leaves both DMF curves unchanged;
+- inverting the gray levels (255 - x) leaves both DMF curves unchanged,
+  keeps the variance, kurtosis and energy of the image and of every block,
+  and negates their skewness;
+- adding a constant to every pixel, without clipping, keeps the variance,
+  skewness, kurtosis and energy of the image and of every block;
 - the outlined PGM `detect` writes for a flipped input is the flipped
   outlined PGM;
 - the encoding of the input (P5, P2, or P2 with CRLF line ends and a
@@ -33,6 +37,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from texelkit import (
+    FEATURE_NAMES,
     GrayImage,
     GroundTruth,
     classify_blocks,
@@ -159,6 +164,35 @@ def test_inverted_levels_keep_the_curves(case):
     _, img = case
     for got, want in zip(curves(image_of(255 - img.pixels)), curves(img)):
         assert np.array_equal(got, want)
+
+
+def feature_rows(img: GrayImage, gt: GroundTruth) -> np.ndarray:
+    """The whole image's features, then each texel-sized block's."""
+    res = classify_blocks(img, partition(img, gt.texel_h, gt.texel_w), 0.1)
+    return np.vstack([res.global_features, res.features])
+
+
+@settings(max_examples=60, deadline=None)
+@given(tilings(), st.data())
+def test_gray_shift_keeps_the_central_moments_and_energy(case, data):
+    gt, img = case
+    shift = data.draw(st.integers(0, 255 - int(img.pixels.max())))
+    got = feature_rows(image_of(img.pixels + np.uint8(shift)), gt)
+    want = feature_rows(img, gt)
+    # variance, skewness, kurtosis and energy
+    assert np.array_equal(got[:, 1:5].view(np.uint64), want[:, 1:5].view(np.uint64))
+
+
+@settings(max_examples=60, deadline=None)
+@given(tilings())
+def test_inverted_levels_mirror_the_features(case):
+    gt, img = case
+    got, want = feature_rows(image_of(255 - img.pixels), gt), feature_rows(img, gt)
+    for name in ("variance", "kurtosis", "energy"):
+        k = FEATURE_NAMES.index(name)
+        assert np.array_equal(got[:, k].view(np.uint64), want[:, k].view(np.uint64))
+    skewness = FEATURE_NAMES.index("skewness")
+    assert np.array_equal(got[:, skewness], -want[:, skewness])
 
 
 @settings(max_examples=10, deadline=None)

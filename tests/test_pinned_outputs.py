@@ -31,37 +31,37 @@ _EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
 # (case, seed): (exit code, sha256 of stdout, stderr, {output file: sha256})
 PINNED = {
     ("analyze-stdout", 1): (
-        0, "ffd117da9750fc76b71486d7834c590c9fe78da91d2480374f8ae8c3f2899213", "", {}),
+        0, "27c093f249dd6a87a66b597f57252f425f74f15e4ab4e768072ca76660d663f2", "", {}),
     ("analyze-stdout", 2): (
-        0, "bd45b9d95b39c5dca1729a21dff39b42397de84e11e0daee0f05ed776f6e9e3d",
+        0, "af2e38aea875ca0a5891a2634fda9054b9142d82c9c805edb45fedf37df5603f",
         _NO_REPRESENTATIVE, {}),
     ("analyze-stdout", 3): (
-        0, "655125f21070d65ff96adeddec930a68fbda9abed52fcb7139a08c3029db6f3b",
+        0, "c7badff7a57fa13df0095f7d7ee136cfe57d54c16def2c7917c327e2b112fd03",
         _NO_REPRESENTATIVE, {}),
     ("analyze-csv-dmf", 1): (
-        0, "ffd117da9750fc76b71486d7834c590c9fe78da91d2480374f8ae8c3f2899213", "", {
+        0, "27c093f249dd6a87a66b597f57252f425f74f15e4ab4e768072ca76660d663f2", "", {
             "dmf.csv": "cdf59a1a8cba4683553db5078f2a02fd7dec087b299540e747d28e74a45ecf89",
         }),
     ("analyze-csv-dmf", 2): (
-        0, "bd45b9d95b39c5dca1729a21dff39b42397de84e11e0daee0f05ed776f6e9e3d",
+        0, "af2e38aea875ca0a5891a2634fda9054b9142d82c9c805edb45fedf37df5603f",
         _NO_REPRESENTATIVE, {
             "dmf.csv": "d2fccba55ea796cc10c6dc3d4e3d2bd9e7d1baa2e7f08742fe7d919f15b88d15",
         }),
     ("analyze-csv-dmf", 3): (
-        0, "655125f21070d65ff96adeddec930a68fbda9abed52fcb7139a08c3029db6f3b",
+        0, "c7badff7a57fa13df0095f7d7ee136cfe57d54c16def2c7917c327e2b112fd03",
         _NO_REPRESENTATIVE, {
             "dmf.csv": "c8e88162a125467f7ee977f7bf5e89339f233cc3819bef3a023ec134a5d7ded3",
         }),
     ("detect-json-out-empty", 1): (
-        1, "cc89b4f7397156ce72bc6167702eab138fc2baca0e7e2bf6058a3cc5b913c5e1", "", {
+        1, "e04072d8ad99beb715680fff8e844bf48b177b01408445b3ce2d03cf208e9261", "", {
             "out.pgm": "88ffbef22cf6592a23d67ab5b3cb8a15ce2ecc1151ee6aa067ab92af4e1b9806",
         }),
     ("detect-json-out-empty", 2): (
-        1, "8b5508ac0184fb15271230527cecfc337d74f44b24acdeebe0fb462ed8410ceb", "", {
+        1, "eb7b8443a337ddbf25941a420665b64985f6f05e5ec439ca0634cb83f6ae39e6", "", {
             "out.pgm": "eb6396b5745490537d85ac70667bf9d63fcecd261ce172ffdc5bfce946d5dd87",
         }),
     ("detect-json-out-empty", 3): (
-        1, "d5d6937e3baf6bd434197a245a54e36982679e127359377df0139f64c9a01d29", "", {
+        1, "fe2eed9272d1193929b90c843560d09f47521bc0220ee158bac92b54f8c23491", "", {
             "out.pgm": "ceb8e1f3394748bf6a860ce1fbfb731a6140f32a3623d62c626bdcf17116dadd",
         }),
     ("synthesize-texel-out", 1): (0, _EMPTY, "", {

@@ -1,6 +1,7 @@
 """First-order statistics against a per-pixel reference and closed forms."""
 
 import math
+from collections import Counter
 from unittest import mock
 
 import hypothesis.extra.numpy as hnp
@@ -19,7 +20,12 @@ from texelkit import (
 )
 
 from conftest import features_close, make_image, named, peak_bytes, random_image
-from reference import direct_feature_matrix, one_bincount_features, pixel_loop_features
+from reference import (
+    direct_feature_matrix,
+    exact_moments,
+    one_bincount_features,
+    pixel_loop_features,
+)
 
 
 class TestClosedForms:
@@ -163,23 +169,77 @@ class TestPerCountTables:
         assert log2_argument_shape(counts, 256) == counts.shape
 
     @pytest.mark.parametrize("n", [64, 10**6], ids=["table", "direct"])
-    def test_peak_within_four_level_arrays(self, n):
-        # three float64 arrays the size of the counts, which block_features
+    def test_peak_within_level_arrays(self, n):
+        # two float64 arrays the size of the counts, which block_features
         # budgets as _LEVEL_ARRAYS with the counts themselves
         counts = np.random.default_rng(5).multinomial(n, [1 / 256] * 256, size=128)
         assert (n + 1 <= counts.size) == (n == 64)
         out, peak = peak_bytes(stats.feature_matrix, counts, n)
-        assert stats._LEVEL_ARRAYS == 4
-        assert peak < 4 * counts.nbytes + out.nbytes
+        assert stats._LEVEL_ARRAYS == 3
+        assert peak < 3 * counts.nbytes + out.nbytes
 
     def test_work_buffer_is_used_in_place(self):
         counts = np.random.default_rng(5).multinomial(64, [1 / 256] * 256, size=128)
-        work = np.empty((3, counts.size + 256))
+        work = np.empty((stats._LEVEL_ARRAYS - 1, counts.size + 256))
         want = stats.feature_matrix(counts, 64)
         got, peak = peak_bytes(stats.feature_matrix, counts, 64, work)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
         # numpy's broadcasting buffers and the small tables, but no level array
         assert peak < counts.nbytes
+
+
+# the last n of each of feature_matrix's regimes: kurtosis, skewness and
+# variance numerators below 2^53, power sums as exact doubles, then as int64
+# (past that, Python ints)
+_REGIME_ENDS = (71, 1757, 744362, 2130242, 2181368337)
+
+
+@st.composite
+def exact_count_rows(draw):
+    """(m, 256) gray-level counts of m regions of n pixels each, n from any
+    of feature_matrix's regimes, each row split over a few random levels."""
+    regime = draw(st.integers(0, len(_REGIME_ENDS)))
+    low = _REGIME_ENDS[regime - 1] + 1 if regime else 1
+    n = draw(st.integers(low, _REGIME_ENDS[regime] if regime < len(_REGIME_ENDS) else 10**12))
+    rows = np.zeros((draw(st.integers(1, 3)), 256), np.int64)
+    for row in rows:
+        levels = draw(st.lists(st.integers(0, 255), min_size=1, max_size=8, unique=True))
+        cuts = draw(st.lists(st.integers(0, n), min_size=len(levels) - 1, max_size=len(levels) - 1))
+        row[levels] = np.diff([0, *sorted(cuts), n])
+    return rows
+
+
+def two_levels(n: int, zeros: int) -> np.ndarray:
+    """One row of counts: `zeros` pixels at 0 and the rest at 255."""
+    counts = np.zeros((1, 256), dtype=np.int64)
+    counts[0, 0], counts[0, 255] = zeros, n - zeros
+    return counts
+
+
+class TestExactMoments:
+    @settings(max_examples=300, deadline=None)
+    @given(exact_count_rows())
+    @example(one_hot(1, 1, 0))  # n = 1
+    @example(one_hot(2, 64, 200))  # single-level rows
+    @example(two_levels(64, 32))  # half 0, half 255: the largest variance
+    # at each regime's last n and the next, a row near the bound that sets it:
+    # about 21% of the pixels at 0 (p (1 - p) = 1/6) for the largest kurtosis
+    # and |skewness|, half for the largest variance
+    @example(two_levels(71, 15))
+    @example(two_levels(72, 13))  # above 2^53: a float64 numerator would round twice
+    @example(two_levels(1757, 371))
+    @example(two_levels(1758, 371))
+    @example(two_levels(744362, 372181))
+    @example(two_levels(744363, 372181))
+    @example(two_levels(2130242, 450122))
+    @example(two_levels(2130243, 450122))
+    @example(two_levels(2181368337, 460938532))
+    @example(two_levels(2181368338, 460938532))
+    def test_five_features_are_correctly_rounded(self, counts):
+        n = int(counts[0].sum())
+        got = stats.feature_matrix(counts, n)[:, :5]
+        want = np.array([exact_moments(Counter(dict(enumerate(row)))) for row in counts.tolist()])
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 _NOISE_1024 = GrayImage(np.random.default_rng(3).integers(0, 256, (1024, 1024), dtype=np.uint8))

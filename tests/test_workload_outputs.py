@@ -33,24 +33,24 @@ WORKLOADS = load_workloads()
 PINNED = {
     ("detect-dense", 1): (1, {
         "output.pgm": "3ddcbad0a4c4ebfd73c56d0e0142c3044dc87dababe07e4e9eae7bce35e19785",
-        "report.json": "62cd13a693630b1fdb61ae26a596ee7e20b102bbd944690f5dbce06ac7c839f4",
+        "report.json": "b08536b148fabb3b4a0dc365288d1da7c05a15c16228ea24c0440e398f05b5cb",
     }),
     ("detect-dense", 2): (1, {
         "output.pgm": "e13da4051eeedb66388d125d6faad94a2723302de7761066067ef9d35690843a",
-        "report.json": "9bfa35a1acf0cf3a083044eb70cdbefbd1c33ade237af794c8d2c9de47bb8c8d",
+        "report.json": "3a99d43bd0bb23741f6f0be450e4b67cee00457c6969dd769a54a0dc0a9a8620",
     }),
     ("detect-dense", 3): (1, {
         "output.pgm": "a8dd91a423e975e849ae061f9a4797833af0785a51270b9ce8f99183471b3b17",
-        "report.json": "165c705c7567722a55ffbbcd523d0febcbe6e129f62858d3abe92e76f4d4ade9",
+        "report.json": "912036b167d48df5f539ead917b9dbe4176369bb108f4f7520ce06eb718cfe06",
     }),
     ("analyze-periodic", 1): (0, {
-        "report.json": "fb07d975608e78913b91910cf35e76207a8304a8d1ddd4669b5a2d6e7a728eb5",
+        "report.json": "fc2a00d9fee71b7b42c566ea5e79e97d08663b90713e37b00682a1e1ac4895aa",
     }),
     ("analyze-periodic", 2): (0, {
-        "report.json": "0dc0e6e44b7582387d0fcaeb7eb1eab4b8791ccf9e6db389cad7215825463ebf",
+        "report.json": "e93fadb05950aa4adcd08541ef7475d1258ad713e57d33b63dbb41891268b4c6",
     }),
     ("analyze-periodic", 3): (0, {
-        "report.json": "e8eebb7589f943d37b66643fb7507b08703b8459b7f533e1d695bc6260c75e7d",
+        "report.json": "51b4237a61a7779dd008dca52a7db582654658a21419831e3c41bb80f9aeb3c4",
     }),
     ("synth-p2", 1): (0, {
         "output.pgm": "64557c433d908aedaeb3cffc7cd6f56fa22e16d1bfe52ba9abfddb86d7890b3b",
